@@ -5,11 +5,11 @@ a0((x-q)/sqrt(eps)) chi(x/eps; p); the first-order packet adds
 sqrt(eps) [a1 chi + (-i d_y a0) d_p chi].  After a crossing the state is the
 first-order packet on the continued branch plus sqrt(eps) times a
 zeroth-order packet on the other branch, each riding its own classical
-trajectory.
+trajectory; ``harness.branch_packet`` places either packet on one branch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -195,64 +195,18 @@ def assemble_wp1(params: WavepacketParams, grid: Grid) -> GridState:
     return state
 
 
-@dataclass
-class TwoBandEnvelopes:
-    """Envelopes of both branches at a common observation time."""
-
-    a0_plus: Envelope
-    a0_minus: Envelope
-    a1_plus: Envelope | None = None
-
-
 def path_dp_chi(path, p: float) -> np.ndarray:
     """d_p chi along a gauge-fixed path by spectral-grade spline derivative."""
     sp = CubicSpline(path.p_samples, path.chi, axis=0)
     return sp(p, 1)
 
 
-def _path_energy(path, p: float) -> float:
-    return float(CubicSpline(path.p_samples, path.energies)(p))
-
-
-def two_band_ansatz(ext, envelopes: TwoBandEnvelopes, pair, t: float,
-                    grid: Grid, epsilon: float) -> GridState:
-    """Post-crossing state: continued-branch WP1 + sqrt(eps) excited WP0.
-
-    ext carries the two classical trajectories (plus branch through the
-    crossing, minus branch restarted there); pair carries the smoothly
-    continued eigenvector families used for chi and d_p chi.
-    """
-    qp, pp, Sp = ext.plus.state_at(t)
-    chi_p = pair.plus.chi_at(pp)
-    dchi_p = path_dp_chi(pair.plus, pp)
-    a1 = envelopes.a1_plus
-    if a1 is None:
-        a1 = Envelope(envelopes.a0_plus.y,
-                      np.zeros_like(envelopes.a0_plus.values))
-    plus_params = WavepacketParams(
-        S=Sp, q=qp, p=pp, a0=envelopes.a0_plus, a1=a1,
-        chi=chi_p, dp_chi=dchi_p, epsilon=epsilon,
-    )
-    state = assemble_wp1(plus_params, grid)
-    if envelopes.a0_minus.norm() == 0.0:
-        state.t = t
-        return state
-    qm, pm, Sm = ext.minus.state_at(t)
-    chi_m = pair.minus.chi_at(pm)
-    minus_params = WavepacketParams(
-        S=Sm, q=qm, p=pm, a0=envelopes.a0_minus, chi=chi_m, epsilon=epsilon,
-    )
-    minus = assemble_wp0(minus_params, grid)
-    state.values = state.values + np.sqrt(epsilon) * minus.values
-    state.t = t
-    return state
-
-
 def predict_excited_mass(dqW_star: float, coupling: complex, slope_gap: float,
                          incident_norm: float, epsilon: float) -> float:
     """Predicted squared L2 norm of the excited packet.
 
-    2 pi |dqW*| |coupling|^2 / slope_gap * epsilon * incident_norm^2
+    2 pi |dqW*| |coupling|^2 / slope_gap * epsilon * incident_norm^2; at
+    epsilon = 1 this is the norm ||a_minus||^2 of envelope.excited_envelope.
     """
     if slope_gap <= 0:
         raise ValueError("slope gap must be positive")

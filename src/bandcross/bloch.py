@@ -24,7 +24,7 @@ from .errors import (
     SingularResolvent,
     TruncationTooSmall,
 )
-from .io import write_csv, write_json
+from .io import write_csv
 from .potential import PeriodicPotential
 
 __all__ = [
@@ -235,22 +235,6 @@ def detect_crossings(bs: BandStructure, tol: float = 1e-8,
                 )
             out.append(Crossing(n, p_ref, g_ref, target, dist))
     return out
-
-
-def crossings_to_json(crossings, pairs, path):
-    """Crossing report: location, slopes, |coupling| and isolation margin."""
-    payload = []
-    for c, pr in zip(crossings, pairs):
-        payload.append({
-            "n": c.n,
-            "p_star": c.p_star,
-            "gap_min": c.gap_min,
-            "slope_plus": pr.slope_plus,
-            "slope_minus": pr.slope_minus,
-            "coupling_abs": abs(coupling_coefficient(pr)),
-            "isolation_margin": pr.margin,
-        })
-    write_json(path, payload)
 
 
 # -- gauge transport -----------------------------------------------------------

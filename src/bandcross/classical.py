@@ -91,10 +91,6 @@ class Trajectory:
     p_star: float | None = None
     energy_drift: float = 0.0
 
-    @property
-    def p_wrapped(self) -> np.ndarray:
-        return np.mod(self.p, TWO_PI)
-
     def state_at(self, t: float) -> tuple[float, float, float]:
         """Cubic interpolation of (q, p, S) at an off-grid time."""
         qs = CubicSpline(self.t_grid, self.q)

@@ -52,6 +52,13 @@ def periodize_external(W, grid: Grid, collar: float = 1.0) -> np.ndarray:
     return w
 
 
+def grid_potential(V: PeriodicPotential, W, grid: Grid,
+                   collar: float = 1.0) -> np.ndarray:
+    """V(x/eps) + W(x) on the grid, W periodized over the collar."""
+    u = evaluate_periodic(V, np.round(np.mod(grid.x / grid.epsilon, 1.0), 12))
+    return u.real + periodize_external(W, grid, collar)
+
+
 @dataclass
 class PropagatorConfig:
     """Time-stepping parameters for one propagation."""
@@ -75,12 +82,6 @@ class PropagatorConfig:
         self.snapshot_times = tuple(snaps)
 
 
-def default_dt(epsilon: float, max_potential: float) -> float:
-    """min(eps/10, phase-limit bound), rounded so t stays representable."""
-    bound = HALF_STEP_PHASE_LIMIT * epsilon / max(max_potential, 1e-12)
-    return min(epsilon / 10.0, bound)
-
-
 @dataclass
 class PropagationResult:
     snapshots: list
@@ -95,9 +96,7 @@ def propagate(psi0: GridState, V: PeriodicPotential, W,
     """Propagate to t_final, recording snapshots (t_final always included)."""
     grid = psi0.grid
     eps = grid.epsilon
-    x = grid.x
-    u = evaluate_periodic(V, np.round(np.mod(x / eps, 1.0), 12)).real
-    u = u + periodize_external(W, grid, cfg.collar)
+    u = grid_potential(V, W, grid, cfg.collar)
     phase_half = cfg.dt / 2.0 * np.max(np.abs(u)) / eps
     if phase_half > HALF_STEP_PHASE_LIMIT + 1e-12:
         raise StabilityViolation(
@@ -114,7 +113,7 @@ def propagate(psi0: GridState, V: PeriodicPotential, W,
     k = grid.wavenumbers()
     kin_full = np.exp(-1j * dt * eps * k ** 2 / 2.0)
     pot_half = np.exp(-1j * dt * u / (2.0 * eps))
-    collar_idx = x >= grid.length - cfg.collar
+    collar_idx = grid.x >= grid.length - cfg.collar
 
     psi = psi0.values.copy()
     norm0 = psi0.norm()

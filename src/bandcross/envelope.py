@@ -1,9 +1,12 @@
 """Slow-envelope dynamics and the excited-envelope oscillatory integral.
 
 a0 rides a time-dependent harmonic oscillator i da0/dt = H(t) a0 with
-H = 1/2 d2E k^2 + 1/2 d2W y^2 + w1 A, integrated by midpoint Strang
-splitting (kinetic part exact in frequency space).  a1 obeys the same flow
-with the cubic-correction source I(t) a0.  The envelope excited at a band
+H = 1/2 d2E k^2 + 1/2 d2W y^2, integrated by midpoint Strang splitting
+(kinetic part exact in frequency space).  a1 obeys the same flow with the
+cubic-correction source I(t) a0, I = 1/6 d3E k^3 + 1/6 d3W y^3.  The Berry
+connection A = i <chi|d_p chi> would add dW/dq A to H and dW/dq d_pA k +
+d2W A y to I, but the eigenvectors are parallel-transported along p, so
+A = 0 and those terms vanish identically.  The envelope excited at a band
 crossing is a chirp convolution of the incident envelope, computed by a
 closed-form frequency route and an independent direct quadrature; its
 partial buildup in the fast time s is evaluated per frequency with Fresnel
@@ -56,15 +59,6 @@ class Envelope:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.dy))
 
-    def boundary_mass_fraction(self) -> float:
-        n_edge = max(2, int(round(BOUNDARY_FRACTION * self.y.size / 2)))
-        total = np.sum(np.abs(self.values) ** 2)
-        if total == 0:
-            return 0.0
-        edge = (np.sum(np.abs(self.values[:n_edge]) ** 2)
-                + np.sum(np.abs(self.values[-n_edge:]) ** 2))
-        return float(edge / total)
-
     def k_grid(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.y.size, d=self.dy)
 
@@ -112,18 +106,18 @@ class EnvelopePath:
 class OscillatorCoefficients:
     """Trajectory-sampled coefficient series for H(t) and I(t).
 
-    H(t) = 1/2 d2E k^2 + 1/2 d2W y^2 + w1 A
-    I(t) = 1/6 d3E k^3 + 1/6 d3W y^3 + w1 dpA k + d2W A y
+    H(t) = 1/2 d2E k^2 + 1/2 d2W y^2
+    I(t) = 1/6 d3E k^3 + 1/6 d3W y^3
+
+    The Berry-connection terms of both are absent: the band paths carry a
+    parallel-transported gauge, in which A and d_pA vanish.
     """
 
     t_grid: np.ndarray
     d2E: np.ndarray
     d2W: np.ndarray
-    w1: np.ndarray               # dW/dq along the path
-    berry: np.ndarray            # A(p(t)); identically zero in transported gauge
     d3E: np.ndarray
     d3W: np.ndarray
-    dpA: np.ndarray
     _splines: dict = field(default_factory=dict, repr=False)
 
     def _sp(self, name):
@@ -138,21 +132,18 @@ class OscillatorCoefficients:
         return float(self._sp(name)(np.clip(t, lo, hi)))
 
     @classmethod
-    def constant(cls, t_span, d2E=0.0, d2W=0.0, w1=0.0, berry=0.0,
-                 d3E=0.0, d3W=0.0, dpA=0.0, n: int = 33):
+    def constant(cls, t_span, d2E=0.0, d2W=0.0, d3E=0.0, d3W=0.0,
+                 n: int = 33):
         t = np.linspace(t_span[0], t_span[1], n)
         ones = np.ones_like(t)
-        return cls(t, d2E * ones, d2W * ones, w1 * ones, berry * ones,
-                   d3E * ones, d3W * ones, dpA * ones)
+        return cls(t, d2E * ones, d2W * ones, d3E * ones, d3W * ones)
 
 
-def coefficients_from_trajectory(band_path, traj, W,
-                                 berry=None, dpA=None) -> OscillatorCoefficients:
+def coefficients_from_trajectory(band_path, traj, W) -> OscillatorCoefficients:
     """Sample oscillator coefficients along a classical trajectory.
 
     Band derivative tables are interpolated at p(t); external derivatives are
-    evaluated at q(t).  In the transported gauge the Berry connection and its
-    p-derivative vanish along the path, which is the default.
+    evaluated at q(t).
     """
     t = traj.t_grid
     p, q = traj.p, traj.q
@@ -160,16 +151,12 @@ def coefficients_from_trajectory(band_path, traj, W,
     d3_sp = CubicSpline(band_path.p_samples, band_path.d3E)
     if np.any(p < band_path.p_min - 1e-9) or np.any(p > band_path.p_max + 1e-9):
         raise GridMismatch("trajectory leaves the sampled band window")
-    zeros = np.zeros_like(t)
     return OscillatorCoefficients(
         t_grid=t.copy(),
         d2E=d2_sp(p),
         d2W=np.array([float(W.d2w(qi)) for qi in q]),
-        w1=np.array([float(W.dw(qi)) for qi in q]),
-        berry=zeros.copy() if berry is None else np.asarray(berry, float),
         d3E=d3_sp(p),
         d3W=np.array([float(W.d3w(qi)) for qi in q]),
-        dpA=zeros.copy() if dpA is None else np.asarray(dpA, float),
     )
 
 
@@ -185,10 +172,10 @@ def _check_overflow(values: np.ndarray, n_edge: int):
         )
 
 
-def _apply_h_strang(values, k, y, dt, d2E, d2W, w1A):
+def _apply_h_strang(values, k, y, dt, d2E, d2W):
     """One midpoint Strang step of exp(-i dt H)."""
     half_kin = np.exp(-0.25j * dt * d2E * k ** 2)
-    pot = np.exp(-1j * dt * (0.5 * d2W * y ** 2 + w1A))
+    pot = np.exp(-1j * dt * (0.5 * d2W * y ** 2))
     v = np.fft.ifft(half_kin * np.fft.fft(values))
     v *= pot
     return np.fft.ifft(half_kin * np.fft.fft(v))
@@ -207,11 +194,8 @@ def evolve_a0(coeffs: OscillatorCoefficients, a0_init: Envelope, t_span,
     stored = [vals.copy()]
     for j in range(n_steps):
         tm = t0 + (j + 0.5) * h
-        vals = _apply_h_strang(
-            vals, k, y, h,
-            coeffs.at(tm, "d2E"), coeffs.at(tm, "d2W"),
-            coeffs.at(tm, "w1") * coeffs.at(tm, "berry"),
-        )
+        vals = _apply_h_strang(vals, k, y, h, coeffs.at(tm, "d2E"),
+                               coeffs.at(tm, "d2W"))
         _check_overflow(vals, n_edge)
         if (j + 1) % store_every == 0 or j == n_steps - 1:
             stored_t.append(t0 + (j + 1) * h)
@@ -220,16 +204,14 @@ def evolve_a0(coeffs: OscillatorCoefficients, a0_init: Envelope, t_span,
 
 
 def _apply_source(coeffs, t, a_vals, k, y):
-    """I(t) a with I = 1/6 d3E k^3 + 1/6 d3W y^3 + w1 dpA k + d2W A y."""
+    """I(t) a with I = 1/6 d3E k^3 + 1/6 d3W y^3."""
     d3E = coeffs.at(t, "d3E")
     d3W = coeffs.at(t, "d3W")
-    w1dpA = coeffs.at(t, "w1") * coeffs.at(t, "dpA")
-    d2WA = coeffs.at(t, "d2W") * coeffs.at(t, "berry")
     out = np.zeros_like(a_vals)
-    if d3E != 0.0 or w1dpA != 0.0:
-        out += np.fft.ifft((d3E / 6.0 * k ** 3 + w1dpA * k) * np.fft.fft(a_vals))
-    if d3W != 0.0 or d2WA != 0.0:
-        out += (d3W / 6.0 * y ** 3 + d2WA * y) * a_vals
+    if d3E != 0.0:
+        out += np.fft.ifft(d3E / 6.0 * k ** 3 * np.fft.fft(a_vals))
+    if d3W != 0.0:
+        out += d3W / 6.0 * y ** 3 * a_vals
     return out
 
 
@@ -260,13 +242,12 @@ def evolve_a1(coeffs: OscillatorCoefficients, a1_init: Envelope,
         tm = t0 + (j + 0.5) * h
         d2E = coeffs.at(tm, "d2E")
         d2W = coeffs.at(tm, "d2W")
-        w1A = coeffs.at(tm, "w1") * coeffs.at(tm, "berry")
-        vals = _apply_h_strang(vals, k, y, h, d2E, d2W, w1A)
+        vals = _apply_h_strang(vals, k, y, h, d2E, d2W)
         a0_mid = a0_path.values[2 * j + 1]
         src = _apply_source(coeffs, tm, a0_mid, k, y)
         # transport the midpoint source through the remaining half step
         half_kin = np.exp(-0.125j * h * d2E * k ** 2)
-        pot = np.exp(-0.5j * h * (0.5 * d2W * y ** 2 + w1A))
+        pot = np.exp(-0.5j * h * (0.5 * d2W * y ** 2))
         src = np.fft.ifft(half_kin * np.fft.fft(src))
         src = np.fft.ifft(half_kin * np.fft.fft(pot * src))
         vals = vals - 1j * h * src
@@ -386,15 +367,6 @@ def _spectral_refine(values: np.ndarray, r: int) -> np.ndarray:
     padded[half] = 0.5 * spec[half]
     padded[n * r - half] = 0.5 * spec[half]
     return np.fft.ifft(padded) * r
-
-
-def excited_mass_prediction(dqW_star: float, slope_gap: float,
-                            coupling: complex, a_star_norm: float = 1.0) -> float:
-    """Norm identity: ||a_minus||^2 = 2 pi |dqW*| |kappa|^2 ||a*||^2 / sg."""
-    if slope_gap <= 0:
-        raise DegenerateSlopes("slope gap must be positive")
-    return (2.0 * np.pi * abs(dqW_star) * abs(coupling) ** 2
-            * a_star_norm ** 2 / slope_gap)
 
 
 def excited_buildup(a_star: Envelope, dqW_star: float, slope_gap: float,

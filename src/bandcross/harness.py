@@ -20,8 +20,8 @@ from .ansatz import (Grid, GridState, WavepacketParams, assemble_wp0,
                      assemble_wp1, path_dp_chi, predict_excited_mass)
 from .bloch import band_path, coupling_coefficient, smooth_continuation
 from .classical import SplineBand, extend_through_crossing, integrate_flow
-from .direct import (PropagatorConfig, PropagationResult, band_mass, l2_error,
-                     propagate)
+from .direct import (PropagatorConfig, PropagationResult, band_mass,
+                     grid_potential, l2_error, propagate)
 from .envelope import (Envelope, coefficients_from_trajectory, evolve_a0,
                        evolve_a1, excited_buildup, excited_envelope,
                        gaussian_envelope, make_grid)
@@ -423,15 +423,6 @@ class SolverPlan:
     target: float
 
 
-def _max_grid_potential(V, W, grid: Grid) -> float:
-    from .direct import periodize_external
-    from .potential import evaluate_periodic
-    x = grid.x
-    u = evaluate_periodic(V, np.round(np.mod(x / grid.epsilon, 1.0), 12)).real
-    u = u + periodize_external(W, grid)
-    return float(np.max(np.abs(u)))
-
-
 def plan_solver(cfg: RunConfig, eps: float, t_run: float, signal: float,
                 V, W, grid: Grid) -> SolverPlan:
     s = cfg.solver
@@ -440,7 +431,8 @@ def plan_solver(cfg: RunConfig, eps: float, t_run: float, signal: float,
     target = s["error_budget"] * signal
     if key in override:
         return SolverPlan(float(override[key]), bool(s["richardson"]), target)
-    stability = 0.45 * eps / max(_max_grid_potential(V, W, grid), 1e-12)
+    u_max = float(np.max(np.abs(grid_potential(V, W, grid))))
+    stability = 0.45 * eps / max(u_max, 1e-12)
     if s["richardson"]:
         dt_model = (target * eps ** 5 / (s["quartic_constant"] * t_run)) ** 0.25
     else:
@@ -591,25 +583,23 @@ def _snap(times: dict, dt: float, t_run: float):
     return dt_eff, out
 
 
-def _wp1_at(scenario, cfg, eps, grid, t, a0, a1) -> GridState:
-    q, p, S = scenario.ext.plus.state_at(t)
-    params = WavepacketParams(
-        S=S, q=q, p=p, a0=a0, a1=a1, epsilon=eps,
-        chi=scenario.pair.plus.chi_at(p),
-        dp_chi=path_dp_chi(scenario.pair.plus, p),
-    )
-    state = assemble_wp1(params, grid)
-    state.t = t
-    return state
+def branch_packet(traj, path, grid: Grid, t: float, a0: Envelope,
+                  a1: Envelope | None = None) -> GridState:
+    """The packet riding traj on one band branch at time t.
 
-
-def _minus_wp0_at(scenario, cfg, eps, grid, t, a_minus) -> GridState:
-    q, p, S = scenario.ext.minus.state_at(t)
-    params = WavepacketParams(
-        S=S, q=q, p=p, a0=a_minus, epsilon=eps,
-        chi=scenario.pair.minus.chi_at(p),
-    )
-    state = assemble_wp0(params, grid)
+    WP1 when a1 is given, else WP0; path supplies chi and, for WP1, d_p chi
+    at the trajectory's momentum.  The post-crossing state is the WP1 on the
+    continued branch plus sqrt(eps) times the WP0 on the other branch.
+    """
+    q, p, S = traj.state_at(t)
+    params = WavepacketParams(S=S, q=q, p=p, a0=a0, epsilon=grid.epsilon,
+                              chi=path.chi_at(p))
+    if a1 is None:
+        state = assemble_wp0(params, grid)
+    else:
+        params.a1 = a1
+        params.dp_chi = path_dp_chi(path, p)
+        state = assemble_wp1(params, grid)
     state.t = t
     return state
 
@@ -632,7 +622,8 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     a0_init = gaussian_envelope(cfg.sigma, cfg.envelope_half_width,
                                 cfg.envelope_points)
     a1_init = Envelope(y, np.zeros(cfg.envelope_points, dtype=complex))
-    psi0 = _wp1_at(scenario, cfg, eps, grid, 0.0, a0_init, a1_init)
+    plus, minus = scenario.ext.plus, scenario.ext.minus
+    psi0 = branch_packet(plus, scenario.pair.plus, grid, 0.0, a0_init, a1_init)
 
     prop_cfg = PropagatorConfig(dt=dt, t_final=t_run,
                                 snapshot_times=tuple(sorted(times.values())))
@@ -653,8 +644,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     errors = {}
     for label in error_labels:
         t = times[label]
-        a0_t, a1_t = env[t]
-        wp1 = _wp1_at(scenario, cfg, eps, grid, t, a0_t, a1_t)
+        wp1 = branch_packet(plus, scenario.pair.plus, grid, t, *env[t])
         rep = l2_error(by_time[round(t, 10)], wp1)
         errors[label] = (rep.plain, rep.phase_optimized)
 
@@ -681,10 +671,11 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         a_minus = _evolve_a0_to(scenario.coeffs_minus, a_minus0, [t_obs],
                                 cfg.solver["envelope_dt"])[t_obs]
         psi_obs = by_time[round(t_obs, 10)]
-        wp1_obs = _wp1_at(scenario, cfg, eps, grid, t_obs, *env[t_obs])
+        wp1_obs = branch_packet(plus, scenario.pair.plus, grid, t_obs,
+                                *env[t_obs])
         resid = psi_obs.values - wp1_obs.values
         resid_norm = float(np.sqrt(np.sum(np.abs(resid) ** 2) * grid.dx))
-        pred = _minus_wp0_at(scenario, cfg, eps, grid, t_obs, a_minus)
+        pred = branch_packet(minus, scenario.pair.minus, grid, t_obs, a_minus)
         pred_vals = np.sqrt(eps) * pred.values
         pred_norm = float(np.sqrt(np.sum(np.abs(pred_vals) ** 2) * grid.dx))
         inner_prod = abs(np.sum(np.conj(resid) * pred_vals) * grid.dx)
@@ -693,8 +684,8 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         case.excited_mass_measured = resid_norm ** 2
 
         # independent check: minus-band mass by fiber projection at the packet
-        q_minus = scenario.ext.minus.state_at(t_obs)[0]
-        q_plus = scenario.ext.plus.state_at(t_obs)[0]
+        q_minus = minus.state_at(t_obs)[0]
+        q_plus = plus.state_at(t_obs)[0]
         window = (q_minus - 3.0, 0.5 * (q_minus + q_plus))
         table = band_mass(psi_obs, scenario.V, n_bands=cfg.band + 2,
                           window=window)
@@ -723,6 +714,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
 
 
 def _cases_for(cfg: RunConfig) -> list:
+    build_crossing_scenario(cfg)   # cached once, before the workers look it up
     eps_list = list(cfg.epsilons)
     with ThreadPoolExecutor(max_workers=worker_count(len(eps_list))) as pool:
         return list(pool.map(lambda e: run_crossing_case(cfg, e), eps_list))
@@ -884,16 +876,7 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     dt, times = _snap({"final": cfg.t_final}, plan.dt, cfg.t_final)
     t_obs = times["final"]
 
-    def wp_at(t, a0, a1, order):
-        q, p, S = traj.state_at(t)
-        params = WavepacketParams(S=S, q=q, p=p, a0=a0, a1=a1, epsilon=eps,
-                                  chi=path.chi_at(p),
-                                  dp_chi=path_dp_chi(path, p))
-        st = assemble_wp1(params, grid) if order else assemble_wp0(params, grid)
-        st.t = t
-        return st
-
-    psi0 = wp_at(0.0, a0_init, a1_init, order=1)
+    psi0 = branch_packet(traj, path, grid, 0.0, a0_init, a1_init)
     prop_cfg = PropagatorConfig(dt=dt, t_final=t_obs,
                                 snapshot_times=(t_obs,))
     result = _run_solver(psi0, V, W, prop_cfg, plan.richardson)
@@ -901,8 +884,8 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     env = _evolve_envelopes_to(coeffs, a0_init, a1_init, [t_obs],
                                cfg.solver["envelope_dt"])
     a0_t, a1_t = env[t_obs]
-    rep1 = l2_error(psi, wp_at(t_obs, a0_t, a1_t, order=1))
-    rep0 = l2_error(psi, wp_at(t_obs, a0_t, a1_t, order=0))
+    rep1 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t, a1_t))
+    rep0 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t))
     case = IsolatedCase(epsilon=eps, dt=dt,
                         error_wp1=rep1.plain, error_wp0=rep0.plain,
                         error_wp1_phase_opt=rep1.phase_optimized,

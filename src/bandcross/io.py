@@ -16,10 +16,7 @@ def fmt(x) -> str:
     """Shortest round-trip decimal form of a float or int."""
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if x == int(x) and abs(x) < 1e16:
-        return repr(x)
-    return repr(x)
+    return repr(float(x))
 
 
 def write_csv(path, header, rows):

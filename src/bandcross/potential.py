@@ -77,10 +77,6 @@ class PeriodicPotential:
         mags = np.abs(self.coeffs)
         return float(max(mags[:guard].max(), mags[-guard:].max()))
 
-    def max_abs(self, n_samples: int = 4096) -> float:
-        z = np.arange(n_samples) / n_samples
-        return float(np.abs(evaluate_periodic(self, z)).max())
-
     def __call__(self, z):
         return evaluate_periodic(self, z)
 

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from bandcross.ansatz import (
     Grid,
     GridState,
-    TwoBandEnvelopes,
     WavepacketParams,
     assemble_wp0,
     assemble_wp1,
     evaluate_bloch_mode,
     path_dp_chi,
     predict_excited_mass,
-    two_band_ansatz,
 )
 from bandcross.envelope import (
     Envelope,
@@ -22,6 +20,7 @@ from bandcross.envelope import (
     gaussian_envelope,
 )
 from bandcross.errors import EnvelopeClipped, GridMismatch
+from bandcross.harness import branch_packet
 from bandcross.io import read_state_binary
 
 
@@ -223,15 +222,23 @@ def crossing_setup():
     return V, pair, W, ext
 
 
+def two_branch_state(ext, pair, grid, t, a0_plus, a0_minus) -> GridState:
+    """Continued-branch WP1 (a1 = 0) plus sqrt(eps) excited-branch WP0."""
+    a1 = Envelope(a0_plus.y, np.zeros_like(a0_plus.values))
+    plus = branch_packet(ext.plus, pair.plus, grid, t, a0_plus, a1)
+    minus = branch_packet(ext.minus, pair.minus, grid, t, a0_minus)
+    return GridState(grid, plus.values + np.sqrt(grid.epsilon) * minus.values,
+                     t=t)
+
+
 class TestTwoBandAnsatz:
     def test_zero_minus_envelope_is_single_branch(self, crossing_setup):
         V, pair, W, ext = crossing_setup
         grid = Grid(length=8, epsilon=1.0 / 32, ppw=32)
         a0p = gaussian_envelope(sigma=1.0)
         zero = Envelope(a0p.y, np.zeros_like(a0p.values))
-        env = TwoBandEnvelopes(a0_plus=a0p, a0_minus=zero)
         t = 0.3
-        state = two_band_ansatz(ext, env, pair, t, grid, 1.0 / 32)
+        state = two_branch_state(ext, pair, grid, t, a0p, zero)
         qp, pp, Sp = ext.plus.state_at(t)
         params = WavepacketParams(
             S=Sp, q=qp, p=pp, a0=a0p,
@@ -240,6 +247,7 @@ class TestTwoBandAnsatz:
             epsilon=1.0 / 32)
         direct = assemble_wp1(params, grid)
         assert np.array_equal(state.values, direct.values)
+        assert branch_packet(ext.plus, pair.plus, grid, t, a0p).t == t
 
     def test_mass_split_with_separated_centers(self, crossing_setup):
         V, pair, W, ext = crossing_setup
@@ -248,12 +256,11 @@ class TestTwoBandAnsatz:
         a0p = gaussian_envelope(sigma=1.0)
         a0m_raw = gaussian_envelope(sigma=0.8)
         a0m = Envelope(a0m_raw.y, 0.7 * a0m_raw.values)
-        env = TwoBandEnvelopes(a0_plus=a0p, a0_minus=a0m)
         t = 0.33  # centers well separated by opposite group velocities
         qp = ext.plus.state_at(t)[0]
         qm = ext.minus.state_at(t)[0]
         assert abs(qp - qm) > 0.5
-        state = two_band_ansatz(ext, env, pair, t, grid, eps)
+        state = two_branch_state(ext, pair, grid, t, a0p, a0m)
         total2 = state.norm() ** 2
         expect = 1.0 + eps * a0m.norm() ** 2
         # wp1 corrector shifts the plus mass at O(eps); centers separated

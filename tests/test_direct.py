@@ -5,16 +5,13 @@ import pytest
 from bandcross.ansatz import (
     Grid,
     GridState,
-    TwoBandEnvelopes,
     WavepacketParams,
     assemble_wp0,
-    two_band_ansatz,
 )
 from bandcross.direct import (
     BandMassTable,
     PropagatorConfig,
     band_mass,
-    default_dt,
     l2_error,
     periodize_external,
     propagate,
@@ -26,6 +23,7 @@ from bandcross.errors import (
     StabilityViolation,
     WindowEmpty,
 )
+from bandcross.harness import branch_packet
 from bandcross.potential import (
     cosine_external,
     linear_ramp,
@@ -274,6 +272,15 @@ def crossing_setup():
     return V, pair, W, ext
 
 
+def two_branch_state(ext, pair, grid, t, a0_plus, a0_minus) -> GridState:
+    """Continued-branch WP1 (a1 = 0) plus sqrt(eps) excited-branch WP0."""
+    a1 = Envelope(a0_plus.y, np.zeros_like(a0_plus.values))
+    plus = branch_packet(ext.plus, pair.plus, grid, t, a0_plus, a1)
+    minus = branch_packet(ext.minus, pair.minus, grid, t, a0_minus)
+    return GridState(grid, plus.values + np.sqrt(grid.epsilon) * minus.values,
+                     t=t)
+
+
 class TestBandMass:
     def test_zero_state(self):
         grid = Grid(length=4, epsilon=1.0 / 8, ppw=32)
@@ -310,12 +317,10 @@ class TestBandMass:
         a0m = Envelope(a0m_raw.y, 0.7 * a0m_raw.values)
         zero = Envelope(a0m_raw.y, np.zeros_like(a0m_raw.values))
         t = 0.33
-        both = band_mass(
-            two_band_ansatz(ext, TwoBandEnvelopes(a0p, a0m), pair, t, grid,
-                            eps), V, n_bands=4)
-        only = band_mass(
-            two_band_ansatz(ext, TwoBandEnvelopes(a0p, zero), pair, t, grid,
-                            eps), V, n_bands=4)
+        both = band_mass(two_branch_state(ext, pair, grid, t, a0p, a0m), V,
+                         n_bands=4)
+        only = band_mass(two_branch_state(ext, pair, grid, t, a0p, zero), V,
+                         n_bands=4)
         pm = ext.minus.state_at(t)[1]
         # identify the band indices of each branch at the current momenta
         from scipy.interpolate import CubicSpline
@@ -342,9 +347,8 @@ class TestBandMass:
         a0p = gaussian_envelope(sigma=1.0)
         a0m_raw = gaussian_envelope(sigma=0.8)
         a0m = Envelope(a0m_raw.y, 0.7 * a0m_raw.values)
-        env = TwoBandEnvelopes(a0_plus=a0p, a0_minus=a0m)
         t = 0.33
-        state = two_band_ansatz(ext, env, pair, t, grid, eps)
+        state = two_branch_state(ext, pair, grid, t, a0p, a0m)
         qp = ext.plus.state_at(t)[0]
         qm = ext.minus.state_at(t)[0]
         mid = 0.5 * (qp + qm)

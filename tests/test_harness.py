@@ -1,12 +1,14 @@
 """Study orchestration tests: configs, fits, reports, and cheap end-to-end runs."""
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandcross import harness
 from bandcross.errors import DegenerateFit
 from bandcross.harness import (
     GateResult,
@@ -298,6 +300,29 @@ class TestTrivialCrossing:
         scenario = build_crossing_scenario(trivial_cfg)
         with pytest.raises(ValueError):
             _crossing_times(trivial_cfg, scenario, 1 / 8)
+
+
+class TestScenarioFanOut:
+    def test_scenario_built_once_for_the_pool(self, trivial_cfg, monkeypatch):
+        # every worker looks the scenario up; it must already be cached, so
+        # the band pair is diagonalized once however many workers start
+        monkeypatch.setenv("BCL_THREADS", "2")
+        cfg = replace(trivial_cfg, epsilons=(1 / 32, 1 / 64, 1 / 128))
+        calls = []
+        real = harness.smooth_continuation
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        def stub_case(cfg, eps):
+            build_crossing_scenario(cfg)
+            return eps
+
+        monkeypatch.setattr(harness, "smooth_continuation", counting)
+        monkeypatch.setattr(harness, "run_crossing_case", stub_case)
+        assert harness._cases_for(cfg) == list(cfg.epsilons)
+        assert len(calls) == 1
 
 
 class TestEpsilonParsing:
