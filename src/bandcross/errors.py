@@ -103,3 +103,7 @@ class PhaseUnderResolved(BandcrossError):
 
 class DegenerateFit(BandcrossError):
     """Scaling fit requested on degenerate or insufficient data."""
+
+
+class SolverBudgetExceeded(BandcrossError):
+    """Step-doubling error estimate stays above its target after every halving."""

@@ -1,4 +1,4 @@
-"""Split-step reference solver tests."""
+"""Direct solver tests: the Bloch-decomposition step and the Strang oracle."""
 import numpy as np
 import pytest
 
@@ -11,10 +11,12 @@ from bandcross.ansatz import (
 from bandcross.direct import (
     BandMassTable,
     PropagatorConfig,
+    _smoothstep,
     band_mass,
     l2_error,
     periodize_external,
     propagate,
+    propagate_strang,
 )
 from bandcross.envelope import Envelope, gaussian_envelope
 from bandcross.errors import (
@@ -68,6 +70,18 @@ class TestPeriodizeExternal:
         tail = np.max(spec[n // 4: n // 2])
         assert tail < 1e-12 * head
 
+    def test_matches_pointwise_evaluation(self):
+        grid = Grid(length=8, epsilon=1.0 / 8, ppw=32)
+        x = grid.x
+        sel = x >= grid.length - 1.0
+        s = x[sel] - (grid.length - 1.0)
+        for W in (linear_ramp(2.0, q_ref=4.0), cosine_external(0.5, 0.7)):
+            exact = np.array([float(W.w(xi)) for xi in x])
+            shift = np.array([float(W.w(xi - grid.length)) for xi in x[sel]])
+            exact[sel] += _smoothstep(s) * (shift - exact[sel])
+            np.testing.assert_allclose(periodize_external(W, grid, 1.0),
+                                       exact, rtol=1e-15, atol=1e-15)
+
     def test_none_is_zero(self):
         grid = Grid(length=4, epsilon=1.0 / 8, ppw=32)
         assert np.all(periodize_external(None, grid) == 0.0)
@@ -78,13 +92,39 @@ class TestPeriodizeExternal:
             periodize_external(linear_ramp(1.0), grid, collar=3.0)
 
 
-class TestPropagate:
+def bloch_eigenstate(grid: Grid, V, r: int):
+    """Commensurate Bloch eigenstate of band 1 in fiber r, and its energy."""
+    from bandcross.ansatz import evaluate_bloch_mode
+    from bandcross.bloch import eigensolve
+    lk = grid.length * grid.k_inv
+    p_r = 2 * np.pi * r / lk
+    energies, vecs = eigensolve(V, p_r, 1, m_cut=12)
+    z = grid.x / grid.epsilon
+    chi = evaluate_bloch_mode(vecs[0], z)
+    return (GridState(grid, np.exp(1j * p_r * z) * chi / np.sqrt(grid.length)),
+            energies[0])
+
+
+def bloch_packet(grid: Grid) -> GridState:
+    from bandcross.bloch import eigensolve
+    _, vecs = eigensolve(make_cosine(4.0), 0.7, 1, m_cut=12)
+    params = WavepacketParams(S=0.0, q=4.0, p=0.7,
+                              a0=gaussian_envelope(sigma=1.0),
+                              epsilon=grid.epsilon, chi=vecs[0])
+    return assemble_wp0(params, grid)
+
+
+class SolverContract:
+    """Properties both direct solvers share; a subclass sets ``solve``."""
+
+    solve = None
+
     def test_free_gaussian_closed_form(self):
         eps = 1.0 / 16
         grid = Grid(length=8, epsilon=eps, ppw=32)
         state = free_gaussian_state(grid, q=4.0)
         cfg = PropagatorConfig(dt=1e-3, t_final=0.5)
-        res = propagate(state, FLAT, None, cfg)
+        res = self.solve(state, FLAT, None, cfg)
         t = 0.5
         x = grid.x
         y = (x - 4.0) / np.sqrt(eps)
@@ -98,8 +138,9 @@ class TestPropagate:
         eps = 1.0 / 8
         # at this coarse eps the packet develops physical dispersive tails
         # within a few units of the center, so give it a roomy domain and a
-        # dt well below the default (whose splitting error radiates a ~1e-4
-        # tail of its own); the scheme must then stay unitary to roundoff
+        # dt well below the planner's (whose splitting error radiates a
+        # ~1e-4 tail of its own); the scheme must then stay unitary to
+        # roundoff
         grid = Grid(length=16, epsilon=eps, ppw=32)
         from bandcross.bloch import eigensolve
         V = make_cosine(4.0)
@@ -111,61 +152,19 @@ class TestPropagate:
         W = cosine_external(0.5, 0.7)
         cfg = PropagatorConfig(dt=1.25e-4, t_final=0.5,
                                snapshot_times=(0.125, 0.25, 0.375))
-        res = propagate(state, V, W, cfg)
+        res = self.solve(state, V, W, cfg)
         assert res.norm_drift_rate < 1e-10
 
-    def test_bloch_eigenstate_phase_rate(self):
-        # on the torus a commensurate Bloch eigenstate evolves by a pure
-        # phase at rate E_n(p)/eps
-        eps = 1.0 / 8
-        grid = Grid(length=4, epsilon=eps, ppw=32)
-        lk = grid.length * grid.k_inv
-        r = 5
-        p_r = 2 * np.pi * r / lk
-        V = make_cosine(4.0)
-        from bandcross.bloch import eigensolve
-        energies, vecs = eigensolve(V, p_r, 1, m_cut=12)
-        z = grid.x / eps
-        from bandcross.ansatz import evaluate_bloch_mode
-        chi = evaluate_bloch_mode(vecs[0], z)
-        psi0 = GridState(grid, np.exp(1j * p_r * z) * chi / np.sqrt(grid.length))
-        snaps = tuple(np.arange(1, 11) * 0.01)
-        inner0 = np.sum(np.conj(psi0.values) * psi0.values) * grid.dx
-
-        def rate(dt):
-            cfg = PropagatorConfig(dt=dt, t_final=0.1, snapshot_times=snaps,
-                                   check_collar=False)
-            res = propagate(psi0, V, None, cfg)
-            phases = [np.angle(np.sum(np.conj(psi0.values) * s.values)
-                               * grid.dx / inner0) for s in res.snapshots]
-            theta = np.unwrap(phases)
-            ts = np.array([s.t for s in res.snapshots])
-            return -np.polyfit(ts, theta, 1)[0] * eps
-
-        # the splitting shifts the eigenphase rate by O(dt^2); the shift must
-        # shrink accordingly and the dt-extrapolated rate must match E_n(p)
-        e1, e2 = rate(1e-4), rate(5e-5)
-        exact = energies[0]
-        assert abs(e2 - exact) < abs(e1 - exact) / 3.5
-        e_extr = (4 * e2 - e1) / 3
-        assert abs(e_extr - exact) < 1e-6 * abs(exact)
-
     def test_second_order_in_dt(self):
-        eps = 1.0 / 8
-        grid = Grid(length=8, epsilon=eps, ppw=32)
-        from bandcross.bloch import eigensolve
+        grid = Grid(length=8, epsilon=1.0 / 8, ppw=32)
+        state = bloch_packet(grid)
         V = make_cosine(4.0)
-        _, vecs = eigensolve(V, 0.7, 1, m_cut=12)
-        a0 = gaussian_envelope(sigma=1.0)
-        params = WavepacketParams(S=0.0, q=4.0, p=0.7, a0=a0,
-                                  epsilon=eps, chi=vecs[0])
-        state = assemble_wp0(params, grid)
         W = cosine_external(0.5, 0.7)
         T = 0.2
 
         def final(dt):
             cfg = PropagatorConfig(dt=dt, t_final=T)
-            return propagate(state, V, W, cfg).snapshots[-1].values
+            return self.solve(state, V, W, cfg).snapshots[-1].values
 
         ref = final(T / 6400)
         e1 = np.linalg.norm(final(T / 400) - ref)
@@ -175,32 +174,17 @@ class TestPropagate:
     def test_spatial_resolution_converged(self):
         eps = 1.0 / 8
         V = make_cosine(4.0)
-        from bandcross.bloch import eigensolve
-        _, vecs = eigensolve(V, 0.7, 1, m_cut=12)
-        a0 = gaussian_envelope(sigma=1.0)
         W = cosine_external(0.5, 0.7)
         finals = []
         for ppw in (32, 64):
-            grid = Grid(length=8, epsilon=eps, ppw=ppw)
-            params = WavepacketParams(S=0.0, q=4.0, p=0.7, a0=a0,
-                                      epsilon=eps, chi=vecs[0])
-            state = assemble_wp0(params, grid)
+            state = bloch_packet(Grid(length=8, epsilon=eps, ppw=ppw))
             cfg = PropagatorConfig(dt=1e-3, t_final=0.2)
-            finals.append(propagate(state, V, W, cfg).snapshots[-1])
+            finals.append(self.solve(state, V, W, cfg).snapshots[-1])
         coarse = finals[0].values
         fine_on_coarse = finals[1].values[::2]
         err = np.sqrt(np.sum(np.abs(coarse - fine_on_coarse) ** 2)
                       * finals[0].grid.dx)
         assert err < 1e-8
-
-    def test_stability_violation(self):
-        eps = 1.0 / 8
-        grid = Grid(length=8, epsilon=eps, ppw=32)
-        state = free_gaussian_state(grid, q=4.0)
-        V = make_cosine(4.0)
-        cfg = PropagatorConfig(dt=0.1, t_final=0.5)
-        with pytest.raises(StabilityViolation):
-            propagate(state, V, None, cfg)
 
     def test_collar_guard_trips(self):
         eps = 1.0 / 4
@@ -212,13 +196,106 @@ class TestPropagate:
         cfg = PropagatorConfig(dt=1e-3, t_final=1.5,
                                snapshot_times=tuple(np.arange(1, 15) * 0.1))
         with pytest.raises(GridOverflow):
-            propagate(state, FLAT, None, cfg)
+            self.solve(state, FLAT, None, cfg)
+
+
+class TestPropagate(SolverContract):
+    """The production Bloch-decomposition solver."""
+
+    solve = staticmethod(propagate)
+
+    def test_bloch_eigenstate_phase_rate(self):
+        # with W = 0 the fiber propagator is exact: a commensurate Bloch
+        # eigenstate picks up exactly e^{-i E t/eps} in one step of any size
+        grid = Grid(length=4, epsilon=1.0 / 8, ppw=32)
+        V = make_cosine(4.0)
+        psi0, energy = bloch_eigenstate(grid, V, r=5)
+        for dt in (0.3, 1.7):
+            cfg = PropagatorConfig(dt=dt, t_final=dt, check_collar=False)
+            res = propagate(psi0, V, None, cfg)
+            assert res.n_steps == 1
+            exact = np.exp(-1j * energy * dt / grid.epsilon) * psi0.values
+            assert np.max(np.abs(res.snapshots[-1].values - exact)) < 1e-12
+
+    def test_agrees_with_strang_oracle(self):
+        # both solvers discretize the same semi-discrete system, so BD meets
+        # the dt-extrapolated Strang answer to within its own time error
+        grid = Grid(length=8, epsilon=1.0 / 8, ppw=32)
+        state = bloch_packet(grid)
+        V = make_cosine(4.0)
+        W = cosine_external(0.5, 0.7)
+        T = 0.2
+
+        def final(solve, n):
+            cfg = PropagatorConfig(dt=T / n, t_final=T)
+            return solve(state, V, W, cfg).snapshots[-1].values
+
+        oracle = (4 * final(propagate_strang, 6400)
+                  - final(propagate_strang, 3200)) / 3
+        err = np.sqrt(np.sum(np.abs(final(propagate, 800) - oracle) ** 2)
+                      * grid.dx)
+        assert err < 2e-8
+
+    def test_stability_violation(self):
+        # only the split-off W is guarded: a step that Strang refuses for
+        # V's phase runs, and a steep W trips the guard
+        eps = 1.0 / 8
+        grid = Grid(length=8, epsilon=eps, ppw=32)
+        state = free_gaussian_state(grid, q=4.0)
+        V = make_cosine(4.0)
+        propagate(state, V, None,
+                  PropagatorConfig(dt=0.1, t_final=0.1, check_collar=False))
+        cfg = PropagatorConfig(dt=1e-2, t_final=0.5)
+        with pytest.raises(StabilityViolation):
+            propagate(state, V, linear_ramp(40.0, q_ref=4.0), cfg)
 
     def test_snapshot_validation(self):
         with pytest.raises(ValueError):
             PropagatorConfig(dt=1e-3, t_final=0.5, snapshot_times=(0.0005,))
         with pytest.raises(ValueError):
             PropagatorConfig(dt=1e-3, t_final=0.5, snapshot_times=(0.7,))
+
+
+class TestPropagateStrang(SolverContract):
+    """The plain Strang step, kept as the test oracle."""
+
+    solve = staticmethod(propagate_strang)
+
+    def test_bloch_eigenstate_phase_rate(self):
+        # on the torus a commensurate Bloch eigenstate evolves by a pure
+        # phase at rate E_n(p)/eps
+        eps = 1.0 / 8
+        grid = Grid(length=4, epsilon=eps, ppw=32)
+        V = make_cosine(4.0)
+        psi0, exact = bloch_eigenstate(grid, V, r=5)
+        snaps = tuple(np.arange(1, 11) * 0.01)
+        inner0 = np.sum(np.conj(psi0.values) * psi0.values) * grid.dx
+
+        def rate(dt):
+            cfg = PropagatorConfig(dt=dt, t_final=0.1, snapshot_times=snaps,
+                                   check_collar=False)
+            res = propagate_strang(psi0, V, None, cfg)
+            phases = [np.angle(np.sum(np.conj(psi0.values) * s.values)
+                               * grid.dx / inner0) for s in res.snapshots]
+            theta = np.unwrap(phases)
+            ts = np.array([s.t for s in res.snapshots])
+            return -np.polyfit(ts, theta, 1)[0] * eps
+
+        # the splitting shifts the eigenphase rate by O(dt^2); the shift must
+        # shrink accordingly and the dt-extrapolated rate must match E_n(p)
+        e1, e2 = rate(1e-4), rate(5e-5)
+        assert abs(e2 - exact) < abs(e1 - exact) / 3.5
+        e_extr = (4 * e2 - e1) / 3
+        assert abs(e_extr - exact) < 1e-6 * abs(exact)
+
+    def test_stability_violation(self):
+        eps = 1.0 / 8
+        grid = Grid(length=8, epsilon=eps, ppw=32)
+        state = free_gaussian_state(grid, q=4.0)
+        V = make_cosine(4.0)
+        cfg = PropagatorConfig(dt=0.1, t_final=0.5)
+        with pytest.raises(StabilityViolation):
+            propagate_strang(state, V, None, cfg)
 
 
 class TestL2Error:

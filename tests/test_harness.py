@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandcross import harness
-from bandcross.errors import DegenerateFit
+from bandcross.errors import DegenerateFit, SolverBudgetExceeded
 from bandcross.harness import (
     GateResult,
     RunConfig,
@@ -233,10 +233,10 @@ class TestFreeParticleIsolated:
             epsilons=(1 / 32,), t_final=0.5, domain_length=10,
             envelope_half_width=24.0, envelope_points=768,
             band_window=(0.7, 2.1),
-            solver={"quartic_constant": 1.0e3, "strang_constant": 15.0,
-                    "error_budget": 0.25, "signal_prefactor": 0.05},
+            solver={"error_budget": 0.25, "signal_prefactor": 0.05},
         )
         case = run_isolated_case(cfg, 1 / 32)
+        assert case.solver_error <= case.solver_target
         assert case.error_wp1 < 1e-5
         # the corrector vanishes identically, so both orders coincide
         assert abs(case.error_wp1 - case.error_wp0) < 1e-10
@@ -296,6 +296,21 @@ class TestTrivialCrossing:
         assert (tmp_path / "breakdown_summary.json").exists()
         assert (tmp_path / "breakdown_rows.csv").exists()
 
+    def test_tight_budget_halves_dt(self, trivial_cfg):
+        # a target just under half the planned run's estimate needs one
+        # halving (the estimate falls ~4x), so steps run go from n + 2n to
+        # n + 2n + 4n
+        planned = run_crossing_case(trivial_cfg, 1 / 32)
+        assert planned.solver_error <= planned.solver_target
+        scale = 0.5 * planned.solver_error / planned.solver_target
+        budget = trivial_cfg.solver["error_budget"] * scale
+        tight = replace(trivial_cfg,
+                        solver={**trivial_cfg.solver, "error_budget": budget})
+        case = run_crossing_case(tight, 1 / 32)
+        assert case.n_steps == planned.n_steps // 3 * 7
+        assert case.dt == pytest.approx(planned.dt / 2)
+        assert case.solver_error <= case.solver_target
+
     def test_coarse_epsilon_rejected(self, trivial_cfg):
         scenario = build_crossing_scenario(trivial_cfg)
         with pytest.raises(ValueError):
@@ -334,3 +349,36 @@ class TestEpsilonParsing:
             _as_epsilon(0.013)
         with pytest.raises(ValueError):
             _as_epsilon(1.5)
+
+
+class TestStepDoubling:
+    def test_unreachable_budget_raises(self):
+        from bandcross.ansatz import Grid, GridState
+        from bandcross.direct import PropagatorConfig
+        from bandcross.potential import cosine_external, make_cosine
+        grid = Grid(length=4, epsilon=1.0 / 8, ppw=16)
+        y = (grid.x - 2.0) / np.sqrt(grid.epsilon)
+        psi0 = GridState(grid, np.exp(-y ** 2 / 2 + 0.7j * grid.x
+                                      / grid.epsilon))
+        cfg = PropagatorConfig(dt=1e-2, t_final=0.1, check_collar=False)
+        with pytest.raises(SolverBudgetExceeded, match="after 3 halvings"):
+            harness.propagate_richardson(psi0, make_cosine(4.0),
+                                         cosine_external(0.5, 0.7), cfg,
+                                         target=1e-300)
+
+
+class TestGatedCrossingCase:
+    """One through-crossing case at eps = 1/32 with the study's gates."""
+
+    def test_crossing_gates(self):
+        cfg = replace(default_config("crossing"), epsilons=(1 / 32,),
+                      measurements=("crossing", "inner"),
+                      pair_halfwidth=1.9, pair_samples=1789, domain_length=14)
+        case = run_crossing_case(cfg, 1 / 32)
+        assert case.solver_error <= case.solver_target
+        predicted = case.excited_mass_predicted
+        assert case.overlap >= 0.9
+        assert 0.8 <= case.excited_mass_measured / predicted <= 1.2
+        assert 0.8 <= case.band_mass_measured / predicted <= 1.2
+        _, _, measured, predicted_late = case.inner_rows[-1]
+        assert 0.8 <= measured / predicted_late <= 1.2
