@@ -9,6 +9,7 @@ is launched at the crossing point with the opposite-slope branch.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +43,10 @@ class ParabolicBand:
     def slope(self, p):
         return np.asarray(p) - self.center
 
+    def energy_slope(self, p: float) -> tuple[float, float]:
+        d = p - self.center
+        return 0.5 * d ** 2, d
+
 
 class SplineBand:
     """Cubic-spline interpolant of a sampled band path.
@@ -60,14 +65,22 @@ class SplineBand:
         self.slope_check = float(
             np.max(np.abs(self._slope(path.p_samples) - path.dE))
         )
+        # the same piecewise polynomials as Python lists, for energy_slope:
+        # one row per interval, highest power first
+        self._knots = self._spline.x.tolist()
+        self._e_coef = self._spline.c.T.tolist()
+        self._d_coef = self._slope.c.T.tolist()
+
+    def _outside(self, p: float) -> LeftBrillouinWindow:
+        return LeftBrillouinWindow(
+            f"p={p:.6f} outside the sampled "
+            f"window [{self.p_min:.4f}, {self.p_max:.4f}]"
+        )
 
     def _guard(self, p):
         p = np.asarray(p, dtype=float)
         if np.any(p < self.p_min - 1e-12) or np.any(p > self.p_max + 1e-12):
-            raise LeftBrillouinWindow(
-                f"p={float(np.atleast_1d(p)[0]):.6f} outside the sampled "
-                f"window [{self.p_min:.4f}, {self.p_max:.4f}]"
-            )
+            raise self._outside(float(np.atleast_1d(p)[0]))
         return p
 
     def energy(self, p):
@@ -75,6 +88,23 @@ class SplineBand:
 
     def slope(self, p):
         return self._slope(self._guard(p))
+
+    def energy_slope(self, p: float) -> tuple[float, float]:
+        """(E(p), E'(p)) at one momentum, bit-identical to energy and slope.
+
+        The interval is found as scipy's PPoly finds it, and the sum runs in
+        its order, c[-1] + c[-2] s + c[-3] s^2 + ... with the power built
+        up by repeated multiplication.
+        """
+        if p < self.p_min - 1e-12 or p > self.p_max + 1e-12:
+            raise self._outside(p)
+        x = self._knots
+        i = min(max(bisect_right(x, p) - 1, 0), len(x) - 2)
+        s = p - x[i]
+        s2 = s * s
+        c0, c1, c2, c3 = self._e_coef[i]
+        d0, d1, d2 = self._d_coef[i]
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s), d2 + d1 * s + d0 * s2
 
 
 @dataclass
@@ -128,30 +158,31 @@ def integrate_flow(band, W: ExternalPotential, q0: float, p0: float,
         raise ValueError("dt must be positive")
     n_steps = max(1, int(round(abs(t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
+    half, sixth = 0.5 * h, h / 6.0
+    energy_slope, w, dw = band.energy_slope, W.w, W.dw
 
-    def rhs(y):
-        q, p, _ = y
-        dE = float(band.slope(p))
-        return np.array([dE,
-                         -float(W.dw(q)),
-                         p * dE - float(band.energy(p)) - float(W.w(q))])
+    def rhs(q, p):
+        E, dE = energy_slope(p)
+        return dE, -float(dw(q)), p * dE - E - float(w(q))
 
-    t = np.empty(n_steps + 1)
-    out = np.empty((n_steps + 1, 3))
-    out[0] = (q0, p0, s0)
-    t[0] = t0
-    y = out[0].copy()
-    for k in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = y
-        t[k + 1] = t0 + (k + 1) * h
+    # plain floats, in the operation order of the array form
+    # y + (h/2) k and y + (h/6)(k1 + 2 k2 + 2 k3 + k4)
+    q, p, S = float(q0), float(p0), float(s0)
+    rows = [(q, p, S)]
+    for _ in range(n_steps):
+        k1q, k1p, k1s = rhs(q, p)
+        k2q, k2p, k2s = rhs(q + half * k1q, p + half * k1p)
+        k3q, k3p, k3s = rhs(q + half * k2q, p + half * k2p)
+        k4q, k4p, k4s = rhs(q + h * k3q, p + h * k3p)
+        q = q + sixth * (k1q + 2 * k2q + 2 * k3q + k4q)
+        p = p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
+        S = S + sixth * (k1s + 2 * k2s + 2 * k3s + k4s)
+        rows.append((q, p, S))
 
+    t = t0 + np.arange(n_steps + 1) * h
+    out = np.array(rows)
     q, p, S = out[:, 0], out[:, 1], out[:, 2]
-    H = band.energy(p) + np.array([float(W.w(qi)) for qi in q])
+    H = band.energy(p) + np.asarray(W.w(q), dtype=float)
     drift = float(np.max(np.abs(H - H[0])))
     scale = max(1.0, abs(float(H[0])))
     if drift > energy_tol * scale:
@@ -172,7 +203,7 @@ def detect_crossing_time(traj: Trajectory, p_star: float, W: ExternalPotential,
     rejected as tangential.
     """
     t, p, q = traj.t_grid, traj.p, traj.q
-    pdot = -np.array([float(W.dw(qi)) for qi in q])
+    pdot = -np.asarray(W.dw(q), dtype=float)
     # candidate images of p_star within the visited range
     k_lo = int(np.floor((p.min() - p_star) / TWO_PI))
     k_hi = int(np.ceil((p.max() - p_star) / TWO_PI))

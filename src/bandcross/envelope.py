@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
 from scipy.interpolate import CubicSpline
 from scipy.special import fresnel
 
@@ -87,6 +88,7 @@ class EnvelopePath:
     t_grid: np.ndarray
     values: np.ndarray          # (n_t, n_y)
     y: np.ndarray
+    boundary_mass: float = 0.0  # peak edge-mass fraction over the march
 
     def at(self, t: float) -> Envelope:
         i = int(np.argmin(np.abs(self.t_grid - t)))
@@ -125,11 +127,15 @@ class OscillatorCoefficients:
             self._splines[name] = CubicSpline(self.t_grid, getattr(self, name))
         return self._splines[name]
 
-    def at(self, t: float, name: str) -> float:
+    def sample(self, t, name: str) -> np.ndarray:
+        """The named series at every time in t, by one spline call."""
+        t = np.asarray(t, dtype=float)
         lo, hi = self.t_grid[0], self.t_grid[-1]
-        if t < lo - 1e-9 or t > hi + 1e-9:
-            raise GridMismatch(f"t={t} outside coefficient span [{lo}, {hi}]")
-        return float(self._sp(name)(np.clip(t, lo, hi)))
+        bad = (t < lo - 1e-9) | (t > hi + 1e-9)
+        if np.any(bad):
+            raise GridMismatch(f"t={t[bad][0]} outside coefficient span "
+                               f"[{lo}, {hi}]")
+        return self._sp(name)(np.clip(t, lo, hi))
 
     @classmethod
     def constant(cls, t_span, d2E=0.0, d2W=0.0, d3E=0.0, d3W=0.0,
@@ -154,31 +160,40 @@ def coefficients_from_trajectory(band_path, traj, W) -> OscillatorCoefficients:
     return OscillatorCoefficients(
         t_grid=t.copy(),
         d2E=d2_sp(p),
-        d2W=np.array([float(W.d2w(qi)) for qi in q]),
+        d2W=np.array(W.d2w(q), dtype=float),
         d3E=d3_sp(p),
-        d3W=np.array([float(W.d3w(qi)) for qi in q]),
+        d3W=np.array(W.d3w(q), dtype=float),
     )
 
 
-def _check_overflow(values: np.ndarray, n_edge: int):
-    total = np.sum(np.abs(values) ** 2)
+def _check_overflow(values: np.ndarray, n_edge: int) -> float:
+    """Fraction of the mass in the n_edge cells at each end of the grid."""
+    total = np.vdot(values, values).real
     if total == 0:
-        return
-    edge = (np.sum(np.abs(values[:n_edge]) ** 2)
-            + np.sum(np.abs(values[-n_edge:]) ** 2))
-    if edge / total > BOUNDARY_TOL:
+        return 0.0
+    edge = (np.vdot(values[:n_edge], values[:n_edge]).real
+            + np.vdot(values[-n_edge:], values[-n_edge:]).real)
+    ratio = float(edge / total)
+    if ratio > BOUNDARY_TOL:
         raise GridOverflow(
-            f"boundary mass fraction {edge / total:.2e} exceeds {BOUNDARY_TOL}"
+            f"boundary mass fraction {ratio:.2e} exceeds {BOUNDARY_TOL}"
         )
+    return ratio
 
 
-def _apply_h_strang(values, k, y, dt, d2E, d2W):
-    """One midpoint Strang step of exp(-i dt H)."""
-    half_kin = np.exp(-0.25j * dt * d2E * k ** 2)
-    pot = np.exp(-1j * dt * (0.5 * d2W * y ** 2))
-    v = np.fft.ifft(half_kin * np.fft.fft(values))
-    v *= pot
-    return np.fft.ifft(half_kin * np.fft.fft(v))
+def _midpoints(coeffs, t0, h, n_steps, *names):
+    """Each named series at every step midpoint t0 + (j + 1/2) h."""
+    tm = t0 + (np.arange(n_steps) + 0.5) * h
+    return [coeffs.sample(tm, name).tolist() for name in names]
+
+
+def _apply_h_strang(values, k2, y2, dt, d2E, d2W):
+    """One midpoint Strang step of exp(-i dt H); k2 = k^2, y2 = y^2."""
+    half_kin = np.exp(-0.25j * dt * d2E * k2)
+    v = sfft.ifft(half_kin * sfft.fft(values))
+    if d2W != 0.0:
+        v *= np.exp(-1j * dt * (0.5 * d2W * y2))
+    return sfft.ifft(half_kin * sfft.fft(v))
 
 
 def evolve_a0(coeffs: OscillatorCoefficients, a0_init: Envelope, t_span,
@@ -188,30 +203,29 @@ def evolve_a0(coeffs: OscillatorCoefficients, a0_init: Envelope, t_span,
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
     y, k = a0_init.y, a0_init.k_grid()
+    k2, y2 = k ** 2, y ** 2
     n_edge = max(2, int(round(BOUNDARY_FRACTION * y.size / 2)))
+    d2E, d2W = _midpoints(coeffs, t0, h, n_steps, "d2E", "d2W")
     vals = a0_init.values.copy()
     stored_t = [t0]
     stored = [vals.copy()]
+    peak = 0.0
     for j in range(n_steps):
-        tm = t0 + (j + 0.5) * h
-        vals = _apply_h_strang(vals, k, y, h, coeffs.at(tm, "d2E"),
-                               coeffs.at(tm, "d2W"))
-        _check_overflow(vals, n_edge)
+        vals = _apply_h_strang(vals, k2, y2, h, d2E[j], d2W[j])
+        peak = max(peak, _check_overflow(vals, n_edge))
         if (j + 1) % store_every == 0 or j == n_steps - 1:
             stored_t.append(t0 + (j + 1) * h)
             stored.append(vals.copy())
-    return EnvelopePath(np.array(stored_t), np.array(stored), y.copy())
+    return EnvelopePath(np.array(stored_t), np.array(stored), y.copy(), peak)
 
 
-def _apply_source(coeffs, t, a_vals, k, y):
-    """I(t) a with I = 1/6 d3E k^3 + 1/6 d3W y^3."""
-    d3E = coeffs.at(t, "d3E")
-    d3W = coeffs.at(t, "d3W")
+def _apply_source(a_vals, d3E, d3W, k3, y3):
+    """I(t) a with I = 1/6 d3E k^3 + 1/6 d3W y^3; k3 = k^3, y3 = y^3."""
     out = np.zeros_like(a_vals)
     if d3E != 0.0:
-        out += np.fft.ifft(d3E / 6.0 * k ** 3 * np.fft.fft(a_vals))
+        out += sfft.ifft(d3E / 6.0 * k3 * sfft.fft(a_vals))
     if d3W != 0.0:
-        out += d3W / 6.0 * y ** 3 * a_vals
+        out += d3W / 6.0 * y3 * a_vals
     return out
 
 
@@ -227,6 +241,7 @@ def evolve_a1(coeffs: OscillatorCoefficients, a1_init: Envelope,
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
     y, k = a1_init.y, a1_init.k_grid()
+    k2, y2, k3, y3 = k ** 2, y ** 2, k ** 3, y ** 3
     if a0_path.y.shape != y.shape or np.max(np.abs(a0_path.y - y)) > 1e-12:
         raise GridMismatch("a0 path and a1 initial data use different grids")
     dt_a0 = a0_path.t_grid[1] - a0_path.t_grid[0]
@@ -235,27 +250,28 @@ def evolve_a1(coeffs: OscillatorCoefficients, a1_init: Envelope,
             f"a0 path step {dt_a0:.3e} is not half the a1 step {h:.3e}"
         )
     n_edge = max(2, int(round(BOUNDARY_FRACTION * y.size / 2)))
+    d2E, d2W, d3E, d3W = _midpoints(coeffs, t0, h, n_steps,
+                                    "d2E", "d2W", "d3E", "d3W")
     vals = a1_init.values.copy()
     stored_t = [t0]
     stored = [vals.copy()]
+    peak = 0.0
     for j in range(n_steps):
-        tm = t0 + (j + 0.5) * h
-        d2E = coeffs.at(tm, "d2E")
-        d2W = coeffs.at(tm, "d2W")
-        vals = _apply_h_strang(vals, k, y, h, d2E, d2W)
+        vals = _apply_h_strang(vals, k2, y2, h, d2E[j], d2W[j])
         a0_mid = a0_path.values[2 * j + 1]
-        src = _apply_source(coeffs, tm, a0_mid, k, y)
+        src = _apply_source(a0_mid, d3E[j], d3W[j], k3, y3)
         # transport the midpoint source through the remaining half step
-        half_kin = np.exp(-0.125j * h * d2E * k ** 2)
-        pot = np.exp(-0.5j * h * (0.5 * d2W * y ** 2))
-        src = np.fft.ifft(half_kin * np.fft.fft(src))
-        src = np.fft.ifft(half_kin * np.fft.fft(pot * src))
+        half_kin = np.exp(-0.125j * h * d2E[j] * k2)
+        src = sfft.ifft(half_kin * sfft.fft(src))
+        if d2W[j] != 0.0:
+            src = np.exp(-0.5j * h * (0.5 * d2W[j] * y2)) * src
+        src = sfft.ifft(half_kin * sfft.fft(src))
         vals = vals - 1j * h * src
-        _check_overflow(vals, n_edge)
+        peak = max(peak, _check_overflow(vals, n_edge))
         if (j + 1) % store_every == 0 or j == n_steps - 1:
             stored_t.append(t0 + (j + 1) * h)
             stored.append(vals.copy())
-    return EnvelopePath(np.array(stored_t), np.array(stored), y.copy())
+    return EnvelopePath(np.array(stored_t), np.array(stored), y.copy(), peak)
 
 
 # -- excited envelope ------------------------------------------------------------

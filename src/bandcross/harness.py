@@ -498,9 +498,11 @@ def _evolve_envelopes_to(coeffs, a0: Envelope, a1: Envelope, times, dt):
 
     a0 advances at dt/2 inside each chunk so the first-order source has its
     midpoint samples; long gaps between stops are split into sub-chunks so
-    the stored a0 path stays bounded.
+    the stored a0 path stays bounded.  Returns ({stop: (a0, a1)}, peak
+    envelope boundary-mass fraction).
     """
     out = {}
+    peak = 0.0
     t_now = float(a0.t)
     for t_next in times:
         if t_next < t_now - 1e-12:
@@ -512,27 +514,31 @@ def _evolve_envelopes_to(coeffs, a0: Envelope, a1: Envelope, times, dt):
             a0_path = evolve_a0(coeffs, a0, (t_now, t_sub), h / 2.0,
                                 store_every=1)
             a1_path = evolve_a1(coeffs, a1, a0_path, (t_now, t_sub), h)
+            peak = max(peak, a0_path.boundary_mass, a1_path.boundary_mass)
             a0 = a0_path.final()
             a1 = a1_path.final()
             a0.t = a1.t = t_sub
             t_now = t_sub
         out[t_next] = (Envelope(a0.y, a0.values.copy(), t=t_now),
                        Envelope(a1.y, a1.values.copy(), t=t_now))
-    return out
+    return out, peak
 
 
 def _evolve_a0_to(coeffs, a0: Envelope, times, dt):
+    """({stop: a0}, peak envelope boundary-mass fraction)."""
     out = {}
+    peak = 0.0
     t_now = float(a0.t)
     for t_next in times:
         if t_next > t_now + 1e-12:
             path = evolve_a0(coeffs, a0, (t_now, t_next), dt,
                              store_every=10 ** 9)
+            peak = max(peak, path.boundary_mass)
             a0 = path.final()
             a0.t = t_next
             t_now = t_next
         out[t_next] = Envelope(a0.y, a0.values.copy(), t=t_now)
-    return out
+    return out, peak
 
 
 # -- the crossing-scenario case (shared by breakdown / crossing / inner) ---------
@@ -549,6 +555,8 @@ class CrossingCase:
     errors: dict                   # label -> (raw, phase_optimized)
     solver_error: float            # step-doubling estimate (nan: no check)
     solver_target: float
+    energy_drift: float            # max over both branch trajectories
+    envelope_boundary_mass: float  # peak edge-mass fraction of the marches
     residual_norm: float = None
     overlap: float = None
     excited_mass_measured: float = None
@@ -657,8 +665,9 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     want_star = {"crossing", "inner"} & set(cfg.measurements)
     if want_star:
         stops.add(scenario.t_star)
-    env = _evolve_envelopes_to(scenario.coeffs_plus, a0_init, a1_init,
-                               sorted(stops), cfg.solver["envelope_dt"])
+    env, boundary_mass = _evolve_envelopes_to(
+        scenario.coeffs_plus, a0_init, a1_init, sorted(stops),
+        cfg.solver["envelope_dt"])
 
     errors = {}
     for label in error_labels:
@@ -672,6 +681,8 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         norm_drift=result.norm_drift_rate, grid_length=grid.length,
         times=times, errors=errors, solver_error=solver_error,
         solver_target=plan.target,
+        energy_drift=max(plus.energy_drift, minus.energy_drift),
+        envelope_boundary_mass=boundary_mass,
     )
 
     if want_star:
@@ -688,8 +699,11 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         a_minus0 = excited_envelope(a_star, scenario.dqw_star,
                                     scenario.slope_gap, scenario.kappa)
         a_minus0.t = scenario.t_star
-        a_minus = _evolve_a0_to(scenario.coeffs_minus, a_minus0, [t_obs],
-                                cfg.solver["envelope_dt"])[t_obs]
+        minus_env, minus_mass = _evolve_a0_to(
+            scenario.coeffs_minus, a_minus0, [t_obs],
+            cfg.solver["envelope_dt"])
+        a_minus = minus_env[t_obs]
+        case.envelope_boundary_mass = max(boundary_mass, minus_mass)
         psi_obs = by_time[round(t_obs, 10)]
         wp1_obs = branch_packet(plus, scenario.pair.plus, grid, t_obs,
                                 *env[t_obs])
@@ -778,7 +792,9 @@ def run_breakdown_study(cfg: RunConfig) -> StudyReport:
         row = {"epsilon": c.epsilon, "dt": c.dt, "n_steps": c.n_steps,
                "norm_drift": c.norm_drift, "grid_length": c.grid_length,
                "solver_error": c.solver_error,
-               "solver_target": c.solver_target}
+               "solver_target": c.solver_target,
+               "energy_drift": c.energy_drift,
+               "envelope_boundary_mass": c.envelope_boundary_mass}
         for label in ("breakdown_xi", "breakdown_xi_prime"):
             row[f"{label}_time"] = c.times[label]
             row[f"{label}_error"] = c.errors[label][0]
@@ -823,6 +839,8 @@ def run_crossing_study(cfg: RunConfig) -> StudyReport:
             "norm_drift": c.norm_drift,
             "solver_error": c.solver_error,
             "solver_target": c.solver_target,
+            "energy_drift": c.energy_drift,
+            "envelope_boundary_mass": c.envelope_boundary_mass,
         })
     return StudyReport(study="crossing", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=fits,
@@ -876,6 +894,8 @@ class IsolatedCase:
     norm_drift: float
     solver_error: float            # step-doubling estimate (nan: no check)
     solver_target: float
+    energy_drift: float            # of the band-flow trajectory
+    envelope_boundary_mass: float  # peak edge-mass fraction of the marches
 
 
 def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
@@ -907,8 +927,9 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
                                 snapshot_times=(t_obs,))
     result, solver_error = _run_solver(psi0, V, W, prop_cfg, plan)
     psi = result.snapshots[-1]
-    env = _evolve_envelopes_to(coeffs, a0_init, a1_init, [t_obs],
-                               cfg.solver["envelope_dt"])
+    env, boundary_mass = _evolve_envelopes_to(coeffs, a0_init, a1_init,
+                                              [t_obs],
+                                              cfg.solver["envelope_dt"])
     a0_t, a1_t = env[t_obs]
     rep1 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t, a1_t))
     rep0 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t))
@@ -917,7 +938,9 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
                         error_wp1_phase_opt=rep1.phase_optimized,
                         error_wp0_phase_opt=rep0.phase_optimized,
                         norm_drift=result.norm_drift_rate,
-                        solver_error=solver_error, solver_target=plan.target)
+                        solver_error=solver_error, solver_target=plan.target,
+                        energy_drift=traj.energy_drift,
+                        envelope_boundary_mass=boundary_mass)
     _CASE_CACHE[key] = case
     return case
 
@@ -936,7 +959,10 @@ def run_isolated_band(cfg: RunConfig) -> StudyReport:
              "error_wp1_phase_opt": c.error_wp1_phase_opt,
              "error_wp0_phase_opt": c.error_wp0_phase_opt,
              "norm_drift": c.norm_drift, "solver_error": c.solver_error,
-             "solver_target": c.solver_target} for c in cases]
+             "solver_target": c.solver_target,
+             "energy_drift": c.energy_drift,
+             "envelope_boundary_mass": c.envelope_boundary_mass}
+            for c in cases]
     return StudyReport(study="isolated", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=fits,
                        gates=gates)

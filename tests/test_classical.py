@@ -8,7 +8,7 @@ closed-form plus/minus branches through the crossing.
 import numpy as np
 import pytest
 
-from bandcross.bloch import BandPath, smooth_continuation
+from bandcross.bloch import BandPath, band_path, smooth_continuation
 from bandcross.classical import (
     ExtendedTrajectory,
     ParabolicBand,
@@ -25,10 +25,12 @@ from bandcross.errors import (
     SecondCrossing,
     TangentialApproach,
 )
+from bandcross.envelope import coefficients_from_trajectory
 from bandcross.potential import (
     ExternalPotential,
     cosine_external,
     linear_ramp,
+    make_cosine,
     potential_from_coeffs,
     zero_external,
 )
@@ -44,6 +46,48 @@ def free_potential():
 def free_pair():
     return smooth_continuation(free_potential(), 1, np.pi, halfwidth=0.45,
                                n_samples=181, m_cut=16)
+
+
+@pytest.fixture(scope="module")
+def cosine_path():
+    # the lowest band of V = 4 cos z over the isolated study's window
+    return band_path(make_cosine(4.0, 1), 1, (0.7, 2.1), n_samples=129,
+                     m_cut=15)
+
+
+def array_rk4(band, W, q0, p0, t_span, dt, s0=0.0):
+    """The flow as an RK4 on a (q, p, S) array, one band call per value."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n_steps = max(1, int(round(abs(t1 - t0) / dt)))
+    h = (t1 - t0) / n_steps
+
+    def rhs(y):
+        q, p, _ = y
+        dE = float(band.slope(p))
+        return np.array([dE,
+                         -float(W.dw(q)),
+                         p * dE - float(band.energy(p)) - float(W.w(q))])
+
+    out = np.empty((n_steps + 1, 3))
+    out[0] = (q0, p0, s0)
+    y = out[0].copy()
+    for k in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[k + 1] = y
+    return out
+
+
+def pointwise(W: ExternalPotential) -> ExternalPotential:
+    """W with every callable evaluated one point at a time."""
+    def each(f):
+        return lambda q: np.array([float(f(x)) for x in np.ravel(q)]
+                                  ).reshape(np.shape(q))
+    return ExternalPotential(w=each(W.w), dw=each(W.dw), d2w=each(W.d2w),
+                             d3w=each(W.d3w), label=W.label)
 
 
 def closed_form_action(t, q0, p0, alpha, s0=0.0):
@@ -126,6 +170,90 @@ class TestIntegrateFlow:
     def test_spline_band_slope_consistent_with_spectral_velocity(self, free_pair):
         band = SplineBand(free_pair.plus)
         assert band.slope_check < 1e-8
+
+
+class TestEnergySlope:
+    def test_spline_band_matches_energy_and_slope(self, cosine_path):
+        band = SplineBand(cosine_path)
+        rng = np.random.default_rng(7)
+        p = np.concatenate([
+            cosine_path.p_samples,
+            [band.p_min, band.p_max, band.p_min - 1e-12, band.p_max + 1e-12],
+            rng.uniform(band.p_min, band.p_max, 10 ** 4),
+        ])
+        pairs = np.array([band.energy_slope(float(x)) for x in p])
+        assert np.array_equal(pairs[:, 0], band.energy(p))
+        assert np.array_equal(pairs[:, 1], band.slope(p))
+
+    def test_spline_band_guard(self, cosine_path):
+        band = SplineBand(cosine_path)
+        for p in (band.p_min - 1e-9, band.p_max + 1e-9):
+            with pytest.raises(LeftBrillouinWindow):
+                band.energy_slope(p)
+
+    def test_parabolic_band_closed_form(self):
+        band = ParabolicBand(center=0.4)
+        for p in (-1.3, 0.4, 2.75):
+            E, dE = band.energy_slope(p)
+            assert E == pytest.approx(0.5 * (p - 0.4) ** 2, rel=1e-15, abs=0.0)
+            assert dE == p - 0.4
+
+
+class TestScalarFlowMatchesArrayRK4:
+    def _check(self, band, W, q0, p0, t_span, dt, s0=0.0):
+        tr = integrate_flow(band, W, q0, p0, t_span, dt, s0=s0)
+        ref = array_rk4(band, W, q0, p0, t_span, dt, s0=s0)
+        assert np.array_equal(tr.q, ref[:, 0])
+        assert np.array_equal(tr.p, ref[:, 1])
+        assert np.array_equal(tr.S, ref[:, 2])
+
+    def test_spline_band_linear_ramp(self, cosine_path):
+        self._check(SplineBand(cosine_path), linear_ramp(0.25), 3.5, 1.3,
+                    (0.0, 0.52), 1e-4)
+
+    def test_spline_band_cosine_external(self, cosine_path):
+        self._check(SplineBand(cosine_path), cosine_external(0.3, 0.9), 0.4,
+                    1.2, (0.0, 0.6), 1e-3, s0=0.3)
+
+    def test_parabolic_band_backwards(self):
+        self._check(ParabolicBand(0.2), cosine_external(1.1, 1.4), 0.1, 1.5,
+                    (1.0, 0.0), 2e-3)
+
+
+class TestVectorisedExternalCalls:
+    """Whole-array W calls agree with one call per point."""
+
+    @pytest.mark.parametrize("W", [linear_ramp(0.8, 1.0),
+                                   cosine_external(0.6, 1.3)])
+    def test_energy_drift(self, W):
+        band = ParabolicBand()
+        a = integrate_flow(band, W, 0.3, -1.2, (0.0, 1.5), 1e-3)
+        b = integrate_flow(band, pointwise(W), 0.3, -1.2, (0.0, 1.5), 1e-3)
+        assert np.array_equal(a.q, b.q)
+        H0 = float(band.energy(a.p[0]) + W.w(a.q[0]))
+        scale = max(1.0, abs(H0))
+        assert abs(a.energy_drift - b.energy_drift) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("W", [linear_ramp(1.0),
+                                   cosine_external(2.0, 0.5)])
+    def test_crossing_time(self, W):
+        tr = integrate_flow(ParabolicBand(), W, 1.5, np.pi - 0.5, (0, 1.0),
+                            1e-3)
+        t_a, q_a = detect_crossing_time(tr, np.pi, W)
+        t_b, q_b = detect_crossing_time(tr, np.pi, pointwise(W))
+        assert t_a == pytest.approx(t_b, rel=1e-14, abs=0.0)
+        assert q_a == pytest.approx(q_b, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("W", [linear_ramp(0.25),
+                                   cosine_external(0.3, 0.9)])
+    def test_oscillator_coefficients(self, W, cosine_path):
+        traj = integrate_flow(SplineBand(cosine_path), W, 0.4, 1.3,
+                              (0.0, 0.5), 1e-3)
+        a = coefficients_from_trajectory(cosine_path, traj, W)
+        b = coefficients_from_trajectory(cosine_path, traj, pointwise(W))
+        for name in ("d2W", "d3W"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.all(np.abs(x - y) <= 1e-14 * np.abs(y)), name
 
 
 class TestDetectCrossing:

@@ -1,10 +1,12 @@
 """Envelope propagation, excited-envelope integral, and buildup tests."""
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.special import fresnel
 
 from bandcross.ansatz import predict_excited_mass
 from bandcross.envelope import (
+    BOUNDARY_TOL,
     Envelope,
     EnvelopePath,
     OscillatorCoefficients,
@@ -215,6 +217,133 @@ class TestEvolveA1:
         e1 = np.linalg.norm(final(1.0 / 125) - ref)
         e2 = np.linalg.norm(final(1.0 / 250) - ref)
         assert e1 / e2 > 3.5
+
+
+def _drive(d2W_zero: bool):
+    """Smooth coefficient series; d2W = d3W = 0 is a linear W."""
+    t = np.linspace(0.0, 0.6, 121)
+    zero = np.zeros_like(t)
+    q = 0.3 + 1.2 * t
+    return OscillatorCoefficients(
+        t, 1.0 + 0.3 * np.sin(t),
+        zero if d2W_zero else -0.5 * np.cos(0.9 * q),
+        0.2 * np.cos(t),
+        zero if d2W_zero else 0.45 * np.sin(0.9 * q),
+    )
+
+
+class _StepLoop:
+    """The transport written step by step: a scalar spline call per
+    coefficient and step, numpy.fft, and the y phase always applied."""
+
+    def __init__(self, co):
+        self.sp = {n: CubicSpline(co.t_grid, getattr(co, n))
+                   for n in ("d2E", "d2W", "d3E", "d3W")}
+        self.lo, self.hi = co.t_grid[0], co.t_grid[-1]
+
+    def at(self, t, name):
+        return float(self.sp[name](np.clip(t, self.lo, self.hi)))
+
+    @staticmethod
+    def strang(values, k, y, dt, d2E, d2W):
+        half_kin = np.exp(-0.25j * dt * d2E * k ** 2)
+        pot = np.exp(-1j * dt * (0.5 * d2W * y ** 2))
+        v = np.fft.ifft(half_kin * np.fft.fft(values))
+        v *= pot
+        return np.fft.ifft(half_kin * np.fft.fft(v))
+
+    def a0(self, a_init, t_span, dt):
+        t0, t1 = t_span
+        n = max(1, int(round((t1 - t0) / dt)))
+        h = (t1 - t0) / n
+        y, k = a_init.y, a_init.k_grid()
+        vals = a_init.values.copy()
+        out = [vals]
+        for j in range(n):
+            tm = t0 + (j + 0.5) * h
+            vals = self.strang(vals, k, y, h, self.at(tm, "d2E"),
+                               self.at(tm, "d2W"))
+            out.append(vals)
+        return np.array(out)
+
+    def a1(self, a_init, a0_vals, t_span, dt):
+        t0, t1 = t_span
+        n = max(1, int(round((t1 - t0) / dt)))
+        h = (t1 - t0) / n
+        y, k = a_init.y, a_init.k_grid()
+        vals = a_init.values.copy()
+        out = [vals]
+        for j in range(n):
+            tm = t0 + (j + 0.5) * h
+            d2E, d2W = self.at(tm, "d2E"), self.at(tm, "d2W")
+            d3E, d3W = self.at(tm, "d3E"), self.at(tm, "d3W")
+            vals = self.strang(vals, k, y, h, d2E, d2W)
+            a0_mid = a0_vals[2 * j + 1]
+            src = (np.fft.ifft(d3E / 6.0 * k ** 3 * np.fft.fft(a0_mid))
+                   + d3W / 6.0 * y ** 3 * a0_mid)
+            half_kin = np.exp(-0.125j * h * d2E * k ** 2)
+            pot = np.exp(-0.5j * h * (0.5 * d2W * y ** 2))
+            src = np.fft.ifft(half_kin * np.fft.fft(src))
+            src = np.fft.ifft(half_kin * np.fft.fft(pot * src))
+            vals = vals - 1j * h * src
+            out.append(vals)
+        return np.array(out)
+
+
+def _rows_close(a, b, rel):
+    err = np.linalg.norm(a - b, axis=1)
+    return bool(np.all(err <= rel * np.linalg.norm(b, axis=1)))
+
+
+class TestTransportMatchesStepLoop:
+    @pytest.mark.parametrize("d2W_zero", [True, False])
+    def test_a0_and_a1(self, d2W_zero):
+        co = _drive(d2W_zero)
+        g = gaussian_envelope(sigma=1.0, center=0.5, momentum=0.3,
+                              half_width=24.0, n=768)
+        a1_init = Envelope(g.y, 0.1 * g.values)
+        span, dt = (0.05, 0.55), 2e-3
+        ref = _StepLoop(co)
+        a0p = evolve_a0(co, g, span, dt / 2)
+        a0_ref = ref.a0(g, span, dt / 2)
+        assert _rows_close(a0p.values, a0_ref, 1e-13)
+        a1p = evolve_a1(co, a1_init, a0p, span, dt)
+        assert _rows_close(a1p.values, ref.a1(a1_init, a0_ref, span, dt),
+                           1e-13)
+
+
+class TestSample:
+    def test_matches_pointwise_spline(self):
+        co = _drive(False)
+        t = np.concatenate([co.t_grid, np.linspace(0.0, 0.6, 997),
+                            [0.6 + 5e-10]])
+        for name in ("d2E", "d2W", "d3E", "d3W"):
+            sp = CubicSpline(co.t_grid, getattr(co, name))
+            each = [float(sp(min(ti, 0.6))) for ti in t]
+            assert np.array_equal(co.sample(t, name), each), name
+
+    def test_outside_span_raises(self):
+        co = _drive(True)
+        for t in ([0.1, 0.6 + 1e-6], [-1e-6, 0.2]):
+            with pytest.raises(GridMismatch):
+                co.sample(np.array(t), "d2E")
+
+
+class TestBoundaryMass:
+    def test_peak_edge_fraction_recorded(self):
+        # a displaced packet swinging back to the centre: the edge mass
+        # peaks at the first step, not the last
+        g = gaussian_envelope(sigma=1.0, half_width=8.0, n=256, center=2.5)
+        co = OscillatorCoefficients.constant((0.0, 1.5), d2E=1.0, d2W=1.0)
+        path = evolve_a0(co, g, (0.0, 1.5), dt=1e-2)
+        n_edge = 6    # 5% of the half grid
+        edge = (np.sum(np.abs(path.values[:, :n_edge]) ** 2, axis=1)
+                + np.sum(np.abs(path.values[:, -n_edge:]) ** 2, axis=1))
+        frac = (edge / np.sum(np.abs(path.values) ** 2, axis=1))[1:]
+        assert np.argmax(frac) < frac.size - 1
+        assert 0.0 < path.boundary_mass <= BOUNDARY_TOL
+        assert path.boundary_mass == pytest.approx(np.max(frac), rel=1e-9,
+                                                   abs=0.0)
 
 
 CASES = [

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandcross import harness
+from bandcross.envelope import BOUNDARY_TOL
 from bandcross.errors import DegenerateFit, SolverBudgetExceeded
 from bandcross.harness import (
     GateResult,
@@ -310,6 +311,14 @@ class TestTrivialCrossing:
         assert case.n_steps == planned.n_steps // 3 * 7
         assert case.dt == pytest.approx(planned.dt / 2)
         assert case.solver_error <= case.solver_target
+
+    def test_rows_record_flow_and_envelope_diagnostics(self, trivial_cfg):
+        scenario = build_crossing_scenario(trivial_cfg)
+        drift = max(scenario.ext.plus.energy_drift,
+                    scenario.ext.minus.energy_drift)
+        for row in run_breakdown_study(trivial_cfg).rows:
+            assert row["energy_drift"] == drift
+            assert 0.0 < row["envelope_boundary_mass"] <= BOUNDARY_TOL
 
     def test_coarse_epsilon_rejected(self, trivial_cfg):
         scenario = build_crossing_scenario(trivial_cfg)
