@@ -97,7 +97,9 @@ class EnvelopePath:
         return Envelope(self.y, self.values[i], t=float(self.t_grid[i]))
 
     def final(self) -> Envelope:
-        return Envelope(self.y, self.values[-1], t=float(self.t_grid[-1]))
+        """The last stored state, copied so it does not keep the path alive."""
+        return Envelope(self.y, self.values[-1].copy(),
+                        t=float(self.t_grid[-1]))
 
     def norms(self) -> np.ndarray:
         dy = self.y[1] - self.y[0]
@@ -181,6 +183,19 @@ def _check_overflow(values: np.ndarray, n_edge: int) -> float:
     return ratio
 
 
+def _stored_path(t0, h, n_steps, store_every, init, y):
+    """The preallocated path of a march, its initial row filled in.
+
+    It has a row for the start, for every step count that is a multiple of
+    store_every, and for the last step.
+    """
+    rows = [0, *range(store_every, n_steps, store_every), n_steps]
+    values = np.empty((len(rows), y.size), dtype=complex)
+    values[0] = init
+    return EnvelopePath(np.array([t0 + r * h for r in rows]), values,
+                        y.copy())
+
+
 def _midpoints(coeffs, t0, h, n_steps, *names):
     """Each named series at every step midpoint t0 + (j + 1/2) h."""
     tm = t0 + (np.arange(n_steps) + 0.5) * h
@@ -206,17 +221,18 @@ def evolve_a0(coeffs: OscillatorCoefficients, a0_init: Envelope, t_span,
     k2, y2 = k ** 2, y ** 2
     n_edge = max(2, int(round(BOUNDARY_FRACTION * y.size / 2)))
     d2E, d2W = _midpoints(coeffs, t0, h, n_steps, "d2E", "d2W")
-    vals = a0_init.values.copy()
-    stored_t = [t0]
-    stored = [vals.copy()]
+    path = _stored_path(t0, h, n_steps, store_every, a0_init.values, y)
+    vals = a0_init.values
+    row = 1
     peak = 0.0
     for j in range(n_steps):
         vals = _apply_h_strang(vals, k2, y2, h, d2E[j], d2W[j])
         peak = max(peak, _check_overflow(vals, n_edge))
         if (j + 1) % store_every == 0 or j == n_steps - 1:
-            stored_t.append(t0 + (j + 1) * h)
-            stored.append(vals.copy())
-    return EnvelopePath(np.array(stored_t), np.array(stored), y.copy(), peak)
+            path.values[row] = vals
+            row += 1
+    path.boundary_mass = peak
+    return path
 
 
 def _apply_source(a_vals, d3E, d3W, k3, y3):
@@ -252,9 +268,9 @@ def evolve_a1(coeffs: OscillatorCoefficients, a1_init: Envelope,
     n_edge = max(2, int(round(BOUNDARY_FRACTION * y.size / 2)))
     d2E, d2W, d3E, d3W = _midpoints(coeffs, t0, h, n_steps,
                                     "d2E", "d2W", "d3E", "d3W")
-    vals = a1_init.values.copy()
-    stored_t = [t0]
-    stored = [vals.copy()]
+    path = _stored_path(t0, h, n_steps, store_every, a1_init.values, y)
+    vals = a1_init.values
+    row = 1
     peak = 0.0
     for j in range(n_steps):
         vals = _apply_h_strang(vals, k2, y2, h, d2E[j], d2W[j])
@@ -269,9 +285,10 @@ def evolve_a1(coeffs: OscillatorCoefficients, a1_init: Envelope,
         vals = vals - 1j * h * src
         peak = max(peak, _check_overflow(vals, n_edge))
         if (j + 1) % store_every == 0 or j == n_steps - 1:
-            stored_t.append(t0 + (j + 1) * h)
-            stored.append(vals.copy())
-    return EnvelopePath(np.array(stored_t), np.array(stored), y.copy(), peak)
+            path.values[row] = vals
+            row += 1
+    path.boundary_mass = peak
+    return path
 
 
 # -- excited envelope ------------------------------------------------------------

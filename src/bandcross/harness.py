@@ -5,6 +5,12 @@ ansatz over a list of epsilon values, fits log-log scaling exponents, and
 returns a StudyReport whose gates decide the process exit code.  Expensive
 direct runs are cached per (scenario, epsilon) so the pre-crossing, post-
 crossing and inner-window studies share a single propagation.
+
+Threads: a study runs its epsilons on a case pool of worker_count threads,
+capped by BCL_THREADS.  Each crossing case adds one solver thread of its
+own, which runs the direct solve while the case's thread builds the
+semiclassical prediction, so a crossing study runs up to twice the pool
+size of threads.  Isolated cases run on their pool thread alone.
 """
 from __future__ import annotations
 
@@ -54,7 +60,11 @@ _SOLVER_DEFAULTS = {
 
 
 def worker_count(n_jobs: int) -> int:
-    """Pool size: BCL_THREADS caps it, defaults to the machine's cores."""
+    """Case-pool size: BCL_THREADS caps it, defaults to the machine's cores.
+
+    Each crossing case also runs its direct solve on one solver thread of
+    its own, on top of this pool.
+    """
     cap = os.environ.get("BCL_THREADS", "")
     limit = int(cap) if cap.strip() else (os.cpu_count() or 1)
     return max(1, min(limit, n_jobs))
@@ -283,13 +293,14 @@ class StudyReport:
     rows: list
     fits: list
     gates: list
+    scenario: dict = None   # the crossing scenario's diagnostics
 
     @property
     def passed(self) -> bool:
         return all(g.passed for g in self.gates)
 
     def summary(self) -> dict:
-        return {
+        out = {
             "study": self.study,
             "version": self.version,
             "passed": self.passed,
@@ -297,6 +308,9 @@ class StudyReport:
             "fits": [f.to_dict() for f in self.fits],
             "config": self.config,
         }
+        if self.scenario is not None:
+            out["scenario"] = self.scenario
+        return out
 
     def write(self, out_dir: str):
         os.makedirs(out_dir, exist_ok=True)
@@ -357,6 +371,7 @@ class CrossingScenario:
     t_star: float
     q_star: float
     horizon: float
+    diagnostics: dict   # pair isolation margin and slope cross-checks
 
     @property
     def signal_scale(self) -> float:
@@ -383,7 +398,8 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
                                halfwidth=cfg.pair_halfwidth,
                                n_samples=cfg.pair_samples, m_cut=cfg.m_cut)
     kappa = coupling_coefficient(pair)
-    stub = integrate_flow(SplineBand(pair.plus), W, cfg.q0, cfg.p0,
+    band_plus = SplineBand(pair.plus)
+    stub = integrate_flow(band_plus, W, cfg.q0, cfg.p0,
                           (0.0, 0.01), TRAJECTORY_DT, band_label="+",
                           s0=cfg.s0)
     # rough crossing time from the constant-drive estimate, refined by the
@@ -412,6 +428,12 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
         dqw_star=float(W.dw(ext.plus.q_star)),
         t_star=float(ext.plus.t_star), q_star=float(ext.plus.q_star),
         horizon=horizon,
+        diagnostics={
+            "pair_margin": pair.margin,
+            "slope_fd_mismatch": pair.slope_fd_mismatch,
+            "slope_check_plus": band_plus.slope_check,
+            "slope_check_minus": SplineBand(pair.minus).slope_check,
+        },
     )
     _SCENARIO_CACHE[key] = scenario
     return scenario
@@ -453,7 +475,8 @@ def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
     leading error of the finer run.  While it exceeds target, dt is halved
     and the finer run becomes the coarse one, at most MAX_HALVINGS times.
     Snapshot times land on every step grid because each is a multiple of
-    dt.  Returns (result, estimate); n_steps counts every step run.
+    dt.  Returns (result, estimate); n_steps counts every step run, and
+    collar_mass is the peak over both runs of the accepted pair.
     """
     coarse = propagate(psi0, V, W, cfg)
     n_steps = coarse.n_steps
@@ -476,7 +499,9 @@ def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
              for a, b in zip(coarse.snapshots, fine.snapshots)]
     result = PropagationResult(snapshots=snaps, norms=fine.norms,
                                norm_drift_rate=fine.norm_drift_rate,
-                               n_steps=n_steps, dt=cfg.dt)
+                               n_steps=n_steps, dt=cfg.dt,
+                               collar_mass=max(coarse.collar_mass,
+                                               fine.collar_mass))
     return result, est
 
 
@@ -498,8 +523,9 @@ def _evolve_envelopes_to(coeffs, a0: Envelope, a1: Envelope, times, dt):
 
     a0 advances at dt/2 inside each chunk so the first-order source has its
     midpoint samples; long gaps between stops are split into sub-chunks so
-    the stored a0 path stays bounded.  Returns ({stop: (a0, a1)}, peak
-    envelope boundary-mass fraction).
+    the stored a0 path stays bounded.  Only one chunk's a0 path is alive at
+    a time, and a1 keeps its final state only.  Returns ({stop: (a0, a1)},
+    peak envelope boundary-mass fraction).
     """
     out = {}
     peak = 0.0
@@ -513,10 +539,12 @@ def _evolve_envelopes_to(coeffs, a0: Envelope, a1: Envelope, times, dt):
             h = (t_sub - t_now) / n
             a0_path = evolve_a0(coeffs, a0, (t_now, t_sub), h / 2.0,
                                 store_every=1)
-            a1_path = evolve_a1(coeffs, a1, a0_path, (t_now, t_sub), h)
+            a1_path = evolve_a1(coeffs, a1, a0_path, (t_now, t_sub), h,
+                                store_every=n)
             peak = max(peak, a0_path.boundary_mass, a1_path.boundary_mass)
             a0 = a0_path.final()
             a1 = a1_path.final()
+            del a0_path, a1_path
             a0.t = a1.t = t_sub
             t_now = t_sub
         out[t_next] = (Envelope(a0.y, a0.values.copy(), t=t_now),
@@ -555,6 +583,7 @@ class CrossingCase:
     errors: dict                   # label -> (raw, phase_optimized)
     solver_error: float            # step-doubling estimate (nan: no check)
     solver_target: float
+    collar_mass: float             # peak collar mass fraction of the solve
     energy_drift: float            # max over both branch trajectories
     envelope_boundary_mass: float  # peak edge-mass fraction of the marches
     residual_norm: float = None
@@ -632,6 +661,14 @@ def branch_packet(traj, path, grid: Grid, t: float, a0: Envelope,
 
 
 def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
+    """The direct solve of one epsilon against the semiclassical prediction.
+
+    The two computations share nothing until the comparisons, so the direct
+    solve runs on a helper thread while this thread builds the prediction:
+    the plus-branch envelopes, the excited envelope at t* with its
+    minus-branch march, and the predicted packets.  The solver spends its
+    time in scipy.fft and np.matmul, which release the interpreter lock.
+    """
     key = (cfg.fingerprint(), eps)
     if key in _CASE_CACHE:
         return _CASE_CACHE[key]
@@ -654,62 +691,81 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
 
     prop_cfg = PropagatorConfig(dt=dt, t_final=t_run,
                                 snapshot_times=tuple(sorted(times.values())))
-    result, solver_error = _run_solver(psi0, scenario.V, scenario.W,
-                                       prop_cfg, plan)
-    by_time = {round(s.t, 10): s for s in result.snapshots}
+    # the with block joins the helper thread on every exit, and an error on
+    # either side reaches the caller unchanged
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        solve = pool.submit(_run_solver, psi0, scenario.V, scenario.W,
+                            prop_cfg, plan)
 
-    # plus-branch envelopes only where the comparisons need them
-    error_labels = [k for k in ("breakdown_xi", "breakdown_xi_prime",
-                                "crossing") if k in times]
-    stops = {times[k] for k in error_labels}
-    want_star = {"crossing", "inner"} & set(cfg.measurements)
-    if want_star:
-        stops.add(scenario.t_star)
-    env, boundary_mass = _evolve_envelopes_to(
-        scenario.coeffs_plus, a0_init, a1_init, sorted(stops),
-        cfg.solver["envelope_dt"])
+        # plus-branch envelopes only where the comparisons need them
+        error_labels = [k for k in ("breakdown_xi", "breakdown_xi_prime",
+                                    "crossing") if k in times]
+        stops = {times[k] for k in error_labels}
+        want_star = {"crossing", "inner"} & set(cfg.measurements)
+        if want_star:
+            stops.add(scenario.t_star)
+        env, boundary_mass = _evolve_envelopes_to(
+            scenario.coeffs_plus, a0_init, a1_init, sorted(stops),
+            cfg.solver["envelope_dt"])
+        wp1 = {label: branch_packet(plus, scenario.pair.plus, grid,
+                                    times[label], *env[times[label]])
+               for label in error_labels}
+
+        if want_star:
+            a_star = env[scenario.t_star][0]
+            mass_pred = float(predict_excited_mass(
+                scenario.dqw_star, scenario.kappa, scenario.slope_gap,
+                a_star.norm(), eps))
+
+        if "crossing" in cfg.measurements:
+            # the predicted excited packet on the minus branch at t_obs
+            t_obs = times["crossing"]
+            a_minus0 = excited_envelope(a_star, scenario.dqw_star,
+                                        scenario.slope_gap, scenario.kappa)
+            a_minus0.t = scenario.t_star
+            minus_env, minus_mass = _evolve_a0_to(
+                scenario.coeffs_minus, a_minus0, [t_obs],
+                cfg.solver["envelope_dt"])
+            boundary_mass = max(boundary_mass, minus_mass)
+            wp1_obs = branch_packet(plus, scenario.pair.plus, grid, t_obs,
+                                    *env[t_obs])
+            pred = branch_packet(minus, scenario.pair.minus, grid, t_obs,
+                                 minus_env[t_obs])
+
+        if "inner" in cfg.measurements:
+            # window-mass buildup across t_star by the chirped-ramp model
+            s_grid = np.array([(times[f"inner_{j}"] - scenario.t_star)
+                               / np.sqrt(eps) for j in range(cfg.n_inner)])
+            buildup = excited_buildup(a_star, scenario.dqw_star,
+                                      scenario.slope_gap, scenario.kappa,
+                                      s_grid)
+            pred_masses = eps * buildup.norms() ** 2
+
+        result, solver_error = solve.result()
+    by_time = {round(s.t, 10): s for s in result.snapshots}
 
     errors = {}
     for label in error_labels:
-        t = times[label]
-        wp1 = branch_packet(plus, scenario.pair.plus, grid, t, *env[t])
-        rep = l2_error(by_time[round(t, 10)], wp1)
+        rep = l2_error(by_time[round(times[label], 10)], wp1[label])
         errors[label] = (rep.plain, rep.phase_optimized)
 
     case = CrossingCase(
         epsilon=eps, dt=result.dt, n_steps=result.n_steps,
         norm_drift=result.norm_drift_rate, grid_length=grid.length,
         times=times, errors=errors, solver_error=solver_error,
-        solver_target=plan.target,
+        solver_target=plan.target, collar_mass=result.collar_mass,
         energy_drift=max(plus.energy_drift, minus.energy_drift),
         envelope_boundary_mass=boundary_mass,
     )
-
     if want_star:
-        a_star = env[scenario.t_star][0]
-        mass_pred = predict_excited_mass(scenario.dqw_star, scenario.kappa,
-                                         scenario.slope_gap, a_star.norm(),
-                                         eps)
-        case.excited_mass_predicted = float(mass_pred)
-        case.plateau = float(mass_pred)
+        case.excited_mass_predicted = mass_pred
+        case.plateau = mass_pred
 
     if "crossing" in cfg.measurements:
         # post-crossing residual against the predicted excited packet
-        t_obs = times["crossing"]
-        a_minus0 = excited_envelope(a_star, scenario.dqw_star,
-                                    scenario.slope_gap, scenario.kappa)
-        a_minus0.t = scenario.t_star
-        minus_env, minus_mass = _evolve_a0_to(
-            scenario.coeffs_minus, a_minus0, [t_obs],
-            cfg.solver["envelope_dt"])
-        a_minus = minus_env[t_obs]
-        case.envelope_boundary_mass = max(boundary_mass, minus_mass)
         psi_obs = by_time[round(t_obs, 10)]
-        wp1_obs = branch_packet(plus, scenario.pair.plus, grid, t_obs,
-                                *env[t_obs])
         resid = psi_obs.values - wp1_obs.values
         resid_norm = float(np.sqrt(np.sum(np.abs(resid) ** 2) * grid.dx))
-        pred = branch_packet(minus, scenario.pair.minus, grid, t_obs, a_minus)
         pred_vals = np.sqrt(eps) * pred.values
         pred_norm = float(np.sqrt(np.sum(np.abs(pred_vals) ** 2) * grid.dx))
         inner_prod = abs(np.sum(np.conj(resid) * pred_vals) * grid.dx)
@@ -726,12 +782,6 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         case.band_mass_measured = float(table.band(cfg.band))
 
     if "inner" in cfg.measurements:
-        # window-mass buildup across t_star against the chirped-ramp model
-        s_grid = np.array([(times[f"inner_{j}"] - scenario.t_star)
-                           / np.sqrt(eps) for j in range(cfg.n_inner)])
-        buildup = excited_buildup(a_star, scenario.dqw_star,
-                                  scenario.slope_gap, scenario.kappa, s_grid)
-        pred_masses = eps * buildup.norms() ** 2
         case.inner_rows = []
         for j in range(cfg.n_inner):
             t = times[f"inner_{j}"]
@@ -793,6 +843,7 @@ def run_breakdown_study(cfg: RunConfig) -> StudyReport:
                "norm_drift": c.norm_drift, "grid_length": c.grid_length,
                "solver_error": c.solver_error,
                "solver_target": c.solver_target,
+               "collar_mass": c.collar_mass,
                "energy_drift": c.energy_drift,
                "envelope_boundary_mass": c.envelope_boundary_mass}
         for label in ("breakdown_xi", "breakdown_xi_prime"):
@@ -802,7 +853,8 @@ def run_breakdown_study(cfg: RunConfig) -> StudyReport:
         rows.append(row)
     return StudyReport(study="breakdown", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=fits,
-                       gates=gates)
+                       gates=gates,
+                       scenario=build_crossing_scenario(cfg).diagnostics)
 
 
 def run_crossing_study(cfg: RunConfig) -> StudyReport:
@@ -839,12 +891,14 @@ def run_crossing_study(cfg: RunConfig) -> StudyReport:
             "norm_drift": c.norm_drift,
             "solver_error": c.solver_error,
             "solver_target": c.solver_target,
+            "collar_mass": c.collar_mass,
             "energy_drift": c.energy_drift,
             "envelope_boundary_mass": c.envelope_boundary_mass,
         })
     return StudyReport(study="crossing", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=fits,
-                       gates=gates)
+                       gates=gates,
+                       scenario=build_crossing_scenario(cfg).diagnostics)
 
 
 def run_inner_window(cfg: RunConfig) -> StudyReport:
@@ -877,7 +931,8 @@ def run_inner_window(cfg: RunConfig) -> StudyReport:
         passed=0.8 <= late_ratio <= 1.2))
     return StudyReport(study="inner", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=[],
-                       gates=gates)
+                       gates=gates,
+                       scenario=build_crossing_scenario(cfg).diagnostics)
 
 
 # -- isolated-band study ---------------------------------------------------------
@@ -894,8 +949,10 @@ class IsolatedCase:
     norm_drift: float
     solver_error: float            # step-doubling estimate (nan: no check)
     solver_target: float
+    collar_mass: float             # peak collar mass fraction of the solve
     energy_drift: float            # of the band-flow trajectory
     envelope_boundary_mass: float  # peak edge-mass fraction of the marches
+    slope_check: float             # spline vs Hellmann-Feynman band slope
 
 
 def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
@@ -906,7 +963,8 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     W = build_external(cfg.external)
     path = band_path(V, cfg.band, cfg.band_window, n_samples=513,
                      m_cut=cfg.m_cut)
-    traj = integrate_flow(SplineBand(path), W, cfg.q0, cfg.p0,
+    band = SplineBand(path)
+    traj = integrate_flow(band, W, cfg.q0, cfg.p0,
                           (0.0, cfg.t_final + cfg.horizon_pad), TRAJECTORY_DT,
                           s0=cfg.s0)
     coeffs = coefficients_from_trajectory(path, traj, W)
@@ -939,8 +997,10 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
                         error_wp0_phase_opt=rep0.phase_optimized,
                         norm_drift=result.norm_drift_rate,
                         solver_error=solver_error, solver_target=plan.target,
+                        collar_mass=result.collar_mass,
                         energy_drift=traj.energy_drift,
-                        envelope_boundary_mass=boundary_mass)
+                        envelope_boundary_mass=boundary_mass,
+                        slope_check=band.slope_check)
     _CASE_CACHE[key] = case
     return case
 
@@ -960,8 +1020,10 @@ def run_isolated_band(cfg: RunConfig) -> StudyReport:
              "error_wp0_phase_opt": c.error_wp0_phase_opt,
              "norm_drift": c.norm_drift, "solver_error": c.solver_error,
              "solver_target": c.solver_target,
+             "collar_mass": c.collar_mass,
              "energy_drift": c.energy_drift,
-             "envelope_boundary_mass": c.envelope_boundary_mass}
+             "envelope_boundary_mass": c.envelope_boundary_mass,
+             "slope_check": c.slope_check}
             for c in cases]
     return StudyReport(study="isolated", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=fits,

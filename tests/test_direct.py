@@ -9,6 +9,7 @@ from bandcross.ansatz import (
     assemble_wp0,
 )
 from bandcross.direct import (
+    COLLAR_MASS_TOL,
     BandMassTable,
     PropagatorConfig,
     _smoothstep,
@@ -197,6 +198,26 @@ class SolverContract:
                                snapshot_times=tuple(np.arange(1, 15) * 0.1))
         with pytest.raises(GridOverflow):
             self.solve(state, FLAT, None, cfg)
+
+    def test_collar_mass_peak_recorded(self):
+        # the packet of test_collar_guard_trips with the guard off, run
+        # until it has crossed the collar: the recorded peak is the largest
+        # collar fraction over the snapshots
+        eps = 1.0 / 4
+        grid = Grid(length=8, epsilon=eps, ppw=32)
+        params = WavepacketParams(S=0.0, q=5.0, p=1.0,
+                                  a0=gaussian_envelope(sigma=1.0),
+                                  epsilon=eps, chi=flat_chi())
+        state = assemble_wp0(params, grid)
+        cfg = PropagatorConfig(dt=1e-3, t_final=4.0, check_collar=False,
+                               snapshot_times=tuple(np.arange(1, 16) * 0.25))
+        res = self.solve(state, FLAT, None, cfg)
+        collar = grid.x >= grid.length - cfg.collar
+        fracs = [np.sum(np.abs(s.values[collar]) ** 2) / np.sum(
+            np.abs(s.values) ** 2) for s in res.snapshots if s.t > 0]
+        assert np.argmax(fracs) < len(fracs) - 1
+        assert res.collar_mass == pytest.approx(max(fracs), rel=1e-12)
+        assert res.collar_mass > COLLAR_MASS_TOL
 
 
 class TestPropagate(SolverContract):

@@ -1,9 +1,12 @@
 """Envelope propagation, excited-envelope integral, and buildup tests."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 from scipy.special import fresnel
 
+from bandcross import harness
 from bandcross.ansatz import predict_excited_mass
 from bandcross.envelope import (
     BOUNDARY_TOL,
@@ -327,6 +330,63 @@ class TestSample:
         for t in ([0.1, 0.6 + 1e-6], [-1e-6, 0.2]):
             with pytest.raises(GridMismatch):
                 co.sample(np.array(t), "d2E")
+
+
+def _reference_march(coeffs, a0, a1, times, dt):
+    """_evolve_envelopes_to as a march that stores every a1 step."""
+    out, peak, t_now = {}, 0.0, float(a0.t)
+    for t_next in times:
+        while t_next > t_now + 1e-12:
+            t_sub = min(t_next, t_now + harness._ENVELOPE_CHUNK)
+            n = max(1, int(round((t_sub - t_now) / dt)))
+            h = (t_sub - t_now) / n
+            a0_path = evolve_a0(coeffs, a0, (t_now, t_sub), h / 2.0)
+            a1_path = evolve_a1(coeffs, a1, a0_path, (t_now, t_sub), h)
+            assert a1_path.values.shape[0] == n + 1
+            peak = max(peak, a0_path.boundary_mass, a1_path.boundary_mass)
+            a0, a1 = a0_path.final(), a1_path.final()
+            t_now = t_sub
+        out[t_next] = (a0.values, a1.values)
+    return out, peak
+
+
+class TestEnvelopeMarchMemory:
+    def test_final_is_a_copy(self):
+        g = gaussian_envelope(sigma=1.0)
+        co = OscillatorCoefficients.constant((0.0, 1.0), d2E=1.0)
+        path = evolve_a0(co, g, (0.0, 1.0), dt=0.25)
+        assert not np.shares_memory(path.final().values, path.values)
+
+    def test_march_matches_a_march_storing_every_step(self):
+        # each stop is more than one chunk after the last, so each is
+        # reached in two chunks
+        co = _drive(False)
+        g = gaussian_envelope(sigma=1.0, center=0.5, momentum=0.3,
+                              half_width=24.0, n=768)
+        a1 = Envelope(g.y, 0.1 * g.values)
+        stops, dt = [0.3, 0.58], 2e-3
+        got, peak = harness._evolve_envelopes_to(co, g, a1, stops, dt)
+        ref, ref_peak = _reference_march(co, g, a1, stops, dt)
+        for t in stops:
+            assert np.array_equal(got[t][0].values, ref[t][0])
+            assert np.array_equal(got[t][1].values, ref[t][1])
+        assert peak == ref_peak
+
+    def test_one_chunk_peak_is_one_a0_path(self):
+        co = _drive(False)
+        g = gaussian_envelope(sigma=1.0, half_width=24.0, n=768)
+        a1 = Envelope(g.y, np.zeros(g.y.size, dtype=complex))
+        dt = 1e-3
+        path_bytes = (2 * round(harness._ENVELOPE_CHUNK / dt) + 1) \
+            * g.values.nbytes
+        tracemalloc.start()
+        try:
+            harness._evolve_envelopes_to(co, g, a1,
+                                         [harness._ENVELOPE_CHUNK], dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * path_bytes
 
 
 class TestBoundaryMass:

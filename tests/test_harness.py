@@ -1,6 +1,8 @@
 """Study orchestration tests: configs, fits, reports, and cheap end-to-end runs."""
 import json
+import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from bandcross import harness
 from bandcross.envelope import BOUNDARY_TOL
-from bandcross.errors import DegenerateFit, SolverBudgetExceeded
+from bandcross.errors import DegenerateFit, GridOverflow, SolverBudgetExceeded
 from bandcross.harness import (
     GateResult,
     RunConfig,
@@ -27,6 +29,7 @@ from bandcross.harness import (
     make_scaling_report,
     run_breakdown_study,
     run_crossing_case,
+    run_isolated_band,
     run_isolated_case,
     worker_count,
 )
@@ -225,23 +228,29 @@ class TestFreeParticleIsolated:
     """V = 0: the first-order wavepacket is an exact coherent-state solution,
     so the direct run must match it to solver accuracy."""
 
+    CFG = RunConfig(
+        study="isolated",
+        potential={"kind": "free"},
+        external={"kind": "linear", "alpha": 0.25, "q_ref": 0.0},
+        band=1, q0=3.5, p0=1.3, sigma=1.0,
+        epsilons=(1 / 32,), t_final=0.5, domain_length=10,
+        envelope_half_width=24.0, envelope_points=768,
+        band_window=(0.7, 2.1),
+        solver={"error_budget": 0.25, "signal_prefactor": 0.05},
+    )
+
     def test_free_particle_exactness(self):
-        cfg = RunConfig(
-            study="isolated",
-            potential={"kind": "free"},
-            external={"kind": "linear", "alpha": 0.25, "q_ref": 0.0},
-            band=1, q0=3.5, p0=1.3, sigma=1.0,
-            epsilons=(1 / 32,), t_final=0.5, domain_length=10,
-            envelope_half_width=24.0, envelope_points=768,
-            band_window=(0.7, 2.1),
-            solver={"error_budget": 0.25, "signal_prefactor": 0.05},
-        )
-        case = run_isolated_case(cfg, 1 / 32)
+        case = run_isolated_case(self.CFG, 1 / 32)
         assert case.solver_error <= case.solver_target
         assert case.error_wp1 < 1e-5
         # the corrector vanishes identically, so both orders coincide
         assert abs(case.error_wp1 - case.error_wp0) < 1e-10
         assert case.norm_drift < 1e-10
+
+    def test_rows_record_solver_and_band_diagnostics(self):
+        (row,) = run_isolated_band(self.CFG).rows
+        assert 0.0 <= row["collar_mass"] <= 1e-8
+        assert 0.0 <= row["slope_check"] < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -320,10 +329,58 @@ class TestTrivialCrossing:
             assert row["energy_drift"] == drift
             assert 0.0 < row["envelope_boundary_mass"] <= BOUNDARY_TOL
 
+    def test_summary_records_the_scenario_diagnostics(self, trivial_cfg):
+        rep = run_breakdown_study(trivial_cfg)
+        block = rep.summary()["scenario"]
+        assert set(block) == {"pair_margin", "slope_fd_mismatch",
+                              "slope_check_plus", "slope_check_minus"}
+        assert all(math.isfinite(v) for v in block.values())
+        assert block["pair_margin"] > 0.0
+        for row in rep.rows:
+            assert 0.0 <= row["collar_mass"] <= 1e-8
+
     def test_coarse_epsilon_rejected(self, trivial_cfg):
         scenario = build_crossing_scenario(trivial_cfg)
         with pytest.raises(ValueError):
             _crossing_times(trivial_cfg, scenario, 1 / 8)
+
+
+class TestSolverOverlap:
+    """Each crossing case runs its direct solve on a helper thread."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cases(self, monkeypatch):
+        # a private case cache, so every test here runs its case
+        monkeypatch.setattr(harness, "_CASE_CACHE", {})
+        threads = threading.active_count()
+        yield
+        assert threading.active_count() == threads
+
+    def test_solver_runs_off_the_calling_thread(self, trivial_cfg,
+                                                monkeypatch):
+        seen = []
+        real = harness._run_solver
+
+        def recording(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_run_solver", recording)
+        case = run_crossing_case(trivial_cfg, 1 / 32)
+        assert len(seen) == 1 and seen[0] != threading.get_ident()
+        assert case.solver_error <= case.solver_target
+
+    def test_solver_error_reaches_the_caller(self, trivial_cfg):
+        cfg = replace(trivial_cfg,
+                      solver={**trivial_cfg.solver, "error_budget": 1e-300})
+        with pytest.raises(SolverBudgetExceeded):
+            run_crossing_case(cfg, 1 / 32)
+
+    def test_envelope_error_reaches_the_caller(self, trivial_cfg):
+        # sigma = 2 on a half width of 7 leaves edge mass above the guard
+        cfg = replace(trivial_cfg, envelope_half_width=7.0)
+        with pytest.raises(GridOverflow):
+            run_crossing_case(cfg, 1 / 32)
 
 
 class TestScenarioFanOut:
@@ -361,7 +418,8 @@ class TestEpsilonParsing:
 
 
 class TestStepDoubling:
-    def test_unreachable_budget_raises(self):
+    @staticmethod
+    def _problem():
         from bandcross.ansatz import Grid, GridState
         from bandcross.direct import PropagatorConfig
         from bandcross.potential import cosine_external, make_cosine
@@ -370,10 +428,21 @@ class TestStepDoubling:
         psi0 = GridState(grid, np.exp(-y ** 2 / 2 + 0.7j * grid.x
                                       / grid.epsilon))
         cfg = PropagatorConfig(dt=1e-2, t_final=0.1, check_collar=False)
+        return psi0, make_cosine(4.0), cosine_external(0.5, 0.7), cfg
+
+    def test_unreachable_budget_raises(self):
+        psi0, V, W, cfg = self._problem()
         with pytest.raises(SolverBudgetExceeded, match="after 3 halvings"):
-            harness.propagate_richardson(psi0, make_cosine(4.0),
-                                         cosine_external(0.5, 0.7), cfg,
-                                         target=1e-300)
+            harness.propagate_richardson(psi0, V, W, cfg, target=1e-300)
+
+    def test_collar_mass_is_the_peak_of_both_runs(self):
+        psi0, V, W, cfg = self._problem()
+        result, _ = harness.propagate_richardson(psi0, V, W, cfg,
+                                                 target=math.inf)
+        runs = [harness.propagate(psi0, V, W, c)
+                for c in (cfg, replace(cfg, dt=cfg.dt / 2))]
+        assert result.collar_mass == max(r.collar_mass for r in runs)
+        assert result.collar_mass > 0.0
 
 
 class TestGatedCrossingCase:
