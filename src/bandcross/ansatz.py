@@ -16,7 +16,6 @@ from scipy.interpolate import CubicSpline
 
 from .envelope import Envelope, evaluate_envelope
 from .errors import EnvelopeClipped, GridMismatch
-from .io import write_csv, write_state_binary
 
 TWO_PI = 2.0 * np.pi
 CLIP_TOL = 1e-8
@@ -85,21 +84,6 @@ class GridState:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
-
-    def dump(self, path_prefix: str, preview_stride: int = 64):
-        sidecar = {
-            "L": int(self.grid.length),
-            "N": int(self.grid.n),
-            "epsilon": self.grid.epsilon,
-            "ppw": int(self.grid.ppw),
-            "t": self.t,
-        }
-        write_state_binary(path_prefix + ".state", self.values, sidecar)
-        x = self.grid.x[::preview_stride]
-        v = self.values[::preview_stride]
-        write_csv(path_prefix + "_preview.csv",
-                  ["x", "re", "im", "abs2"],
-                  [(xi, vi.real, vi.imag, abs(vi) ** 2) for xi, vi in zip(x, v)])
 
 
 @dataclass

@@ -12,11 +12,9 @@ size of the transmitted-to-excited transition.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConvergenceFailure,
-    CrossingOffLattice,
     IsolationFailure,
     NoCrossing,
     NotLinearCrossing,
@@ -24,46 +22,22 @@ from .errors import (
     SingularResolvent,
     TruncationTooSmall,
 )
-from .io import write_csv
 from .potential import PeriodicPotential
 
 __all__ = [
-    "BlochMode",
-    "BandStructure",
-    "Crossing",
     "BandPath",
     "SmoothBandPair",
     "assemble",
     "eigensolve",
-    "band_structure",
-    "gap",
-    "detect_crossings",
     "band_path",
     "smooth_continuation",
     "fix_gauge",
-    "dp_chi",
     "reduced_resolvent_apply",
-    "berry_connection",
     "coupling_coefficient",
-    "verify_symmetry_identity",
 ]
 
 TWO_PI = 2.0 * np.pi
 DEFAULT_M_CUT = 64
-
-
-@dataclass
-class BlochMode:
-    """Single eigenpair of a fiber: band index n >= 1 at quasimomentum p."""
-
-    p: float
-    n: int
-    energy: float
-    coeffs: np.ndarray  # plane-wave coefficients, index m = -m_cut .. m_cut
-
-    @property
-    def m_cut(self) -> int:
-        return (self.coeffs.size - 1) // 2
 
 
 def _mode_numbers(m_cut: int) -> np.ndarray:
@@ -104,139 +78,6 @@ def eigensolve(V: PeriodicPotential, p: float, n_bands: int,
     return evals[:n_bands].copy(), np.ascontiguousarray(evecs[:, :n_bands].T)
 
 
-@dataclass
-class BandStructure:
-    """Bands sampled on a quasimomentum grid; one guard band beyond n_bands."""
-
-    potential: PeriodicPotential
-    p_grid: np.ndarray
-    energies: np.ndarray      # (n_p, n_bands + 1) including the guard band
-    coeffs: np.ndarray        # (n_p, n_bands, dim); per-p gauge arbitrary
-    m_cut: int
-    n_bands: int
-
-    def energy(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.n_bands + 1:
-            raise ValueError(f"band index {n} out of range")
-        return self.energies[:, n - 1]
-
-    def mode(self, n: int, i: int) -> BlochMode:
-        return BlochMode(
-            p=float(self.p_grid[i]), n=n,
-            energy=float(self.energies[i, n - 1]),
-            coeffs=self.coeffs[i, n - 1].copy(),
-        )
-
-    def dump_csv(self, path):
-        gaps = [gap(self, n) for n in range(1, self.n_bands + 1)]
-        rows = []
-        for i, p in enumerate(self.p_grid):
-            for n in range(1, self.n_bands + 1):
-                rows.append((p, n, self.energies[i, n - 1], gaps[n - 1][i]))
-        write_csv(path, ("p", "n", "E", "G"), rows)
-
-
-def band_structure(V: PeriodicPotential, p_grid, n_bands: int,
-                   m_cut: int = DEFAULT_M_CUT) -> BandStructure:
-    """Diagonalize every fiber on p_grid, keeping n_bands + 1 energies."""
-    p_grid = np.asarray(p_grid, dtype=float)
-    dim = 2 * m_cut + 1
-    if n_bands + 1 > dim:
-        raise ValueError("n_bands too large for the plane-wave truncation")
-    energies = np.empty((p_grid.size, n_bands + 1))
-    coeffs = np.empty((p_grid.size, n_bands, dim), dtype=complex)
-    for i, p in enumerate(p_grid):
-        e, c = eigensolve(V, float(p), n_bands + 1, m_cut)
-        energies[i] = e
-        coeffs[i] = c[:n_bands]
-    return BandStructure(V, p_grid, energies, coeffs, m_cut, n_bands)
-
-
-def gap(bs: BandStructure, n: int) -> np.ndarray:
-    """Pointwise distance from band n to the rest of the computed spectrum."""
-    if not 1 <= n <= bs.n_bands:
-        raise ValueError(f"band index {n} out of range")
-    e_n = bs.energies[:, n - 1]
-    up = bs.energies[:, n] - e_n
-    if n == 1:
-        return up
-    down = e_n - bs.energies[:, n - 2]
-    return np.minimum(up, down)
-
-
-@dataclass
-class Crossing:
-    """Linear degeneracy of bands (n, n+1) at quasimomentum p_star."""
-
-    n: int
-    p_star: float
-    gap_min: float
-    lattice_point: float          # 0.0 or pi, the admissible location
-    lattice_distance: float
-
-
-def _lattice_distance(p: float) -> tuple[float, float]:
-    """Distance of p to {0, pi} mod 2 pi and the nearest such point."""
-    r = np.mod(p, np.pi)
-    d = min(r, np.pi - r)
-    nearest = np.mod(round(p / np.pi) * np.pi, TWO_PI)
-    target = 0.0 if abs(nearest - np.pi) > 1e-9 else np.pi
-    return float(d), float(target)
-
-
-def detect_crossings(bs: BandStructure, tol: float = 1e-8,
-                     lattice_tol: float = 1e-6) -> list[Crossing]:
-    """Locate band touchings by refining local minima of the pair gaps.
-
-    Each candidate minimum is sharpened by bounded scalar minimization with
-    fresh fiber eigensolves; a refined gap below tol is a crossing.  For a
-    real periodic potential the fiber spectrum is even in p and periodic, so
-    a genuine touching can only sit at {0, pi} mod 2 pi; anything else raises
-    CrossingOffLattice.
-    """
-    V, m_cut = bs.potential, bs.m_cut
-    p = bs.p_grid
-    out = []
-    for n in range(1, bs.n_bands + 1):
-        g = bs.energies[:, n] - bs.energies[:, n - 1]
-
-        def pair_gap(x, n=n):
-            e, _ = eigensolve(V, float(x), n + 1, m_cut)
-            return float(e[n] - e[n - 1])
-
-        candidates = [
-            i for i in range(p.size)
-            if g[i] <= g[max(i - 1, 0)] and g[i] <= g[min(i + 1, p.size - 1)]
-            and g[i] < 0.05
-        ]
-        seen = []
-        for i in candidates:
-            lo = p[max(i - 1, 0)]
-            hi = p[min(i + 1, p.size - 1)]
-            if hi - lo < 1e-14:
-                p_ref, g_ref = float(p[i]), float(g[i])
-            else:
-                res = minimize_scalar(pair_gap, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": 1e-12})
-                p_ref, g_ref = float(res.x), float(res.fun)
-                if g[i] < g_ref:
-                    p_ref, g_ref = float(p[i]), float(g[i])
-            if g_ref >= tol:
-                continue
-            sep = lambda a, b: abs(np.mod(a - b + np.pi, TWO_PI) - np.pi)
-            if any(sep(p_ref, q) < 1e-6 for q in seen):
-                continue
-            seen.append(p_ref)
-            dist, target = _lattice_distance(p_ref)
-            if dist > lattice_tol:
-                raise CrossingOffLattice(
-                    f"bands ({n},{n + 1}) touch at p={p_ref}, {dist:.2e} from a "
-                    "half-lattice point"
-                )
-            out.append(Crossing(n, p_ref, g_ref, target, dist))
-    return out
-
-
 # -- gauge transport -----------------------------------------------------------
 
 
@@ -265,22 +106,7 @@ def fix_gauge(coeffs: np.ndarray, anchor: int = 0) -> np.ndarray:
     return out
 
 
-def berry_connection(p_samples: np.ndarray, chi_path: np.ndarray) -> np.ndarray:
-    """A(p) = i <chi|d_p chi> from centered differences of a gauge-fixed path.
-
-    The estimator -Im <chi_k|(chi_{k+1} - chi_{k-1})>/(2 dp) is exactly real;
-    one-sided differences close the ends.
-    """
-    p = np.asarray(p_samples, dtype=float)
-    n = p.size
-    A = np.empty(n)
-    for k in range(n):
-        lo, hi = max(k - 1, 0), min(k + 1, n - 1)
-        A[k] = -np.imag(np.vdot(chi_path[k], chi_path[hi] - chi_path[lo])) / (p[hi] - p[lo])
-    return A
-
-
-# -- reduced resolvent and eigenvector derivatives ------------------------------
+# -- reduced resolvent ---------------------------------------------------------
 
 
 def reduced_resolvent_apply(V: PeriodicPotential, p: float, e_sigma: float,
@@ -314,36 +140,6 @@ def reduced_resolvent_apply(V: PeriodicPotential, p: float, e_sigma: float,
             f"reduced resolvent ill-conditioned at p={p}, e={e_sigma}"
         )
     return u
-
-
-def dp_chi(V: PeriodicPotential, mode: BlochMode, m_cut: int = DEFAULT_M_CUT,
-           pair: "SmoothBandPair | None" = None):
-    """Derivative of the eigenvector in the gauge <chi|d_p chi> = 0.
-
-    Solves (H - E) u = -(velocity - dE) chi on the orthogonal complement; the
-    velocity operator p - i d/dz is diagonal with symbol p + 2 pi m.  For a
-    mode at a crossing, pass the pair so the two-dimensional resonant span is
-    excluded; the excluded chi_- component (the coupling coefficient) is then
-    reported separately.
-
-    Returns (dchi, coupling_component).
-    """
-    m = _mode_numbers(m_cut)
-    chi = mode.coeffs
-    velocity = (mode.p + TWO_PI * m)
-    dE = float(np.sum(velocity * np.abs(chi) ** 2))
-    rhs = -(velocity - dE) * chi
-    if pair is None:
-        u = reduced_resolvent_apply(V, mode.p, mode.energy, chi[None, :], rhs, m_cut)
-        return u, 0.0 + 0.0j
-    chi_p = pair.chi_plus[pair.i_star]
-    chi_m = pair.chi_minus[pair.i_star]
-    u = reduced_resolvent_apply(V, mode.p, mode.energy,
-                                np.vstack([chi_p, chi_m]), rhs, m_cut)
-    branch = "+" if abs(np.vdot(chi_p, chi)) > abs(np.vdot(chi_m, chi)) else "-"
-    beta = coupling_coefficient(pair) if branch == "+" else \
-        -np.conj(coupling_coefficient(pair))
-    return u, beta
 
 
 # -- smooth continuation through a crossing -------------------------------------
@@ -495,9 +291,6 @@ class SmoothBandPair:
     @property
     def slope_gap(self) -> float:
         return self.slope_plus - self.slope_minus
-
-    def branch(self, sign: str) -> BandPath:
-        return self.plus if sign == "+" else self.minus
 
 
 def smooth_continuation(V: PeriodicPotential, n: int, p_star: float,
@@ -662,34 +455,3 @@ def coupling_coefficient(pair: SmoothBandPair) -> complex:
     kappa = complex(np.vdot(chi_m, vel * w) / pair.slope_gap)
     pair._coupling = kappa
     return kappa
-
-
-def verify_symmetry_identity(pair: SmoothBandPair) -> float:
-    """Sup over the window of || chi_-(p) - e^{i phi} T chi_+(2 pi - p) ||.
-
-    T is the antiunitary map chi -> e^{-2 pi i z} conj(chi), which sends the
-    fiber at p to the fiber at 2 pi - p and exchanges the branches of a
-    crossing at p_star = pi.  The constant phase phi is fixed at p_star.
-    """
-    if abs(pair.p_star - np.pi) > 1e-6:
-        raise ValueError("symmetry identity applies at p_star = pi only")
-
-    def tmap(c):
-        # (T c)_m = conj(c_{-m-1}); the source index -m-1 runs off the top of
-        # the truncation for m = m_cut, where the coefficient is negligible.
-        M = (c.size - 1) // 2
-        return np.append(np.conj(c[:2 * M][::-1]), 0.0)
-
-    i_star = pair.i_star
-    n = pair.p_samples.size
-    t_at_star = tmap(pair.chi_plus[i_star])
-    ov = np.vdot(pair.chi_minus[i_star], t_at_star)
-    if abs(ov) < 1e-12:
-        return float(np.sqrt(2.0))
-    phase = np.conj(ov) / abs(ov)
-    worst = 0.0
-    for i in range(n):
-        j = n - 1 - i  # mirrored sample: p_j = 2 p_star - p_i
-        pred = phase * tmap(pair.chi_plus[j])
-        worst = max(worst, float(np.linalg.norm(pair.chi_minus[i] - pred)))
-    return worst

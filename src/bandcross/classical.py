@@ -128,11 +128,6 @@ class Trajectory:
         ss = CubicSpline(self.t_grid, self.S)
         return float(qs(t)), float(ps(t)), float(ss(t))
 
-    def dump_csv(self, path):
-        from .io import write_csv
-        rows = zip(self.t_grid, self.q, self.p, self.S)
-        write_csv(path, ["t", "q", "p", "S"], rows)
-
 
 @dataclass
 class ExtendedTrajectory:

@@ -425,29 +425,7 @@ def excited_buildup(a_star: Envelope, dqW_star: float, slope_gap: float,
     return EnvelopePath(s_grid, out, a_star.y.copy())
 
 
-# -- norms and evaluation --------------------------------------------------------
-
-
-def sigma_norm(e: Envelope, l: int = 0) -> float:
-    """Sum of ||y^alpha k^beta e|| over |alpha| + |beta| <= l (spectral k)."""
-    if l < 0 or l > 2:
-        raise ValueError("l must be 0, 1 or 2")
-    y, dy = e.y, e.dy
-    k = e.k_grid()
-
-    def nrm(vals):
-        return float(np.sqrt(np.sum(np.abs(vals) ** 2) * dy))
-
-    def kd(vals, beta):
-        if beta == 0:
-            return vals
-        return np.fft.ifft(k ** beta * np.fft.fft(vals))
-
-    total = 0.0
-    for alpha in range(l + 1):
-        for beta in range(l + 1 - alpha):
-            total += nrm(y ** alpha * kd(e.values, beta))
-    return total
+# -- evaluation ------------------------------------------------------------------
 
 
 def evaluate_envelope(e: Envelope, points, refine: int = 8) -> np.ndarray:

@@ -25,10 +25,6 @@ class ConvergenceFailure(BandcrossError):
     """Dense Hermitian eigensolver failed to converge."""
 
 
-class CrossingOffLattice(BandcrossError):
-    """Refined band degeneracy lies away from {0, pi} mod 2pi."""
-
-
 class NotLinearCrossing(BandcrossError):
     """Band touching with vanishing slope gap; outside the supported class."""
 

@@ -43,8 +43,9 @@ FINE_EPS_FLOOR = 1.0 / 256.0   # finer sweeps are opt-in (runtime)
 TRAJECTORY_DT = 1e-4
 MAX_HALVINGS = 3          # dt halvings the step-doubling check may add
 
+# Every direct solve is checked by step doubling (propagate_richardson), and
+# its dt comes from plan_solver alone.
 _SOLVER_DEFAULTS = {
-    "richardson": True,        # per-run (4 psi_{dt/2} - psi_dt)/3 combination
     # The two a-priori error constants are no longer read: the step-doubling
     # estimate is checked after each run instead.  They stay accepted
     # because existing configs set them (perfbench/test_perfbench.py does)
@@ -54,7 +55,6 @@ _SOLVER_DEFAULTS = {
     "error_budget": 0.075,      # solver error target as a fraction of signal
     "signal_prefactor": None,   # override the per-study signal scale
     "envelope_dt": 2.5e-4,
-    "dt": {},                   # explicit per-epsilon overrides {"256": 4e-6}
     "dt_cap": 1e-3,
 }
 
@@ -445,7 +445,6 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
 @dataclass
 class SolverPlan:
     dt: float
-    richardson: bool
     target: float
 
 
@@ -457,14 +456,9 @@ def plan_solver(cfg: RunConfig, eps: float, signal: float, W,
     W limits dt; accuracy is checked after the run by step doubling.
     """
     s = cfg.solver
-    override = s.get("dt") or {}
-    key = str(int(round(1.0 / eps)))
-    target = s["error_budget"] * signal
-    if key in override:
-        return SolverPlan(float(override[key]), bool(s["richardson"]), target)
     w_max = float(np.max(np.abs(periodize_external(W, grid))))
     dt = min(s["dt_cap"], 0.45 * eps / max(w_max, 1e-12), eps / 10.0)
-    return SolverPlan(float(dt), bool(s["richardson"]), target)
+    return SolverPlan(float(dt), s["error_budget"] * signal)
 
 
 def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
@@ -503,13 +497,6 @@ def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
                                collar_mass=max(coarse.collar_mass,
                                                fine.collar_mass))
     return result, est
-
-
-def _run_solver(psi0, V, W, prop_cfg, plan: SolverPlan):
-    """(result, step-doubling estimate, nan without Richardson)."""
-    if plan.richardson:
-        return propagate_richardson(psi0, V, W, prop_cfg, plan.target)
-    return propagate(psi0, V, W, prop_cfg), float("nan")
 
 
 # -- envelope transport ----------------------------------------------------------
@@ -581,7 +568,7 @@ class CrossingCase:
     grid_length: int
     times: dict                    # label -> snapped time
     errors: dict                   # label -> (raw, phase_optimized)
-    solver_error: float            # step-doubling estimate (nan: no check)
+    solver_error: float            # step-doubling estimate of the solve
     solver_target: float
     collar_mass: float             # peak collar mass fraction of the solve
     energy_drift: float            # max over both branch trajectories
@@ -592,7 +579,6 @@ class CrossingCase:
     excited_mass_predicted: float = None
     band_mass_measured: float = None
     inner_rows: list = None        # (s, t, measured, predicted)
-    plateau: float = None
 
 
 def _domain_length(cfg: RunConfig, eps: float) -> int:
@@ -694,8 +680,8 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     # the with block joins the helper thread on every exit, and an error on
     # either side reaches the caller unchanged
     with ThreadPoolExecutor(max_workers=1) as pool:
-        solve = pool.submit(_run_solver, psi0, scenario.V, scenario.W,
-                            prop_cfg, plan)
+        solve = pool.submit(propagate_richardson, psi0, scenario.V,
+                            scenario.W, prop_cfg, plan.target)
 
         # plus-branch envelopes only where the comparisons need them
         error_labels = [k for k in ("breakdown_xi", "breakdown_xi_prime",
@@ -727,8 +713,6 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
                 scenario.coeffs_minus, a_minus0, [t_obs],
                 cfg.solver["envelope_dt"])
             boundary_mass = max(boundary_mass, minus_mass)
-            wp1_obs = branch_packet(plus, scenario.pair.plus, grid, t_obs,
-                                    *env[t_obs])
             pred = branch_packet(minus, scenario.pair.minus, grid, t_obs,
                                  minus_env[t_obs])
 
@@ -759,12 +743,11 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     )
     if want_star:
         case.excited_mass_predicted = mass_pred
-        case.plateau = mass_pred
 
     if "crossing" in cfg.measurements:
         # post-crossing residual against the predicted excited packet
         psi_obs = by_time[round(t_obs, 10)]
-        resid = psi_obs.values - wp1_obs.values
+        resid = psi_obs.values - wp1["crossing"].values
         resid_norm = float(np.sqrt(np.sum(np.abs(resid) ** 2) * grid.dx))
         pred_vals = np.sqrt(eps) * pred.values
         pred_norm = float(np.sqrt(np.sum(np.abs(pred_vals) ** 2) * grid.dx))
@@ -807,6 +790,17 @@ def _cases_for(cfg: RunConfig) -> list:
 # -- studies ---------------------------------------------------------------------
 
 
+def _diagnostics(case) -> dict:
+    """The row columns every isolated, crossing and breakdown row carries."""
+    return {"epsilon": case.epsilon, "dt": case.dt,
+            "norm_drift": case.norm_drift,
+            "solver_error": case.solver_error,
+            "solver_target": case.solver_target,
+            "collar_mass": case.collar_mass,
+            "energy_drift": case.energy_drift,
+            "envelope_boundary_mass": case.envelope_boundary_mass}
+
+
 def _require_measurement(cfg: RunConfig, name: str):
     if name not in cfg.measurements:
         raise ValueError(
@@ -839,13 +833,8 @@ def run_breakdown_study(cfg: RunConfig) -> StudyReport:
         _fit_gate(f"error_at_t_star_minus_eps^{xi}", pairs,
                   target=1.0 - xi, tolerance=0.15, fits=fits, gates=gates)
     for c in cases:
-        row = {"epsilon": c.epsilon, "dt": c.dt, "n_steps": c.n_steps,
-               "norm_drift": c.norm_drift, "grid_length": c.grid_length,
-               "solver_error": c.solver_error,
-               "solver_target": c.solver_target,
-               "collar_mass": c.collar_mass,
-               "energy_drift": c.energy_drift,
-               "envelope_boundary_mass": c.envelope_boundary_mass}
+        row = {**_diagnostics(c), "n_steps": c.n_steps,
+               "grid_length": c.grid_length}
         for label in ("breakdown_xi", "breakdown_xi_prime"):
             row[f"{label}_time"] = c.times[label]
             row[f"{label}_error"] = c.errors[label][0]
@@ -881,19 +870,13 @@ def run_crossing_study(cfg: RunConfig) -> StudyReport:
         requirement="within [0.8, 1.2]", passed=0.8 <= band_ratio <= 1.2))
     for c in cases:
         rows.append({
-            "epsilon": c.epsilon, "dt": c.dt,
+            **_diagnostics(c),
             "observation_time": c.times["crossing"],
             "residual_norm": c.residual_norm,
             "overlap": c.overlap,
             "excited_mass_measured": c.excited_mass_measured,
             "excited_mass_predicted": c.excited_mass_predicted,
             "band_mass_measured": c.band_mass_measured,
-            "norm_drift": c.norm_drift,
-            "solver_error": c.solver_error,
-            "solver_target": c.solver_target,
-            "collar_mass": c.collar_mass,
-            "energy_drift": c.energy_drift,
-            "envelope_boundary_mass": c.envelope_boundary_mass,
         })
     return StudyReport(study="crossing", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=fits,
@@ -906,23 +889,25 @@ def run_inner_window(cfg: RunConfig) -> StudyReport:
     cases = _cases_for(cfg)
     rows, gates = [], []
     for c in cases:
+        plateau = c.excited_mass_predicted
         max_dev = 0.0
         for s, t, measured, predicted in c.inner_rows:
-            dev = abs(measured - predicted) / max(c.plateau, 1e-300)
+            dev = abs(measured - predicted) / max(plateau, 1e-300)
             max_dev = max(max_dev, dev)
             rows.append({"epsilon": c.epsilon, "s": s, "t": t,
                          "measured_mass": measured,
                          "predicted_mass": predicted,
-                         "plateau": c.plateau})
+                         "plateau": plateau})
         rows.append({"epsilon": c.epsilon, "s": "", "t": "",
                      "measured_mass": "", "predicted_mass": "",
-                     "plateau": c.plateau, "max_relative_deviation": max_dev})
+                     "plateau": plateau, "max_relative_deviation": max_dev})
     smallest = cases[-1]
+    plateau = smallest.excited_mass_predicted
     s0, _, m0, p0 = smallest.inner_rows[0]
     gates.append(GateResult(
-        name="early_window_mass", value=m0 / smallest.plateau,
+        name="early_window_mass", value=m0 / plateau,
         requirement="measured << plateau at the earliest s",
-        passed=m0 <= 0.25 * smallest.plateau and p0 <= 0.25 * smallest.plateau))
+        passed=m0 <= 0.25 * plateau and p0 <= 0.25 * plateau))
     s1, _, m1, p1 = smallest.inner_rows[-1]
     late_ratio = m1 / max(p1, 1e-300)
     gates.append(GateResult(
@@ -947,7 +932,7 @@ class IsolatedCase:
     error_wp1_phase_opt: float
     error_wp0_phase_opt: float
     norm_drift: float
-    solver_error: float            # step-doubling estimate (nan: no check)
+    solver_error: float            # step-doubling estimate of the solve
     solver_target: float
     collar_mass: float             # peak collar mass fraction of the solve
     energy_drift: float            # of the band-flow trajectory
@@ -983,7 +968,8 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     psi0 = branch_packet(traj, path, grid, 0.0, a0_init, a1_init)
     prop_cfg = PropagatorConfig(dt=dt, t_final=t_obs,
                                 snapshot_times=(t_obs,))
-    result, solver_error = _run_solver(psi0, V, W, prop_cfg, plan)
+    result, solver_error = propagate_richardson(psi0, V, W, prop_cfg,
+                                                plan.target)
     psi = result.snapshots[-1]
     env, boundary_mass = _evolve_envelopes_to(coeffs, a0_init, a1_init,
                                               [t_obs],
@@ -1014,15 +1000,10 @@ def run_isolated_band(cfg: RunConfig) -> StudyReport:
               target=1.0, tolerance=0.3, fits=fits, gates=gates)
     _fit_gate("wp0_error", [(c.epsilon, c.error_wp0) for c in cases],
               target=0.5, tolerance=0.3, fits=fits, gates=gates)
-    rows = [{"epsilon": c.epsilon, "dt": c.dt,
+    rows = [{**_diagnostics(c),
              "error_wp1": c.error_wp1, "error_wp0": c.error_wp0,
              "error_wp1_phase_opt": c.error_wp1_phase_opt,
              "error_wp0_phase_opt": c.error_wp0_phase_opt,
-             "norm_drift": c.norm_drift, "solver_error": c.solver_error,
-             "solver_target": c.solver_target,
-             "collar_mass": c.collar_mass,
-             "energy_drift": c.energy_drift,
-             "envelope_boundary_mass": c.envelope_boundary_mass,
              "slope_check": c.slope_check}
             for c in cases]
     return StudyReport(study="isolated", version=__version__,

@@ -1,4 +1,4 @@
-"""Deterministic CSV / JSON / binary writers shared by the dump interfaces.
+"""Deterministic CSV / JSON writers for the study reports.
 
 Floats are rendered with repr (shortest round-trip form) so identical inputs
 produce byte-identical files; no timestamps enter file bodies.
@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-__all__ = ["fmt", "write_csv", "write_json", "write_state_binary", "read_state_binary"]
+__all__ = ["fmt", "write_csv", "write_json"]
 
 
 def fmt(x) -> str:
@@ -51,17 +51,3 @@ def write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_state_binary(path, values: np.ndarray, sidecar: dict):
-    """Dump complex values as little-endian complex64 plus a JSON sidecar."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    np.asarray(values, dtype="<c8").tofile(path)
-    write_json(path + ".json", dict(sidecar, dtype="<c8", count=int(values.size)))
-
-
-def read_state_binary(path) -> tuple[np.ndarray, dict]:
-    with open(path + ".json") as fh:
-        sidecar = json.load(fh)
-    values = np.fromfile(path, dtype="<c8").astype(np.complex128)
-    return values, sidecar

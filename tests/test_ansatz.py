@@ -21,7 +21,6 @@ from bandcross.envelope import (
 )
 from bandcross.errors import EnvelopeClipped, GridMismatch
 from bandcross.harness import branch_packet
-from bandcross.io import read_state_binary
 
 
 def flat_chi(m_cut: int = 8) -> np.ndarray:
@@ -306,23 +305,3 @@ class TestPredictExcitedMass:
     def test_bad_slope_gap(self):
         with pytest.raises(ValueError):
             predict_excited_mass(1.0, 0.1, 0.0, 1.0, 1.0 / 64)
-
-
-class TestStateDump:
-    def test_roundtrip(self, tmp_path):
-        grid = Grid(length=4, epsilon=1.0 / 16, ppw=32)
-        a0 = gaussian_envelope(sigma=1.0)
-        params = WavepacketParams(S=0.0, q=2.0, p=1.0, a0=a0,
-                                  epsilon=1.0 / 16, chi=mode_chi(1))
-        state = assemble_wp0(params, grid)
-        state.t = 0.7
-        prefix = str(tmp_path / "snap")
-        state.dump(prefix)
-        vals, sidecar = read_state_binary(prefix + ".state")
-        assert sidecar["L"] == 4
-        assert sidecar["N"] == grid.n
-        assert sidecar["epsilon"] == 1.0 / 16
-        assert sidecar["t"] == 0.7
-        scale = np.max(np.abs(state.values))
-        assert np.max(np.abs(vals - state.values)) < 1e-6 * scale
-        assert (tmp_path / "snap_preview.csv").exists()

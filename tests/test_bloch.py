@@ -1,32 +1,27 @@
-"""Band structure, crossing detection, gauge transport and coupling tests.
+"""Band structure, band touchings, gauge transport and coupling tests.
 
 Oracle strategy: the free fiber diagonalizes exactly (folded parabolas), so
 every derived quantity (slopes, curvature tables, Berry connection, coupling)
 is checked there against closed forms first; potentials with known gap
 structure (single cosine: all gaps open; half-periodic cosine: odd gaps
 closed with zero coupling; one-gap elliptic: only the lowest gap open) pin
-down the crossing detector; the perturbative coupling route is cross-checked
-against centered finite differences of the gauge-fixed eigenvector path.
+down where the fiber eigenvalues touch; the perturbative coupling route is
+cross-checked against centered finite differences of the gauge-fixed
+eigenvector path.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandcross.ansatz import path_dp_chi
 from bandcross.bloch import (
-    BandPath,
     assemble,
     band_path,
-    band_structure,
-    berry_connection,
     coupling_coefficient,
-    detect_crossings,
-    dp_chi,
     eigensolve,
     fix_gauge,
-    gap,
     reduced_resolvent_apply,
     smooth_continuation,
-    verify_symmetry_identity,
 )
 from bandcross.errors import (
     IsolationFailure,
@@ -65,6 +60,85 @@ def free_levels(p, count):
     return np.sort(0.5 * (p + TWO_PI * m) ** 2)[:count]
 
 
+# a pair gap below this counts as a band touching
+TOUCH = 1e-8
+
+
+def pair_gaps(V, p_grid, n_pairs, m_cut):
+    """E_{n+1} - E_n for n = 1 .. n_pairs at every p of the grid."""
+    return np.array([np.diff(eigensolve(V, float(p), n_pairs + 1, m_cut)[0])
+                     for p in p_grid])
+
+
+def touchings(V, n_points, n_pairs, m_cut):
+    """{n: grid momenta where bands (n, n+1) touch} over [0, 2 pi]."""
+    p = np.linspace(0, TWO_PI, n_points)
+    g = pair_gaps(V, p, n_pairs, m_cut)
+    return {n: set(np.round(p[g[:, n - 1] < TOUCH], 9))
+            for n in range(1, n_pairs + 1)}
+
+
+ZERO, PI = {0.0, round(TWO_PI, 9)}, {round(np.pi, 9)}
+
+
+def _berry_connection(p_samples, chi_path):
+    """A(p) = i <chi|d_p chi> from centered differences of a gauge-fixed path.
+
+    The estimator -Im <chi_k|(chi_{k+1} - chi_{k-1})>/(2 dp) is exactly real;
+    one-sided differences close the ends.
+    """
+    p = np.asarray(p_samples, dtype=float)
+    n = p.size
+    A = np.empty(n)
+    for k in range(n):
+        lo, hi = max(k - 1, 0), min(k + 1, n - 1)
+        A[k] = -np.imag(np.vdot(chi_path[k], chi_path[hi] - chi_path[lo])) / (p[hi] - p[lo])
+    return A
+
+
+def _verify_symmetry_identity(pair):
+    """Sup over the window of || chi_-(p) - e^{i phi} T chi_+(2 pi - p) ||.
+
+    T is the antiunitary map chi -> e^{-2 pi i z} conj(chi), which sends the
+    fiber at p to the fiber at 2 pi - p and exchanges the branches of a
+    crossing at p_star = pi.  The constant phase phi is fixed at p_star.
+    """
+    if abs(pair.p_star - np.pi) > 1e-6:
+        raise ValueError("symmetry identity applies at p_star = pi only")
+
+    def tmap(c):
+        # (T c)_m = conj(c_{-m-1}); the source index -m-1 runs off the top of
+        # the truncation for m = m_cut, where the coefficient is negligible.
+        M = (c.size - 1) // 2
+        return np.append(np.conj(c[:2 * M][::-1]), 0.0)
+
+    i_star = pair.i_star
+    n = pair.p_samples.size
+    t_at_star = tmap(pair.chi_plus[i_star])
+    ov = np.vdot(pair.chi_minus[i_star], t_at_star)
+    if abs(ov) < 1e-12:
+        return float(np.sqrt(2.0))
+    phase = np.conj(ov) / abs(ov)
+    worst = 0.0
+    for i in range(n):
+        j = n - 1 - i  # mirrored sample: p_j = 2 p_star - p_i
+        pred = phase * tmap(pair.chi_plus[j])
+        worst = max(worst, float(np.linalg.norm(pair.chi_minus[i] - pred)))
+    return worst
+
+
+def resolvent_dp_chi(V, p, energy, chi, m_cut):
+    """d_p chi in the gauge <chi|d_p chi> = 0 by first-order perturbation.
+
+    Solves (H - E) u = -(velocity - dE) chi off chi, where the velocity
+    operator p - i d/dz is diagonal with symbol p + 2 pi m.
+    """
+    velocity = p + TWO_PI * np.arange(-m_cut, m_cut + 1)
+    dE = float(np.sum(velocity * np.abs(chi) ** 2))
+    return reduced_resolvent_apply(V, p, energy, chi[None, :],
+                                   -(velocity - dE) * chi, m_cut)
+
+
 class TestFreeBands:
     def test_eigenvalues_match_folded_parabolas(self):
         V = free_potential()
@@ -101,60 +175,30 @@ class TestAssemble:
         assert np.all(np.diff(evals) >= -1e-13)
 
 
-class TestBandStructure:
-    def test_gap_matches_energy_differences(self):
-        V = make_cosine(4.0)
-        bs = band_structure(V, np.linspace(0, TWO_PI, 33), 3, m_cut=16)
-        g2 = gap(bs, 2)
-        by_hand = np.minimum(bs.energies[:, 2] - bs.energies[:, 1],
-                             bs.energies[:, 1] - bs.energies[:, 0])
-        assert np.allclose(g2, by_hand, atol=0)
-
-    def test_csv_dump_deterministic(self, tmp_path):
-        V = make_cosine(2.0)
-        bs = band_structure(V, np.linspace(0, TWO_PI, 9), 2, m_cut=12)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        bs.dump_csv(a)
-        bs.dump_csv(b)
-        assert a.read_bytes() == b.read_bytes()
-
-
 class TestDetectCrossings:
+    """Where the fiber eigenvalues of the known potentials touch."""
+
     def test_free_bands_touch_on_half_lattice(self):
-        bs = band_structure(free_potential(), np.linspace(0, TWO_PI, 257),
-                            4, m_cut=16)
-        found = detect_crossings(bs)
-        assert found, "free bands must touch"
-        for c in found:
-            assert c.lattice_distance < 1e-6
+        found = touchings(free_potential(), 257, 4, m_cut=16)
+        assert found == {1: PI, 2: ZERO, 3: PI, 4: ZERO}
 
     def test_single_cosine_all_gaps_open(self):
-        bs = band_structure(make_cosine(4.0), np.linspace(0, TWO_PI, 257),
-                            4, m_cut=16)
-        assert detect_crossings(bs) == []
+        p = np.linspace(0, TWO_PI, 257)
+        assert pair_gaps(make_cosine(4.0), p, 4, m_cut=16).min() > TOUCH
 
     def test_half_periodic_odd_gaps_closed(self):
         V = potential_from_coeffs({2: 2.0, 3: 0.0, 4: 0.0})  # 4 cos(4 pi z)
-        bs = band_structure(V, np.linspace(0, TWO_PI, 513), 4, m_cut=24)
-        found = detect_crossings(bs)
-        locs = {(c.n, round(c.lattice_point, 6)) for c in found}
-        assert (1, round(np.pi, 6)) in locs
-        assert (3, round(np.pi, 6)) in locs
-        assert all(c.n in (1, 3) for c in found)
+        found = touchings(V, 513, 4, m_cut=24)
+        assert found == {1: PI, 2: set(), 3: PI, 4: set()}
 
     def test_one_gap_only_lowest_gap_open(self, one_gap):
-        bs = band_structure(one_gap, np.linspace(0, TWO_PI, 513), 4, m_cut=32)
-        found = detect_crossings(bs)
-        ns = sorted(c.n for c in found)
-        assert ns == [2, 3, 4]
-        for c in found:
-            expected = 0.0 if c.n % 2 == 0 else np.pi
-            assert abs(c.lattice_point - expected) < 1e-9
-            assert c.lattice_distance < 1e-6
+        # the finite-gap property: gap (1, 2) open, every higher pair touches
+        found = touchings(one_gap, 513, 4, m_cut=32)
+        assert found == {1: set(), 2: ZERO, 3: PI, 4: ZERO}
 
     def test_one_gap_lowest_gap_width_positive(self, one_gap):
-        bs = band_structure(one_gap, np.linspace(0, TWO_PI, 129), 2, m_cut=32)
-        assert gap(bs, 1).min() > 0.1
+        p = np.linspace(0, TWO_PI, 129)
+        assert pair_gaps(one_gap, p, 1, m_cut=32).min() > 0.1
 
 
 class TestFixGauge:
@@ -203,7 +247,7 @@ class TestBerryConnection:
     def test_transported_gauge_has_vanishing_connection(self):
         V = make_cosine(3.0)
         path = band_path(V, 1, (0.5, 2.5), n_samples=201, m_cut=16)
-        A = berry_connection(path.p_samples, path.chi)
+        A = _berry_connection(path.p_samples, path.chi)
         assert np.max(np.abs(A[1:-1])) < 1e-10
 
     def test_gauge_covariance(self):
@@ -212,7 +256,7 @@ class TestBerryConnection:
         p = path.p_samples
         theta = 0.3 * np.sin(p)
         rotated = path.chi * np.exp(1j * theta)[:, None]
-        A = berry_connection(p, rotated)
+        A = _berry_connection(p, rotated)
         # A picks up -d(theta)/dp under chi -> e^{i theta} chi
         expected = -0.3 * np.cos(p)
         assert np.max(np.abs(A[2:-2] - expected[2:-2])) < 1e-3
@@ -260,12 +304,13 @@ class TestDpChi:
         i = 2
         h = path.p_samples[1] - path.p_samples[0]
         fd = (path.chi[i + 1] - path.chi[i - 1]) / (2 * h)
-        mode = _mode_of(path, i)
-        u, beta = dp_chi(V, mode, m_cut=16)
-        assert beta == 0
+        u = resolvent_dp_chi(V, float(path.p_samples[i]),
+                             float(path.energies[i]), path.chi[i], 16)
         # remove the component along chi (FD path is transported so it is tiny)
         fd -= np.vdot(path.chi[i], fd) * path.chi[i]
         assert np.linalg.norm(u - fd) < 5e-4
+        # the spline derivative the first-order packet uses
+        assert np.linalg.norm(path_dp_chi(path, 1.0) - u) < 5e-4
 
     def test_fd_convergence_second_order(self):
         V = make_cosine(3.0)
@@ -273,16 +318,11 @@ class TestDpChi:
         for h in (0.02, 0.01):
             path = band_path(V, 1, (1.0 - h, 1.0 + h), n_samples=3, m_cut=16)
             fd = (path.chi[2] - path.chi[0]) / (2 * h)
-            u, _ = dp_chi(V, _mode_of(path, 1), m_cut=16)
+            u = resolvent_dp_chi(V, float(path.p_samples[1]),
+                                 float(path.energies[1]), path.chi[1], 16)
             fd -= np.vdot(path.chi[1], fd) * path.chi[1]
             errs.append(np.linalg.norm(u - fd))
         assert errs[1] < errs[0] / 3.0
-
-
-def _mode_of(path: BandPath, i: int):
-    from bandcross.bloch import BlochMode
-    return BlochMode(p=float(path.p_samples[i]), n=1,
-                     energy=float(path.energies[i]), coeffs=path.chi[i])
 
 
 class TestSmoothContinuation:
@@ -367,35 +407,32 @@ class TestCoupling:
             assert abs(fd - kappa) < 1e-7
 
     def test_dp_chi_at_crossing_reports_coupling(self, one_gap_pair):
-        from bandcross.bloch import BlochMode
+        # the packet's d_p chi_+ carries kappa along chi_- at the crossing
         i = one_gap_pair.i_star
-        mode = BlochMode(p=0.0, n=2,
-                         energy=float(one_gap_pair.plus.energies[i]),
-                         coeffs=one_gap_pair.chi_plus[i])
-        u, beta = dp_chi(one_gap_pair.potential, mode, m_cut=32,
-                         pair=one_gap_pair)
-        assert beta == coupling_coefficient(one_gap_pair)
-        assert abs(np.vdot(one_gap_pair.chi_plus[i], u)) < 1e-9
-        assert abs(np.vdot(one_gap_pair.chi_minus[i], u)) < 1e-9
+        dchi = path_dp_chi(one_gap_pair.plus, one_gap_pair.p_star)
+        kappa = coupling_coefficient(one_gap_pair)
+        assert abs(np.vdot(one_gap_pair.chi_minus[i], dchi) - kappa) \
+            < 1e-4 * abs(kappa)
+        assert abs(np.vdot(one_gap_pair.chi_plus[i], dchi)) < 1e-9
 
 
 class TestSymmetryIdentity:
     def test_free_crossing_exact(self):
         pair = smooth_continuation(free_potential(), 1, np.pi,
                                    halfwidth=0.4, n_samples=161, m_cut=16)
-        assert verify_symmetry_identity(pair) < 1e-12
+        assert _verify_symmetry_identity(pair) < 1e-12
 
     def test_half_periodic_crossing(self):
         V = potential_from_coeffs({2: 2.0, 3: 0.0, 4: 0.0})
         pair = smooth_continuation(V, 1, np.pi, halfwidth=0.3,
                                    n_samples=121, m_cut=24)
-        assert verify_symmetry_identity(pair) < 1e-6
+        assert _verify_symmetry_identity(pair) < 1e-6
 
     def test_one_gap_pi_crossing(self, one_gap):
         pair = smooth_continuation(one_gap, 3, np.pi, halfwidth=0.3,
                                    n_samples=121, m_cut=32)
-        assert verify_symmetry_identity(pair) < 1e-6
+        assert _verify_symmetry_identity(pair) < 1e-6
 
     def test_rejects_zero_crossing(self, one_gap_pair):
         with pytest.raises(ValueError):
-            verify_symmetry_identity(one_gap_pair)
+            _verify_symmetry_identity(one_gap_pair)

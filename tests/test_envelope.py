@@ -22,7 +22,6 @@ from bandcross.envelope import (
     excited_envelope,
     gaussian_envelope,
     make_grid,
-    sigma_norm,
 )
 from bandcross.errors import (
     DegenerateSlopes,
@@ -59,28 +58,6 @@ class TestGridAndGaussian:
         y = np.linspace(-5, 5, 64) ** 3 / 25.0
         with pytest.raises(ValueError):
             Envelope(y, np.exp(-(y ** 2)))
-
-
-class TestSigmaNorm:
-    def test_l0_is_l2_norm(self):
-        g = gaussian_envelope(sigma=1.0)
-        assert abs(sigma_norm(g, 0) - 1.0) < 1e-10
-
-    def test_l1_gaussian(self):
-        # ||a|| + ||y a|| + ||k a|| = 1 + 1/sqrt(2) + 1/sqrt(2)
-        g = gaussian_envelope(sigma=1.0)
-        assert abs(sigma_norm(g, 1) - (1.0 + np.sqrt(2.0))) < 1e-10
-
-    def test_l2_gaussian(self):
-        # adds ||y^2 a|| = sqrt(3)/2, ||k^2 a|| = sqrt(3)/2, ||y k a|| = sqrt(3)/2
-        g = gaussian_envelope(sigma=1.0)
-        expect = 1.0 + np.sqrt(2.0) + 3.0 * np.sqrt(3.0) / 2.0
-        assert abs(sigma_norm(g, 2) - expect) < 1e-10
-
-    def test_scaling_with_sigma(self):
-        g = gaussian_envelope(sigma=2.0)
-        expect = 1.0 + 2.0 / np.sqrt(2.0) + 1.0 / (2.0 * np.sqrt(2.0))
-        assert abs(sigma_norm(g, 1) - expect) < 1e-10
 
 
 class TestEvaluateEnvelope:

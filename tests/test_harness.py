@@ -112,8 +112,11 @@ class TestRunConfig:
             RunConfig.from_dict({"study": "crossing", "bogus": 1})
 
     def test_unknown_solver_keys_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(solver={"step": 1e-4})
+        # step doubling is always on and dt always planned, so the keys
+        # that once switched them off are unknown too
+        for solver in ({"step": 1e-4}, {"richardson": True}, {"dt": {}}):
+            with pytest.raises(ValueError):
+                RunConfig(solver=solver)
 
     def test_measurements_validated(self):
         with pytest.raises(ValueError):
@@ -359,13 +362,13 @@ class TestSolverOverlap:
     def test_solver_runs_off_the_calling_thread(self, trivial_cfg,
                                                 monkeypatch):
         seen = []
-        real = harness._run_solver
+        real = harness.propagate_richardson
 
         def recording(*args, **kwargs):
             seen.append(threading.get_ident())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "_run_solver", recording)
+        monkeypatch.setattr(harness, "propagate_richardson", recording)
         case = run_crossing_case(trivial_cfg, 1 / 32)
         assert len(seen) == 1 and seen[0] != threading.get_ident()
         assert case.solver_error <= case.solver_target
