@@ -151,7 +151,7 @@ def assemble_wp0(params: WavepacketParams, grid: Grid) -> GridState:
         )
     x = grid.x
     y_x = (x - params.q) / np.sqrt(params.epsilon)
-    env = evaluate_envelope(params.a0, y_x, refine=16)
+    env = evaluate_envelope(params.a0, y_x)
     chi = evaluate_bloch_mode(params.chi, x / params.epsilon)
     vals = _packet(grid, params.S, params.q, params.p, env, chi, params.epsilon)
     return GridState(grid, vals)
@@ -167,8 +167,8 @@ def assemble_wp1(params: WavepacketParams, grid: Grid) -> GridState:
     ky = params.a0.k_grid()
     da0 = Envelope(params.a0.y,
                    np.fft.ifft(ky * np.fft.fft(params.a0.values)))
-    a1_vals = evaluate_envelope(params.a1, y_x, refine=16)
-    da0_vals = evaluate_envelope(da0, y_x, refine=16)
+    a1_vals = evaluate_envelope(params.a1, y_x)
+    da0_vals = evaluate_envelope(da0, y_x)
     chi = evaluate_bloch_mode(params.chi, x / params.epsilon)
     dchi = evaluate_bloch_mode(params.dp_chi, x / params.epsilon)
     corr = a1_vals * chi + da0_vals * dchi

@@ -135,7 +135,6 @@ class ExtendedTrajectory:
 
     plus: Trajectory
     minus: Trajectory
-    delta: float
     delta_prime: float
 
 
@@ -231,7 +230,7 @@ def detect_crossing_time(traj: Trajectory, p_star: float, W: ExternalPotential,
 
 def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
                             incoming: Trajectory, T: float,
-                            delta: float = 0.1, delta_prime: float = 0.1,
+                            delta_prime: float = 0.1,
                             dt: float = 1e-3) -> ExtendedTrajectory:
     """Build the smooth plus/minus branch trajectories through the crossing.
 
@@ -285,5 +284,4 @@ def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
             "minus branch reaches the next image of the crossing before T"
         )
     plus = replace(plus, t_star=t_star, q_star=q_star, p_star=pair.p_star)
-    return ExtendedTrajectory(plus=plus, minus=minus, delta=float(delta),
-                              delta_prime=dprime)
+    return ExtendedTrajectory(plus=plus, minus=minus, delta_prime=dprime)

@@ -3,7 +3,9 @@
 a0 rides a time-dependent harmonic oscillator i da0/dt = H(t) a0 with
 H = 1/2 d2E k^2 + 1/2 d2W y^2, integrated by midpoint Strang splitting
 (kinetic part exact in frequency space).  a1 obeys the same flow with the
-cubic-correction source I(t) a0, I = 1/6 d3E k^3 + 1/6 d3W y^3.  The Berry
+cubic-correction source I(t) a0, I = 1/6 d3E k^3 + 1/6 d3W y^3; the two
+march together, a0 taking two half steps per a1 step so that each a1 step
+reads a0 at its midpoint, and only the current states are kept.  The Berry
 connection A = i <chi|d_p chi> would add dW/dq A to H and dW/dq d_pA k +
 d2W A y to I, but the eigenvectors are parallel-transported along p, so
 A = 0 and those terms vanish identically.  The envelope excited at a band
@@ -83,23 +85,11 @@ def gaussian_envelope(sigma: float = 1.0, half_width: float = 20.0,
 
 @dataclass
 class EnvelopePath:
-    """Envelope samples along a time (or fast-time) grid."""
+    """Envelope samples along a fast-time grid."""
 
     t_grid: np.ndarray
     values: np.ndarray          # (n_t, n_y)
     y: np.ndarray
-    boundary_mass: float = 0.0  # peak edge-mass fraction over the march
-
-    def at(self, t: float) -> Envelope:
-        i = int(np.argmin(np.abs(self.t_grid - t)))
-        if abs(self.t_grid[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise GridMismatch(f"time {t} not on the stored grid")
-        return Envelope(self.y, self.values[i], t=float(self.t_grid[i]))
-
-    def final(self) -> Envelope:
-        """The last stored state, copied so it does not keep the path alive."""
-        return Envelope(self.y, self.values[-1].copy(),
-                        t=float(self.t_grid[-1]))
 
     def norms(self) -> np.ndarray:
         dy = self.y[1] - self.y[0]
@@ -183,23 +173,21 @@ def _check_overflow(values: np.ndarray, n_edge: int) -> float:
     return ratio
 
 
-def _stored_path(t0, h, n_steps, store_every, init, y):
-    """The preallocated path of a march, its initial row filled in.
-
-    It has a row for the start, for every step count that is a multiple of
-    store_every, and for the last step.
-    """
-    rows = [0, *range(store_every, n_steps, store_every), n_steps]
-    values = np.empty((len(rows), y.size), dtype=complex)
-    values[0] = init
-    return EnvelopePath(np.array([t0 + r * h for r in rows]), values,
-                        y.copy())
-
-
 def _midpoints(coeffs, t0, h, n_steps, *names):
     """Each named series at every step midpoint t0 + (j + 1/2) h."""
     tm = t0 + (np.arange(n_steps) + 0.5) * h
     return [coeffs.sample(tm, name).tolist() for name in names]
+
+
+def _steps(t_span, dt):
+    """(t0, t1, number of steps, step) of a march over t_span near dt."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n_steps = max(1, int(round((t1 - t0) / dt)))
+    return t0, t1, n_steps, (t1 - t0) / n_steps
+
+
+def _edge_cells(y):
+    return max(2, int(round(BOUNDARY_FRACTION * y.size / 2)))
 
 
 def _apply_h_strang(values, k2, y2, dt, d2E, d2W):
@@ -211,28 +199,30 @@ def _apply_h_strang(values, k2, y2, dt, d2E, d2W):
     return sfft.ifft(half_kin * sfft.fft(v))
 
 
-def evolve_a0(coeffs: OscillatorCoefficients, a0_init: Envelope, t_span,
-              dt: float, store_every: int = 1) -> EnvelopePath:
-    """Propagate i da/dt = H(t) a by unitary midpoint Strang steps."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
-    y, k = a0_init.y, a0_init.k_grid()
-    k2, y2 = k ** 2, y ** 2
-    n_edge = max(2, int(round(BOUNDARY_FRACTION * y.size / 2)))
+def _a0_steps(coeffs, a0_init: Envelope, t0, h, n_steps):
+    """a0 after each of n_steps midpoint Strang steps of size h from t0,
+    with its boundary-mass fraction (checked against BOUNDARY_TOL)."""
+    y = a0_init.y
+    k2, y2 = a0_init.k_grid() ** 2, y ** 2
+    n_edge = _edge_cells(y)
     d2E, d2W = _midpoints(coeffs, t0, h, n_steps, "d2E", "d2W")
-    path = _stored_path(t0, h, n_steps, store_every, a0_init.values, y)
     vals = a0_init.values
-    row = 1
-    peak = 0.0
     for j in range(n_steps):
         vals = _apply_h_strang(vals, k2, y2, h, d2E[j], d2W[j])
-        peak = max(peak, _check_overflow(vals, n_edge))
-        if (j + 1) % store_every == 0 or j == n_steps - 1:
-            path.values[row] = vals
-            row += 1
-    path.boundary_mass = peak
-    return path
+        yield vals, _check_overflow(vals, n_edge)
+
+
+def evolve_a0(coeffs: OscillatorCoefficients, a0_init: Envelope, t_span,
+              dt: float):
+    """Propagate i da/dt = H(t) a by unitary midpoint Strang steps.
+
+    Returns (a0 at t_span[1], peak boundary-mass fraction of the march).
+    """
+    t0, t1, n_steps, h = _steps(t_span, dt)
+    peak = 0.0
+    for vals, mass in _a0_steps(coeffs, a0_init, t0, h, n_steps):
+        peak = max(peak, mass)
+    return Envelope(a0_init.y, vals, t=t1), peak
 
 
 def _apply_source(a_vals, d3E, d3W, k3, y3):
@@ -245,50 +235,35 @@ def _apply_source(a_vals, d3E, d3W, k3, y3):
     return out
 
 
-def evolve_a1(coeffs: OscillatorCoefficients, a1_init: Envelope,
-              a0_path: EnvelopePath, t_span, dt: float,
-              store_every: int = 1) -> EnvelopePath:
-    """Propagate (i d/dt - H(t)) a1 = I(t) a0 with midpoint source sampling.
+def evolve_a1(coeffs: OscillatorCoefficients, a0_init: Envelope,
+              a1_init: Envelope, t_span, dt: float):
+    """March i da0/dt = H(t) a0 and (i d/dt - H(t)) a1 = I(t) a0 together.
 
-    a0_path must be sampled at dt/2 so the midpoint envelopes are available
-    (evolve the homogeneous problem with half this dt).
+    a0 takes two half steps per a1 step; the state after the first is the
+    midpoint a0 of that step's source.  Returns (a0, a1) at t_span[1] and
+    the peak boundary-mass fraction of both marches.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
+    t0, t1, n_steps, h = _steps(t_span, dt)
     y, k = a1_init.y, a1_init.k_grid()
+    if a0_init.y.shape != y.shape or np.max(np.abs(a0_init.y - y)) > 1e-12:
+        raise GridMismatch("a0 and a1 initial data use different grids")
     k2, y2, k3, y3 = k ** 2, y ** 2, k ** 3, y ** 3
-    if a0_path.y.shape != y.shape or np.max(np.abs(a0_path.y - y)) > 1e-12:
-        raise GridMismatch("a0 path and a1 initial data use different grids")
-    dt_a0 = a0_path.t_grid[1] - a0_path.t_grid[0]
-    if abs(dt_a0 - h / 2) > 1e-9 * h:
-        raise GridMismatch(
-            f"a0 path step {dt_a0:.3e} is not half the a1 step {h:.3e}"
-        )
-    n_edge = max(2, int(round(BOUNDARY_FRACTION * y.size / 2)))
+    n_edge = _edge_cells(y)
     d2E, d2W, d3E, d3W = _midpoints(coeffs, t0, h, n_steps,
                                     "d2E", "d2W", "d3E", "d3W")
-    path = _stored_path(t0, h, n_steps, store_every, a1_init.values, y)
+    a0_steps = _a0_steps(coeffs, a0_init, t0, h / 2.0, 2 * n_steps)
     vals = a1_init.values
-    row = 1
     peak = 0.0
     for j in range(n_steps):
+        a0_mid, mid_mass = next(a0_steps)
+        a0_vals, end_mass = next(a0_steps)
         vals = _apply_h_strang(vals, k2, y2, h, d2E[j], d2W[j])
-        a0_mid = a0_path.values[2 * j + 1]
         src = _apply_source(a0_mid, d3E[j], d3W[j], k3, y3)
         # transport the midpoint source through the remaining half step
-        half_kin = np.exp(-0.125j * h * d2E[j] * k2)
-        src = sfft.ifft(half_kin * sfft.fft(src))
-        if d2W[j] != 0.0:
-            src = np.exp(-0.5j * h * (0.5 * d2W[j] * y2)) * src
-        src = sfft.ifft(half_kin * sfft.fft(src))
+        src = _apply_h_strang(src, k2, y2, h / 2.0, d2E[j], d2W[j])
         vals = vals - 1j * h * src
-        peak = max(peak, _check_overflow(vals, n_edge))
-        if (j + 1) % store_every == 0 or j == n_steps - 1:
-            path.values[row] = vals
-            row += 1
-    path.boundary_mass = peak
-    return path
+        peak = max(peak, mid_mass, end_mass, _check_overflow(vals, n_edge))
+    return Envelope(y, a0_vals, t=t1), Envelope(y, vals, t=t1), peak
 
 
 # -- excited envelope ------------------------------------------------------------
@@ -428,12 +403,13 @@ def excited_buildup(a_star: Envelope, dqW_star: float, slope_gap: float,
 # -- evaluation ------------------------------------------------------------------
 
 
-def evaluate_envelope(e: Envelope, points, refine: int = 8) -> np.ndarray:
+def evaluate_envelope(e: Envelope, points) -> np.ndarray:
     """Band-limited values of the envelope at arbitrary points.
 
-    Spectral refinement onto a fine periodic grid followed by cubic
+    Spectral refinement onto a 16 times finer periodic grid followed by cubic
     interpolation; points outside the grid evaluate to 0 (Schwartz decay).
     """
+    refine = 16
     fine = _spectral_refine(e.values, refine)
     m = fine.size
     dy = e.dy / refine

@@ -502,17 +502,12 @@ def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
 # -- envelope transport ----------------------------------------------------------
 
 
-_ENVELOPE_CHUNK = 0.25
-
-
 def _evolve_envelopes_to(coeffs, a0: Envelope, a1: Envelope, times, dt):
     """March (a0, a1) through the sorted times, yielding both at each stop.
 
-    a0 advances at dt/2 inside each chunk so the first-order source has its
-    midpoint samples; long gaps between stops are split into sub-chunks so
-    the stored a0 path stays bounded.  Only one chunk's a0 path is alive at
-    a time, and a1 keeps its final state only.  Returns ({stop: (a0, a1)},
-    peak envelope boundary-mass fraction).
+    Each gap between stops is one joint evolve_a1 march, which keeps only
+    the current states.  Returns ({stop: (a0, a1)}, peak envelope
+    boundary-mass fraction).
     """
     out = {}
     peak = 0.0
@@ -520,39 +515,11 @@ def _evolve_envelopes_to(coeffs, a0: Envelope, a1: Envelope, times, dt):
     for t_next in times:
         if t_next < t_now - 1e-12:
             raise ValueError("envelope stops must be increasing")
-        while t_next > t_now + 1e-12:
-            t_sub = min(t_next, t_now + _ENVELOPE_CHUNK)
-            n = max(1, int(round((t_sub - t_now) / dt)))
-            h = (t_sub - t_now) / n
-            a0_path = evolve_a0(coeffs, a0, (t_now, t_sub), h / 2.0,
-                                store_every=1)
-            a1_path = evolve_a1(coeffs, a1, a0_path, (t_now, t_sub), h,
-                                store_every=n)
-            peak = max(peak, a0_path.boundary_mass, a1_path.boundary_mass)
-            a0 = a0_path.final()
-            a1 = a1_path.final()
-            del a0_path, a1_path
-            a0.t = a1.t = t_sub
-            t_now = t_sub
-        out[t_next] = (Envelope(a0.y, a0.values.copy(), t=t_now),
-                       Envelope(a1.y, a1.values.copy(), t=t_now))
-    return out, peak
-
-
-def _evolve_a0_to(coeffs, a0: Envelope, times, dt):
-    """({stop: a0}, peak envelope boundary-mass fraction)."""
-    out = {}
-    peak = 0.0
-    t_now = float(a0.t)
-    for t_next in times:
         if t_next > t_now + 1e-12:
-            path = evolve_a0(coeffs, a0, (t_now, t_next), dt,
-                             store_every=10 ** 9)
-            peak = max(peak, path.boundary_mass)
-            a0 = path.final()
-            a0.t = t_next
+            a0, a1, mass = evolve_a1(coeffs, a0, a1, (t_now, t_next), dt)
+            peak = max(peak, mass)
             t_now = t_next
-        out[t_next] = Envelope(a0.y, a0.values.copy(), t=t_now)
+        out[t_next] = (a0, a1)
     return out, peak
 
 
@@ -708,13 +675,12 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
             t_obs = times["crossing"]
             a_minus0 = excited_envelope(a_star, scenario.dqw_star,
                                         scenario.slope_gap, scenario.kappa)
-            a_minus0.t = scenario.t_star
-            minus_env, minus_mass = _evolve_a0_to(
-                scenario.coeffs_minus, a_minus0, [t_obs],
+            a_minus, minus_mass = evolve_a0(
+                scenario.coeffs_minus, a_minus0, (scenario.t_star, t_obs),
                 cfg.solver["envelope_dt"])
             boundary_mass = max(boundary_mass, minus_mass)
             pred = branch_packet(minus, scenario.pair.minus, grid, t_obs,
-                                 minus_env[t_obs])
+                                 a_minus)
 
         if "inner" in cfg.measurements:
             # window-mass buildup across t_star by the chirped-ramp model

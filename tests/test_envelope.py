@@ -11,7 +11,6 @@ from bandcross.ansatz import predict_excited_mass
 from bandcross.envelope import (
     BOUNDARY_TOL,
     Envelope,
-    EnvelopePath,
     OscillatorCoefficients,
     _fresnel_lower,
     coefficients_from_trajectory,
@@ -80,12 +79,13 @@ class TestEvolveA0:
         # a(y,t) = pi^{-1/4} (1+it)^{-1/2} exp(-y^2 / (2 (1+it)))
         g = gaussian_envelope(sigma=1.0)
         co = OscillatorCoefficients.constant((0.0, 1.0), d2E=1.0)
-        path = evolve_a0(co, g, (0.0, 1.0), dt=1e-3, store_every=1000)
+        a, _ = evolve_a0(co, g, (0.0, 1.0), dt=1e-3)
         t = 1.0
         exact = np.pi ** (-0.25) / np.sqrt(1 + 1j * t) * np.exp(
             -g.y ** 2 / (2 * (1 + 1j * t))
         )
-        assert l2_diff(path.final(), exact) < 1e-8
+        assert a.t == 1.0
+        assert l2_diff(a, exact) < 1e-8
 
     def test_pure_phase_drive(self):
         # H = 1/2 d2W(t) y^2 with d2W = cos t and no kinetic part:
@@ -96,9 +96,9 @@ class TestEvolveA0:
             t, np.zeros_like(t), np.cos(t), np.zeros_like(t),
             np.zeros_like(t),
         )
-        path = evolve_a0(co, g, (0.0, 1.0), dt=1e-3, store_every=1000)
+        a, _ = evolve_a0(co, g, (0.0, 1.0), dt=1e-3)
         exact = np.exp(-0.5j * np.sin(1.0) * g.y ** 2) * g.values
-        assert l2_diff(path.final(), exact) < 1e-6
+        assert l2_diff(a, exact) < 1e-6
 
     def test_harmonic_period_flips_sign(self):
         # U(2 pi) = -1 for H = 1/2 (k^2 + y^2): every eigenphase is
@@ -107,8 +107,8 @@ class TestEvolveA0:
         g = gaussian_envelope(sigma=1.0, center=1.5)
         T = 2 * np.pi
         co = OscillatorCoefficients.constant((0.0, T), d2E=1.0, d2W=1.0)
-        path = evolve_a0(co, g, (0.0, T), dt=T / 2 ** 14, store_every=2 ** 14)
-        assert l2_diff(path.final(), -g.values) < 1e-6
+        a, _ = evolve_a0(co, g, (0.0, T), dt=T / 2 ** 14)
+        assert l2_diff(a, -g.values) < 1e-6
 
     def test_norm_conservation(self):
         g = gaussian_envelope(sigma=1.0)
@@ -117,9 +117,11 @@ class TestEvolveA0:
             t, 1.0 + 0.2 * np.sin(t), 1.0 + 0.5 * np.cos(2 * t),
             np.zeros_like(t), np.zeros_like(t),
         )
-        path = evolve_a0(co, g, (0.0, 3.0), dt=1e-3, store_every=100)
-        norms = path.norms()
-        assert np.max(np.abs(norms - norms[0])) < 1e-10
+        # consecutive spans, each march starting from the last one's state
+        a = g
+        for span in [(0.0, 0.5), (0.5, 1.2), (1.2, 2.0), (2.0, 3.0)]:
+            a, _ = evolve_a0(co, a, span, dt=1e-3)
+            assert abs(a.norm() - g.norm()) < 1e-10
 
     def test_second_order_in_dt(self):
         g = gaussian_envelope(sigma=1.0)
@@ -130,8 +132,7 @@ class TestEvolveA0:
         )
 
         def final(dt):
-            return evolve_a0(co, g, (0.0, 1.0), dt=dt,
-                             store_every=10 ** 9).final().values
+            return evolve_a0(co, g, (0.0, 1.0), dt=dt)[0].values
 
         ref = final(1.0 / 2 ** 13)
         e1 = np.linalg.norm(final(1.0 / 250) - ref)
@@ -158,27 +159,17 @@ class TestEvolveA1:
     def test_zero_source_matches_a0(self):
         g = gaussian_envelope(sigma=1.0)
         co = OscillatorCoefficients.constant((0.0, 1.0), d2E=1.0, d2W=0.5)
-        a0p = evolve_a0(co, g, (0.0, 1.0), dt=5e-4)
-        a1p = evolve_a1(co, g, a0p, (0.0, 1.0), dt=1e-3, store_every=1000)
-        a0_ref = evolve_a0(co, g, (0.0, 1.0), dt=1e-3,
-                           store_every=1000).final().values
-        assert l2_diff(a1p.final(), a0_ref) < 1e-12
+        _, a1, _ = evolve_a1(co, g, g, (0.0, 1.0), dt=1e-3)
+        a0_ref, _ = evolve_a0(co, g, (0.0, 1.0), dt=1e-3)
+        assert l2_diff(a1, a0_ref.values) < 1e-12
 
     def test_cubic_position_source(self):
         # H = 0, I = (d3W/6) y^3: a1(t) = a1(0) - i t (d3W/6) y^3 a0(0)
         g = gaussian_envelope(sigma=1.0)
         co = self._free_coeffs(d3W=1.2)
-        a0p = evolve_a0(co, g, (0.0, 1.0), dt=5e-4)
-        a1p = evolve_a1(co, g, a0p, (0.0, 1.0), dt=1e-3, store_every=1000)
+        _, a1, _ = evolve_a1(co, g, g, (0.0, 1.0), dt=1e-3)
         exact = g.values - 1j * 1.0 * (1.2 / 6.0) * g.y ** 3 * g.values
-        assert l2_diff(a1p.final(), exact) < 1e-9
-
-    def test_requires_half_step_a0(self):
-        g = gaussian_envelope(sigma=1.0)
-        co = OscillatorCoefficients.constant((0.0, 1.0), d2E=1.0)
-        a0p = evolve_a0(co, g, (0.0, 1.0), dt=1e-3)
-        with pytest.raises(GridMismatch):
-            evolve_a1(co, g, a0p, (0.0, 1.0), dt=1e-3)
+        assert l2_diff(a1, exact) < 1e-9
 
     def test_second_order_in_dt(self):
         g = gaussian_envelope(sigma=1.0)
@@ -189,9 +180,7 @@ class TestEvolveA1:
         )
 
         def final(dt):
-            a0p = evolve_a0(co, g, (0.0, 1.0), dt=dt / 2)
-            return evolve_a1(co, g, a0p, (0.0, 1.0), dt=dt,
-                             store_every=10 ** 9).final().values
+            return evolve_a1(co, g, g, (0.0, 1.0), dt=dt)[1].values
 
         ref = final(1.0 / 2 ** 12)
         e1 = np.linalg.norm(final(1.0 / 125) - ref)
@@ -284,12 +273,13 @@ class TestTransportMatchesStepLoop:
         a1_init = Envelope(g.y, 0.1 * g.values)
         span, dt = (0.05, 0.55), 2e-3
         ref = _StepLoop(co)
-        a0p = evolve_a0(co, g, span, dt / 2)
         a0_ref = ref.a0(g, span, dt / 2)
-        assert _rows_close(a0p.values, a0_ref, 1e-13)
-        a1p = evolve_a1(co, a1_init, a0p, span, dt)
-        assert _rows_close(a1p.values, ref.a1(a1_init, a0_ref, span, dt),
-                           1e-13)
+        a0, _ = evolve_a0(co, g, span, dt / 2)
+        assert _rows_close(a0.values[None], a0_ref[-1:], 1e-13)
+        a0, a1, _ = evolve_a1(co, g, a1_init, span, dt)
+        assert _rows_close(a0.values[None], a0_ref[-1:], 1e-13)
+        a1_ref = ref.a1(a1_init, a0_ref, span, dt)
+        assert _rows_close(a1.values[None], a1_ref[-1:], 1e-13)
 
 
 class TestSample:
@@ -309,61 +299,40 @@ class TestSample:
                 co.sample(np.array(t), "d2E")
 
 
-def _reference_march(coeffs, a0, a1, times, dt):
-    """_evolve_envelopes_to as a march that stores every a1 step."""
-    out, peak, t_now = {}, 0.0, float(a0.t)
-    for t_next in times:
-        while t_next > t_now + 1e-12:
-            t_sub = min(t_next, t_now + harness._ENVELOPE_CHUNK)
-            n = max(1, int(round((t_sub - t_now) / dt)))
-            h = (t_sub - t_now) / n
-            a0_path = evolve_a0(coeffs, a0, (t_now, t_sub), h / 2.0)
-            a1_path = evolve_a1(coeffs, a1, a0_path, (t_now, t_sub), h)
-            assert a1_path.values.shape[0] == n + 1
-            peak = max(peak, a0_path.boundary_mass, a1_path.boundary_mass)
-            a0, a1 = a0_path.final(), a1_path.final()
-            t_now = t_sub
-        out[t_next] = (a0.values, a1.values)
-    return out, peak
-
-
 class TestEnvelopeMarchMemory:
-    def test_final_is_a_copy(self):
-        g = gaussian_envelope(sigma=1.0)
-        co = OscillatorCoefficients.constant((0.0, 1.0), d2E=1.0)
-        path = evolve_a0(co, g, (0.0, 1.0), dt=0.25)
-        assert not np.shares_memory(path.final().values, path.values)
-
     def test_march_matches_a_march_storing_every_step(self):
-        # each stop is more than one chunk after the last, so each is
-        # reached in two chunks
+        # the reference is one evolve_a1 march per gap between stops
         co = _drive(False)
         g = gaussian_envelope(sigma=1.0, center=0.5, momentum=0.3,
                               half_width=24.0, n=768)
         a1 = Envelope(g.y, 0.1 * g.values)
         stops, dt = [0.3, 0.58], 2e-3
         got, peak = harness._evolve_envelopes_to(co, g, a1, stops, dt)
-        ref, ref_peak = _reference_march(co, g, a1, stops, dt)
+        a0, ref_peak, t_now = g, 0.0, 0.0
         for t in stops:
-            assert np.array_equal(got[t][0].values, ref[t][0])
-            assert np.array_equal(got[t][1].values, ref[t][1])
+            a0, a1, mass = evolve_a1(co, a0, a1, (t_now, t), dt)
+            ref_peak, t_now = max(ref_peak, mass), t
+            assert np.array_equal(got[t][0].values, a0.values)
+            assert np.array_equal(got[t][1].values, a1.values)
         assert peak == ref_peak
 
-    def test_one_chunk_peak_is_one_a0_path(self):
+    def test_peak_is_far_below_a_stored_a0_path(self):
+        # a stored a0 path would hold 2 n + 1 half-step states; the march
+        # keeps a few states and the sampled coefficient series
         co = _drive(False)
         g = gaussian_envelope(sigma=1.0, half_width=24.0, n=768)
         a1 = Envelope(g.y, np.zeros(g.y.size, dtype=complex))
-        dt = 1e-3
-        path_bytes = (2 * round(harness._ENVELOPE_CHUNK / dt) + 1) \
-            * g.values.nbytes
-        tracemalloc.start()
-        try:
-            harness._evolve_envelopes_to(co, g, a1,
-                                         [harness._ENVELOPE_CHUNK], dt)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.3 * path_bytes
+        t_stop = 0.5
+        for n_steps in (250, 1000):
+            path_bytes = (2 * n_steps + 1) * g.values.nbytes
+            tracemalloc.start()
+            try:
+                harness._evolve_envelopes_to(co, g, a1, [t_stop],
+                                             t_stop / n_steps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.1 * path_bytes, n_steps
 
 
 class TestBoundaryMass:
@@ -372,15 +341,15 @@ class TestBoundaryMass:
         # peaks at the first step, not the last
         g = gaussian_envelope(sigma=1.0, half_width=8.0, n=256, center=2.5)
         co = OscillatorCoefficients.constant((0.0, 1.5), d2E=1.0, d2W=1.0)
-        path = evolve_a0(co, g, (0.0, 1.5), dt=1e-2)
+        _, peak = evolve_a0(co, g, (0.0, 1.5), dt=1e-2)
+        rows = _StepLoop(co).a0(g, (0.0, 1.5), 1e-2)
         n_edge = 6    # 5% of the half grid
-        edge = (np.sum(np.abs(path.values[:, :n_edge]) ** 2, axis=1)
-                + np.sum(np.abs(path.values[:, -n_edge:]) ** 2, axis=1))
-        frac = (edge / np.sum(np.abs(path.values) ** 2, axis=1))[1:]
+        edge = (np.sum(np.abs(rows[:, :n_edge]) ** 2, axis=1)
+                + np.sum(np.abs(rows[:, -n_edge:]) ** 2, axis=1))
+        frac = (edge / np.sum(np.abs(rows) ** 2, axis=1))[1:]
         assert np.argmax(frac) < frac.size - 1
-        assert 0.0 < path.boundary_mass <= BOUNDARY_TOL
-        assert path.boundary_mass == pytest.approx(np.max(frac), rel=1e-9,
-                                                   abs=0.0)
+        assert 0.0 < peak <= BOUNDARY_TOL
+        assert peak == pytest.approx(np.max(frac), rel=1e-9, abs=0.0)
 
 
 CASES = [
@@ -490,19 +459,19 @@ class TestExcitedBuildup:
     def test_far_past_is_small(self):
         path = excited_buildup(self.a_star, self.dqW, self.sg, self.kappa,
                                [-50.0])
-        assert path.final().norm() < 0.02 * self.full.norm()
+        assert path.norms()[-1] < 0.02 * self.full.norm()
 
     def test_far_future_matches_full(self):
         path = excited_buildup(self.a_star, self.dqW, self.sg, self.kappa,
                                [80.0])
-        assert l2_diff(path.final(), self.full.values) < 0.02 * self.full.norm()
+        assert l2_diff(self.full, path.values[-1]) < 0.02 * self.full.norm()
 
     def test_seed_at_zero_is_half_scale(self):
         # at s = 0 the k = 0 component is exactly half the complete integral
         path = excited_buildup(self.a_star, self.dqW, self.sg, self.kappa,
                                [0.0])
         dy = self.a_star.dy
-        mean_seed = np.sum(path.final().values) * dy
+        mean_seed = np.sum(path.values[-1]) * dy
         mean_full = np.sum(self.full.values) * dy
         assert abs(mean_seed - 0.5 * mean_full) < 1e-10 * abs(mean_full)
 
@@ -543,19 +512,3 @@ class TestCoefficientsFromTrajectory:
                               t_span=(0.0, 0.4), dt=1e-3)
         with pytest.raises(GridMismatch):
             coefficients_from_trajectory(path, traj, W)
-
-
-class TestEnvelopePathAccess:
-    def test_at_exact_time(self):
-        g = gaussian_envelope(sigma=1.0)
-        co = OscillatorCoefficients.constant((0.0, 1.0), d2E=1.0)
-        path = evolve_a0(co, g, (0.0, 1.0), dt=0.25)
-        e = path.at(0.5)
-        assert e.t == 0.5
-
-    def test_at_offgrid_raises(self):
-        g = gaussian_envelope(sigma=1.0)
-        co = OscillatorCoefficients.constant((0.0, 1.0), d2E=1.0)
-        path = evolve_a0(co, g, (0.0, 1.0), dt=0.25)
-        with pytest.raises(GridMismatch):
-            path.at(0.37)
