@@ -27,6 +27,7 @@ from .errors import (
 from .potential import ExternalPotential
 
 TWO_PI = 2.0 * np.pi
+DELTA_PRIME = 0.1   # widest backward stitch of the minus branch before t*
 
 
 class ParabolicBand:
@@ -135,7 +136,6 @@ class ExtendedTrajectory:
 
     plus: Trajectory
     minus: Trajectory
-    delta_prime: float
 
 
 def integrate_flow(band, W: ExternalPotential, q0: float, p0: float,
@@ -230,7 +230,6 @@ def detect_crossing_time(traj: Trajectory, p_star: float, W: ExternalPotential,
 
 def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
                             incoming: Trajectory, T: float,
-                            delta_prime: float = 0.1,
                             dt: float = 1e-3) -> ExtendedTrajectory:
     """Build the smooth plus/minus branch trajectories through the crossing.
 
@@ -258,7 +257,7 @@ def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
 
     # shrink the backward stitching width until p_-([t*-delta', t*]) stays
     # inside the sampled pair window
-    dprime = float(delta_prime)
+    dprime = DELTA_PRIME
     pdot_star = -float(W.dw(q_star))
     halfwidth = pair.halfwidth
     while dprime > 1e-6 and abs(pdot_star) * dprime > 0.9 * halfwidth:
@@ -284,4 +283,4 @@ def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
             "minus branch reaches the next image of the crossing before T"
         )
     plus = replace(plus, t_star=t_star, q_star=q_star, p_star=pair.p_star)
-    return ExtendedTrajectory(plus=plus, minus=minus, delta_prime=dprime)
+    return ExtendedTrajectory(plus=plus, minus=minus)

@@ -84,19 +84,6 @@ def gaussian_envelope(sigma: float = 1.0, half_width: float = 20.0,
 
 
 @dataclass
-class EnvelopePath:
-    """Envelope samples along a fast-time grid."""
-
-    t_grid: np.ndarray
-    values: np.ndarray          # (n_t, n_y)
-    y: np.ndarray
-
-    def norms(self) -> np.ndarray:
-        dy = self.y[1] - self.y[0]
-        return np.sqrt(np.sum(np.abs(self.values) ** 2, axis=1) * dy)
-
-
-@dataclass
 class OscillatorCoefficients:
     """Trajectory-sampled coefficient series for H(t) and I(t).
 
@@ -378,8 +365,8 @@ def _spectral_refine(values: np.ndarray, r: int) -> np.ndarray:
 
 
 def excited_buildup(a_star: Envelope, dqW_star: float, slope_gap: float,
-                    coupling: complex, s_grid) -> EnvelopePath:
-    """Partial excited envelope on the fast time-scale s.
+                    coupling: complex, s_grid) -> list[Envelope]:
+    """Partial excited envelopes on the fast time-scale s, one per s.
 
     buildup(y, s) = dqW* kappa Integral_{-inf}^{s} e^{i a s'^2}
                     a*(y - sg s') ds'
@@ -387,17 +374,14 @@ def excited_buildup(a_star: Envelope, dqW_star: float, slope_gap: float,
     As s -> +inf the final envelope converges to excited_envelope.
     """
     a_coef = _chirp_params(dqW_star, slope_gap)
-    s_grid = np.asarray(s_grid, dtype=float)
     k = a_star.k_grid()
     spec = np.fft.fft(a_star.values)
     b = k * slope_gap
     shift = b / (2.0 * a_coef)
     phase = np.exp(-0.25j * b ** 2 / a_coef)
-    out = np.empty((s_grid.size, a_star.y.size), dtype=complex)
-    for i, s in enumerate(s_grid):
-        partial = _fresnel_lower(s - shift, a_coef)
-        out[i] = dqW_star * coupling * np.fft.ifft(phase * partial * spec)
-    return EnvelopePath(s_grid, out, a_star.y.copy())
+    return [Envelope(a_star.y, dqW_star * coupling * np.fft.ifft(
+                phase * _fresnel_lower(s - shift, a_coef) * spec))
+            for s in s_grid]
 
 
 # -- evaluation ------------------------------------------------------------------

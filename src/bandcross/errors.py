@@ -89,12 +89,6 @@ class WindowEmpty(BandcrossError):
     """Observation window contains negligible mass."""
 
 
-# -- two-level model ----------------------------------------------------------
-
-class PhaseUnderResolved(BandcrossError):
-    """Time step does not resolve the fastest oscillatory phase."""
-
-
 # -- harness ------------------------------------------------------------------
 
 class DegenerateFit(BandcrossError):

@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .ansatz import (Grid, GridState, WavepacketParams, assemble_wp0,
@@ -33,6 +34,7 @@ from .envelope import (Envelope, coefficients_from_trajectory, evolve_a0,
                        gaussian_envelope, make_grid)
 from .errors import DegenerateFit, IsolationFailure, SolverBudgetExceeded
 from .io import write_csv, write_json
+from .lz import simulate
 from .potential import (EllipticParams, ExternalPotential, PeriodicPotential,
                         cosine_external, linear_ramp, make_cosine, make_m_gap,
                         potential_from_coeffs, zero_external)
@@ -689,7 +691,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
             buildup = excited_buildup(a_star, scenario.dqw_star,
                                       scenario.slope_gap, scenario.kappa,
                                       s_grid)
-            pred_masses = eps * buildup.norms() ** 2
+            pred_masses = eps * np.array([e.norm() for e in buildup]) ** 2
 
         result, solver_error = solve.result()
     by_time = {round(s.t, 10): s for s in result.snapshots}
@@ -812,9 +814,42 @@ def run_breakdown_study(cfg: RunConfig) -> StudyReport:
                        scenario=build_crossing_scenario(cfg).diagnostics)
 
 
+def _lz_transfer(scenario: CrossingScenario, eps: float,
+                 t_end: float) -> float:
+    """Mass moved to the minus level by the two-level model over (0, t_end).
+
+    The levels are the pair's E_+ and E_- at the plus branch's momentum
+    p(t), and the coupling is kappa times the drive dp/dt = -dW/dq(q(t)).
+    """
+    traj = scenario.ext.plus
+    p_of_t = CubicSpline(traj.t_grid, traj.p)
+    q_of_t = CubicSpline(traj.t_grid, traj.q)
+    band_plus = SplineBand(scenario.pair.plus)
+    band_minus = SplineBand(scenario.pair.minus)
+
+    def gap(t):
+        p = p_of_t(t)
+        return band_plus.energy(p) - band_minus.energy(p)
+
+    U = simulate(gap, lambda t: scenario.kappa * -scenario.W.dw(q_of_t(t)),
+                 eps, (0.0, t_end))
+    return float(abs(U[1, 0]) ** 2)
+
+
 def run_crossing_study(cfg: RunConfig) -> StudyReport:
+    """Post-crossing residual fit and the excited-mass gates.
+
+    At the smallest epsilon the direct solve's residual must overlap the
+    predicted minus packet, and its excited and minus-band masses must match
+    the excited-mass law.  The Landau-Zener gate checks the paper's
+    two-level claim: the transfer of the two-level model along the plus
+    trajectory (``_lz_transfer``) over the measured minus-band mass.
+    """
     _require_measurement(cfg, "crossing")
     cases = _cases_for(cfg)
+    scenario = build_crossing_scenario(cfg)
+    lz = {c.epsilon: _lz_transfer(scenario, c.epsilon, c.times["crossing"])
+          for c in cases}
     rows, fits, gates = [], [], []
     pairs = [(c.epsilon, c.residual_norm) for c in cases]
     _fit_gate("post_crossing_residual", pairs, target=0.5, tolerance=0.15,
@@ -834,6 +869,11 @@ def run_crossing_study(cfg: RunConfig) -> StudyReport:
     gates.append(GateResult(
         name="band_mass_ratio", value=band_ratio,
         requirement="within [0.8, 1.2]", passed=0.8 <= band_ratio <= 1.2))
+    lz_ratio = (lz[smallest.epsilon]
+                / max(smallest.band_mass_measured, 1e-300))
+    gates.append(GateResult(
+        name="lz_to_band_mass_ratio", value=lz_ratio,
+        requirement="within [0.8, 1.2]", passed=0.8 <= lz_ratio <= 1.2))
     for c in cases:
         rows.append({
             **_diagnostics(c),
@@ -843,11 +883,11 @@ def run_crossing_study(cfg: RunConfig) -> StudyReport:
             "excited_mass_measured": c.excited_mass_measured,
             "excited_mass_predicted": c.excited_mass_predicted,
             "band_mass_measured": c.band_mass_measured,
+            "lz_transfer": lz[c.epsilon],
         })
     return StudyReport(study="crossing", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=fits,
-                       gates=gates,
-                       scenario=build_crossing_scenario(cfg).diagnostics)
+                       gates=gates, scenario=scenario.diagnostics)
 
 
 def run_inner_window(cfg: RunConfig) -> StudyReport:

@@ -1,196 +1,23 @@
-"""Abstract two-level crossing model.
+"""Two-level Landau-Zener propagator along a crossing trajectory.
 
-A pair of smooth levels ``E_plus(t)``, ``E_minus(t)`` crosses linearly at one
-instant ``t_star``; the coefficient system
+The coefficients of a packet on two levels whose difference is ``gap(t)``
+obey
 
     dc_plus/dt  =  F(t) c_minus,      dc_minus/dt = -conj(F(t)) c_plus,
 
-with ``F(t) = coupling(t) * exp(i phi(t) / epsilon)`` and ``phi`` the
-accumulated level difference, transfers an O(epsilon) probability between the
-levels around the crossing.  ``simulate`` integrates the system with a
-fourth-order Magnus scheme whose 2x2 exponentials are exactly unitary, and
-``predict`` evaluates the closed-form leading-order transferred mass.
+with ``F(t) = coupling(t) * exp(i phi(t) / epsilon)`` and ``phi`` the gap
+integrated from ``t_span[0]``; a linear zero of the gap transfers an
+O(epsilon) probability between the levels.  ``simulate`` integrates it with
+a fourth-order Magnus scheme of exactly unitary 2x2 steps, sized so that no
+step advances ``phi / epsilon`` by more than ``PHASE_RESOLUTION``.  Its one
+reader is the crossing study's Landau-Zener gate (``harness._lz_transfer``).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
 import numpy as np
-from numpy.polynomial import Polynomial
-from scipy.optimize import brentq
-
-from .errors import NotLinearCrossing, PhaseUnderResolved
 
 PHASE_RESOLUTION = 0.1       # max phase advance per step, rad
-WINDOW_HALFWIDTH = 10.0      # stationary window |t - t_star| <= 10 sqrt(eps)
-WINDOW_REFINE = 8            # step reduction factor inside the window
 
 _GL_OFFSET = 0.5 / np.sqrt(3.0)   # Gauss-Legendre 2-point nodes at 1/2 +- this
-
-
-def _as_level_fn(level):
-    """Return (vectorized callable, polynomial-or-None) for a level spec."""
-    if isinstance(level, Polynomial):
-        return level, level
-    if callable(level):
-        return level, None
-    value = float(level)
-    return (lambda t: np.full_like(np.asarray(t, dtype=float), value)), None
-
-
-def _as_coupling_fn(coupling):
-    if callable(coupling):
-        return coupling
-    value = complex(coupling)
-    return lambda t: np.full_like(np.asarray(t, dtype=float), value,
-                                  dtype=complex)
-
-
-@dataclass
-class LZModel:
-    """Two smooth levels with a single linear crossing and a coupling."""
-
-    e_plus: object
-    e_minus: object
-    coupling: object
-    epsilon: float
-    c0: tuple = (1.0 + 0.0j, 0.0 + 0.0j)
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-
-    def gap(self, t):
-        fp, _ = _as_level_fn(self.e_plus)
-        fm, _ = _as_level_fn(self.e_minus)
-        return fp(np.asarray(t, dtype=float)) - fm(np.asarray(t, dtype=float))
-
-    def gap_polynomial(self):
-        """The level difference as a Polynomial, or None."""
-        _, pp = _as_level_fn(self.e_plus)
-        _, pm = _as_level_fn(self.e_minus)
-        if pp is not None and pm is not None:
-            return pp - pm
-        return None
-
-
-def linear_model(slope_gap: float, coupling, epsilon: float,
-                 t_star: float = 1.0, c0=(1.0, 0.0)) -> LZModel:
-    """Levels E_pm = pm slope_gap/2 (t - t_star) with a constant coupling."""
-    half = Polynomial([-0.5 * slope_gap * t_star, 0.5 * slope_gap])
-    return LZModel(e_plus=half, e_minus=-half, coupling=coupling,
-                   epsilon=float(epsilon), c0=tuple(c0))
-
-
-def locate_crossing(model: LZModel, t_span) -> float | None:
-    """The root of the gap inside t_span, or None if the gap never vanishes."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    ts = np.linspace(t0, t1, 513)
-    gap = np.real(model.gap(ts))
-    sign = np.sign(gap)
-    roots = [float(ts[i]) for i in np.nonzero(sign == 0)[0]]
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(float(brentq(lambda t: float(np.real(model.gap(t))),
-                                  ts[i], ts[i + 1], xtol=1e-14)))
-    if not roots:
-        return None
-    if len(roots) > 1:
-        raise NotLinearCrossing(
-            f"gap vanishes {len(roots)} times in [{t0}, {t1}]"
-        )
-    return roots[0]
-
-
-def _gap_slope(model: LZModel, t_star: float) -> float:
-    poly = model.gap_polynomial()
-    if poly is not None:
-        return float(poly.deriv()(t_star))
-    h = 1e-6 * max(1.0, abs(t_star))
-    return float(np.real(model.gap(t_star + h) - model.gap(t_star - h))
-                 / (2 * h))
-
-
-@dataclass
-class LZPaths:
-    """Coefficient paths sampled on stored step boundaries."""
-
-    t: np.ndarray
-    c_plus: np.ndarray
-    c_minus: np.ndarray
-    epsilon: float
-
-    def norms(self) -> np.ndarray:
-        return np.abs(self.c_plus) ** 2 + np.abs(self.c_minus) ** 2
-
-    def norm_drift(self) -> float:
-        n = self.norms()
-        return float(np.max(np.abs(n - n[0])))
-
-    def transition(self, tail_fraction: float = 0.25) -> float:
-        """Transferred mass |c_minus|^2, averaged over the trailing samples.
-
-        Post-crossing the transferred mass rings around its asymptote; the
-        tail average reads off the plateau.
-        """
-        n_tail = max(1, int(round(tail_fraction * self.t.size)))
-        return float(np.mean(np.abs(self.c_minus[-n_tail:]) ** 2))
-
-
-def _step_edges(t0: float, t1: float, dt: float, t_star, epsilon: float):
-    """Uniform steps of size <= dt, refined inside the stationary window."""
-    if t_star is None:
-        n = max(1, int(np.ceil((t1 - t0) / dt)))
-        return np.linspace(t0, t1, n + 1)
-    half = WINDOW_HALFWIDTH * np.sqrt(epsilon)
-    w0, w1 = max(t0, t_star - half), min(t1, t_star + half)
-    if w1 <= w0:
-        n = max(1, int(np.ceil((t1 - t0) / dt)))
-        return np.linspace(t0, t1, n + 1)
-    pieces = []
-    if w0 > t0:
-        n = max(1, int(np.ceil((w0 - t0) / dt)))
-        pieces.append(np.linspace(t0, w0, n + 1)[:-1])
-    n = max(1, int(np.ceil((w1 - w0) / (dt / WINDOW_REFINE))))
-    pieces.append(np.linspace(w0, w1, n + 1)[:-1])
-    if t1 > w1:
-        n = max(1, int(np.ceil((t1 - w1) / dt)))
-        pieces.append(np.linspace(w1, t1, n + 1)[:-1])
-    pieces.append(np.array([t1]))
-    return np.concatenate(pieces)
-
-
-def _phase_at_nodes(model: LZModel, edges: np.ndarray, nodes: np.ndarray,
-                    t_ref: float):
-    """phi = integral of the gap from t_ref, at step edges and GL nodes.
-
-    Exact antiderivative for polynomial levels; otherwise cumulative
-    Gauss-Legendre accumulation over the interleaved node sequence, which
-    matches the integrator's fourth-order accuracy.
-    """
-    poly = model.gap_polynomial()
-    if poly is not None:
-        anti = poly.integ()
-        ref = anti(t_ref)
-        return anti(edges) - ref, anti(nodes) - ref
-    # interleave edges, nodes, and the reference point into one sequence;
-    # referencing the phase exactly at t_ref keeps the result's complex
-    # gauge independent of the step layout
-    grid = np.concatenate([edges, nodes.ravel(), [t_ref]])
-    order = np.argsort(grid, kind="stable")
-    sorted_grid = grid[order]
-    h = np.diff(sorted_grid)
-    mid = 0.5 * (sorted_grid[:-1] + sorted_grid[1:])
-    ga = np.real(model.gap(mid - _GL_OFFSET * h))
-    gb = np.real(model.gap(mid + _GL_OFFSET * h))
-    seg = 0.5 * h * (ga + gb)
-    phi_sorted = np.concatenate([[0.0], np.cumsum(seg)])
-    phi = np.empty_like(phi_sorted)
-    phi[order] = phi_sorted
-    shift = phi[-1]
-    phi_edges = phi[: edges.size]
-    phi_nodes = phi[edges.size:-1].reshape(nodes.shape)
-    return phi_edges - shift, phi_nodes - shift
 
 
 def _compose_pairwise(mats: np.ndarray) -> np.ndarray:
@@ -206,38 +33,35 @@ def _compose_pairwise(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def simulate(model: LZModel, t_span, dt: float,
-             store_points: int = 8193) -> LZPaths:
-    """Integrate the coefficient system across t_span with steps <= dt.
+def simulate(gap, coupling, epsilon: float, t_span) -> np.ndarray:
+    """The 2x2 unitary propagator from t_span[0] to t_span[1].
 
-    Fourth-order Magnus integrator on Gauss-Legendre nodes; each step's 2x2
-    exponential is evaluated in closed form and is exactly unitary, so the
-    coefficient norm is conserved to roundoff.
+    gap and coupling are vectorized callables of t; column j of the result
+    is the state at t_span[1] that starts in level j (0 = plus, 1 = minus).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    eps = model.epsilon
-    probe = np.linspace(t0, t1, 2049)
-    gap_max = float(np.max(np.abs(model.gap(probe))))
-    if dt * gap_max / eps > PHASE_RESOLUTION:
-        raise PhaseUnderResolved(
-            f"dt={dt:g} advances the phase by {dt * gap_max / eps:.2f} rad "
-            f"per step; limit {PHASE_RESOLUTION}"
-        )
-    t_star = locate_crossing(model, t_span)
-    edges = _step_edges(t0, t1, dt, t_star, eps)
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    gap_max = float(np.max(np.abs(gap(np.linspace(t0, t1, 2049)))))
+    n = max(1, int(np.ceil((t1 - t0) * gap_max
+                           / (PHASE_RESOLUTION * epsilon))))
+    edges = np.linspace(t0, t1, n + 1)
     h = np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = np.stack([mid - _GL_OFFSET * h, mid + _GL_OFFSET * h], axis=1)
 
-    t_ref = t0 if t_star is None else t_star
-    _, phi_nodes = _phase_at_nodes(model, edges, nodes, t_ref)
-    kappa = _as_coupling_fn(model.coupling)
-    fvals = np.asarray(kappa(nodes), dtype=complex) \
-        * np.exp(1j * phi_nodes / eps)
+    # phi by 2-point Gauss-Legendre over the interleaved edge/node sequence
+    # e_0, n_0a, n_0b, e_1, ..., which matches the integrator's 4th order
+    seq = np.append(np.column_stack([edges[:-1], nodes]).ravel(), t1)
+    hs = np.diff(seq)
+    ms = 0.5 * (seq[:-1] + seq[1:])
+    seg = 0.5 * hs * (np.real(gap(ms - _GL_OFFSET * hs))
+                      + np.real(gap(ms + _GL_OFFSET * hs)))
+    phi = np.concatenate([[0.0], np.cumsum(seg)])[:-1].reshape(n, 3)[:, 1:]
+    fvals = np.asarray(coupling(nodes), dtype=complex) \
+        * np.exp(1j * phi / epsilon)
     f1, f2 = fvals[:, 0], fvals[:, 1]
 
     # Magnus(4): Omega = h (A1 + A2)/2 - h^2 sqrt(3)/12 [A1, A2] for
@@ -247,48 +71,9 @@ def simulate(model: LZModel, t_span, dt: float,
     mu = np.sqrt(delta * delta + np.abs(a) ** 2)
     sinc = np.where(mu > 0, np.sin(mu) / np.where(mu > 0, mu, 1.0), 1.0)
     cosmu = np.cos(mu)
-    steps = np.empty((h.size, 2, 2), dtype=complex)
+    steps = np.empty((n, 2, 2), dtype=complex)
     steps[:, 0, 0] = cosmu + 1j * delta * sinc
     steps[:, 0, 1] = a * sinc
     steps[:, 1, 0] = -np.conj(a) * sinc
     steps[:, 1, 1] = cosmu - 1j * delta * sinc
-
-    n_steps = h.size
-    n_store = min(store_points, n_steps + 1)
-    store_idx = np.unique(np.round(
-        np.linspace(0, n_steps, n_store)).astype(int))
-    c = np.empty((store_idx.size, 2), dtype=complex)
-    c[0] = np.asarray(model.c0, dtype=complex)
-    state = c[0]
-    for k in range(store_idx.size - 1):
-        block = _compose_pairwise(steps[store_idx[k]:store_idx[k + 1]])
-        state = block @ state
-        c[k + 1] = state
-    return LZPaths(t=edges[store_idx], c_plus=c[:, 0], c_minus=c[:, 1],
-                   epsilon=eps)
-
-
-def default_dt(model: LZModel, t_span) -> float:
-    """Largest step satisfying the phase-resolution bound."""
-    probe = np.linspace(float(t_span[0]), float(t_span[1]), 2049)
-    gap_max = float(np.max(np.abs(model.gap(probe))))
-    if gap_max == 0.0:
-        return (float(t_span[1]) - float(t_span[0])) / 16.0
-    return 0.999 * PHASE_RESOLUTION * model.epsilon / gap_max
-
-
-def predict(model: LZModel, t_span=(0.0, 2.0)) -> float:
-    """Leading-order transferred mass 2 pi |kappa|^2 eps / |slope| |c+(0)|^2."""
-    kappa = _as_coupling_fn(model.coupling)
-    t_star = locate_crossing(model, t_span)
-    if t_star is None:
-        return 0.0
-    slope = _gap_slope(model, t_star)
-    if slope <= 0:
-        raise NotLinearCrossing(
-            f"gap slope {slope:g} at t={t_star:g} is not positive"
-        )
-    k2 = float(np.abs(np.asarray(kappa(np.array([t_star])),
-                                 dtype=complex)[0])) ** 2
-    return (2.0 * np.pi * k2 / slope) * model.epsilon \
-        * float(np.abs(complex(model.c0[0]))) ** 2
+    return _compose_pairwise(steps)

@@ -459,26 +459,26 @@ class TestExcitedBuildup:
     def test_far_past_is_small(self):
         path = excited_buildup(self.a_star, self.dqW, self.sg, self.kappa,
                                [-50.0])
-        assert path.norms()[-1] < 0.02 * self.full.norm()
+        assert path[-1].norm() < 0.02 * self.full.norm()
 
     def test_far_future_matches_full(self):
         path = excited_buildup(self.a_star, self.dqW, self.sg, self.kappa,
                                [80.0])
-        assert l2_diff(self.full, path.values[-1]) < 0.02 * self.full.norm()
+        assert l2_diff(self.full, path[-1].values) < 0.02 * self.full.norm()
 
     def test_seed_at_zero_is_half_scale(self):
         # at s = 0 the k = 0 component is exactly half the complete integral
         path = excited_buildup(self.a_star, self.dqW, self.sg, self.kappa,
                                [0.0])
         dy = self.a_star.dy
-        mean_seed = np.sum(path.values[-1]) * dy
+        mean_seed = np.sum(path[-1].values) * dy
         mean_full = np.sum(self.full.values) * dy
         assert abs(mean_seed - 0.5 * mean_full) < 1e-10 * abs(mean_full)
 
     def test_path_interpolates_monotone_mass_envelope(self):
         s = np.linspace(-40.0, 60.0, 51)
         path = excited_buildup(self.a_star, self.dqW, self.sg, self.kappa, s)
-        norms = path.norms()
+        norms = [e.norm() for e in path]
         assert norms[0] < 0.05 * norms[-1]
         assert abs(norms[-1] - self.full.norm()) < 0.03 * self.full.norm()
 

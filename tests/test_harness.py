@@ -20,6 +20,7 @@ from bandcross.harness import (
     StudyReport,
     _as_epsilon,
     _crossing_times,
+    _lz_transfer,
     _snap,
     build_crossing_scenario,
     build_external,
@@ -278,6 +279,12 @@ class TestTrivialCrossing:
         scenario = build_crossing_scenario(trivial_cfg)
         assert abs(scenario.kappa) < 1e-12
 
+    def test_lz_transfer_vanishes_without_coupling(self, trivial_cfg):
+        scenario = build_crossing_scenario(trivial_cfg)
+        uncoupled = replace(scenario, kappa=0.0)
+        assert _lz_transfer(uncoupled, 1 / 32, scenario.t_star) == 0.0
+        assert _lz_transfer(scenario, 1 / 32, scenario.t_star) < 1e-20
+
     def test_error_stays_first_order(self, trivial_cfg):
         # no eps^{1-xi} blow-up near t*: the error keeps an O(eps) bound
         for eps in trivial_cfg.epsilons:
@@ -461,5 +468,8 @@ class TestGatedCrossingCase:
         assert case.overlap >= 0.9
         assert 0.8 <= case.excited_mass_measured / predicted <= 1.2
         assert 0.8 <= case.band_mass_measured / predicted <= 1.2
+        lz = _lz_transfer(build_crossing_scenario(cfg), 1 / 32,
+                          case.times["crossing"])
+        assert 0.8 <= lz / case.band_mass_measured <= 1.2
         _, _, measured, predicted_late = case.inner_rows[-1]
         assert 0.8 <= measured / predicted_late <= 1.2
