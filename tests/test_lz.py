@@ -72,9 +72,30 @@ class TestSimulate:
         flat = transfer(linear_gap(1.0), constant(0.1), eps)
         assert gated < 0.05 * flat
 
-    def test_converges_to_excited_mass_law(self):
-        # the crossing scenario's mapping: gap slope sg |pdot| and coupling
-        # pdot kappa make the leading order the pipeline's excited-mass law
+    @settings(max_examples=10, deadline=None)
+    @given(slope=st.floats(0.5, 2.0), kappa=st.floats(0.01, 0.3),
+           phase=st.floats(0.0, 6.28))
+    def test_unitary_for_any_coupling(self, slope, kappa, phase):
+        U = simulate(linear_gap(slope), constant(kappa * np.exp(1j * phase)),
+                     1e-2, (0.0, 2.0))
+        # exactly unitary steps; only roundoff accumulates
+        assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 5e-12
+
+
+class TestPredict:
+    def test_simulate_converges_to_predict(self):
+        # slope 1, coupling 0.1: the transfer approaches 2 pi |c|^2 eps
+        devs = []
+        for eps in (1e-2, 1e-3, 1e-4):
+            got = transfer(linear_gap(1.0), constant(0.1), eps)
+            law = predict_excited_mass(1.0, 0.1, 1.0, 1.0, eps)
+            devs.append(abs(got / law - 1.0))
+        assert devs[2] < 0.05
+        assert devs[2] < devs[1] < devs[0]
+
+    def test_matches_excited_mass_dictionary(self):
+        # dictionary: gap slope sg |pdot| and coupling pdot kappa make the
+        # leading order of the transfer the pipeline's excited-mass law
         sg, dqw, kappa_p = 7.3, -1.7, 0.004 + 0.001j
         pdot = -dqw
         devs = []
@@ -85,12 +106,3 @@ class TestSimulate:
             devs.append(abs(got / law - 1.0))
         assert devs[2] < 0.05
         assert devs[2] < devs[1] < devs[0]
-
-    @settings(max_examples=10, deadline=None)
-    @given(slope=st.floats(0.5, 2.0), kappa=st.floats(0.01, 0.3),
-           phase=st.floats(0.0, 6.28))
-    def test_unitary_for_any_coupling(self, slope, kappa, phase):
-        U = simulate(linear_gap(slope), constant(kappa * np.exp(1j * phase)),
-                     1e-2, (0.0, 2.0))
-        # exactly unitary steps; only roundoff accumulates
-        assert np.max(np.abs(U.conj().T @ U - np.eye(2))) <= 5e-12
