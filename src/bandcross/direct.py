@@ -16,8 +16,16 @@ the kinetic term; it is kept as the test oracle.  The two solvers share the
 semi-discrete system and differ only by time error.
 
 The external potential is made periodic by a C-infinity collar blend near
-x = L where no packet is allowed to travel.  Band masses are measured by
-exact projection onto the Bloch fibers that are commensurate with the torus.
+x = L where no packet is allowed to travel.
+
+The fiber eigenbasis is computed once per (V, grid), by one batched eigh,
+and cached in ``_FIBER_CACHE``.  The BD step builds its propagator table
+from it for each dt, and ``band_mass`` projects onto it, so band masses are
+measured in the eigenbasis of the operator that the solver applies.
+
+``points_per_period`` derives the grid's ppw from V: the smallest even
+ppw >= 16 whose collocated Bloch energies match those of a 2 ppw reference
+to a tolerance that the caller ties to its error target.
 """
 from __future__ import annotations
 
@@ -27,7 +35,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from .ansatz import Grid, GridState
-from .errors import GridMismatch, GridOverflow, StabilityViolation, WindowEmpty
+from .errors import (GridMismatch, GridOverflow, StabilityViolation,
+                     TruncationTooSmall, WindowEmpty)
 from .potential import PeriodicPotential, evaluate_periodic
 
 TWO_PI = 2.0 * np.pi
@@ -176,33 +185,102 @@ def _split_run(psi0: GridState, cfg: PropagatorConfig, half: np.ndarray,
     return PropagationResult(snapshots, norms, drift, n_steps, dt, collar_peak)
 
 
+def _collocation(V: PeriodicPotential, ppw: int, p: np.ndarray) -> np.ndarray:
+    """Collocated fiber matrices of H0 at scaled quasimomenta p in [0, 2 pi).
+
+    Mode m = 0 .. ppw-1 is the plane wave p + 2 pi m_s, where m_s = m (mod
+    ppw) and m_s + p/(2 pi) lies in [-ppw/2, ppw/2), so its kinetic energy
+    eps^2 k^2/2 is (p + 2 pi m_s)^2/2.  V enters through its aliased
+    coefficients fft(V(a/ppw))/ppw.  Returns a (p.size, ppw, ppw) array.
+    """
+    vhat = np.fft.fft(evaluate_periodic(V, np.arange(ppw) / ppw)) / ppw
+    m = np.arange(ppw)
+    m_s = np.where(m[None, :] + p[:, None] / TWO_PI < ppw / 2, m, m - ppw)
+    h = np.broadcast_to(vhat[(m[:, None] - m[None, :]) % ppw],
+                        (p.size, ppw, ppw)).copy()
+    h[:, m, m] += (p[:, None] + TWO_PI * m_s) ** 2 / 2.0
+    return h
+
+
+_FIBER_CACHE: dict = {}
+
+
+def _fiber_basis(V: PeriodicPotential, grid: Grid) -> tuple:
+    """(energies, q) of every commensurate fiber; one eigh per (V, grid).
+
+    Row r of the period-index FFT of psi.reshape(LK, ppw) holds fiber r,
+    quasimomentum p_r = 2 pi r/(LK), in the position-inside-a-period basis
+    a.  The columns of q[r] are the eigenvectors of H0_r there: the
+    plane-wave eigenvectors taken through the unitary ppw-point inverse DFT
+    and the twist diag(e^{2 pi i r a/N}).  Energies ascend along axis 1, so
+    column n-1 is band n.  The solver and band_mass share this basis.
+    """
+    key = (V.coeffs.tobytes(), grid.length, grid.k_inv, grid.ppw)
+    if key not in _FIBER_CACHE:
+        ppw = grid.ppw
+        lk = grid.length * grid.k_inv
+        energies, vecs = np.linalg.eigh(
+            _collocation(V, ppw, TWO_PI * np.arange(lk) / lk))
+        a = np.arange(ppw)
+        twist = np.exp(TWO_PI * 1j * np.arange(lk)[:, None, None]
+                       * a[None, :, None] / grid.n)
+        q = twist * (np.sqrt(ppw) * np.fft.ifft(vecs, axis=1))
+        _FIBER_CACHE[key] = (energies, q)
+    return _FIBER_CACHE[key]
+
+
 def _fiber_propagators(V: PeriodicPotential, grid: Grid,
                        dt: float) -> np.ndarray:
-    """e^{-i dt H0_r/eps} for every fiber r, as an (LK, ppw, ppw) array.
-
-    Row r of the period-index FFT of psi.reshape(LK, ppw) holds fiber r in
-    the position-inside-a-period basis a.  There, H0_r is the conjugate by
-    the ppw-point DFT and the twist diag(e^{-2 pi i r a/N}) of the
-    plane-wave matrix diag(eps^2 k_{r,m}^2/2) + vhat_{m-m'}, with
-    k_{r,m} the signed grid wavenumber of mode j = r + LK m.
-    """
-    ppw = grid.ppw
-    lk = grid.length * grid.k_inv
-    n = grid.n
-    a = np.arange(ppw)
-    vhat = np.fft.fft(evaluate_periodic(V, a / ppw)) / ppw
-    m = np.arange(ppw)
-    j = np.arange(lk)[:, None] + lk * m[None, :]
-    k = TWO_PI * np.where(j < n // 2, j, j - n) / grid.length
-    h = np.broadcast_to(vhat[(m[:, None] - m[None, :]) % ppw],
-                        (lk, ppw, ppw)).copy()
-    h[:, m, m] += grid.epsilon ** 2 * k ** 2 / 2.0
-    energies, vecs = np.linalg.eigh(h)
-    twist = np.exp(TWO_PI * 1j * np.arange(lk)[:, None, None]
-                   * a[None, :, None] / n)
-    q = twist * (np.sqrt(ppw) * np.fft.ifft(vecs, axis=1))
+    """e^{-i dt H0_r/eps} for every fiber r, as an (LK, ppw, ppw) array."""
+    energies, q = _fiber_basis(V, grid)
     rot = np.exp(-1j * dt * energies / grid.epsilon)
     return np.matmul(q * rot[:, None, :], np.conj(q.transpose(0, 2, 1)))
+
+
+# -- points per period --------------------------------------------------------
+
+PPW_MIN = 16                # the Grid floor
+PPW_CAP = 64
+PPW_QUASIMOMENTA = 32       # samples across the Brillouin zone
+
+_PPW_LADDER: dict = {}
+
+
+def collocation_error(V: PeriodicPotential, ppw: int, n_bands: int) -> float:
+    """max |E_n(p; ppw) - E_n(p; ref)| over bands 1..n_bands and the zone.
+
+    E_n(p; ppw) is the nth collocated Bloch energy with ppw points per
+    period, at PPW_QUASIMOMENTA quasimomenta spread over [0, 2 pi).  The
+    reference takes ref = 2 ppw points, and at least enough that no harmonic
+    of V aliases: a harmonic m aliased alike at ppw and 2 ppw (m = 30 looks
+    like m = -2 at both 16 and 32) would otherwise pass for converged.  The
+    error does not depend on eps, so the ladder of values is cached per
+    (V, n_bands).
+    """
+    ladder = _PPW_LADDER.setdefault((V.coeffs.tobytes(), n_bands), {})
+    if ppw not in ladder:
+        p = TWO_PI * np.arange(PPW_QUASIMOMENTA) / PPW_QUASIMOMENTA
+        ref = max(2 * ppw, 2 * V.m_max + 2)
+        coarse, fine = (np.linalg.eigvalsh(_collocation(V, n, p))[:, :n_bands]
+                        for n in (ppw, ref))
+        ladder[ppw] = float(np.max(np.abs(coarse - fine)))
+    return ladder[ppw]
+
+
+def points_per_period(V: PeriodicPotential, n_bands: int, tol: float) -> int:
+    """Smallest even ppw >= PPW_MIN whose collocation error is at most tol.
+
+    An energy error dE turns into a phase error dE t/eps over a run of
+    length t, so a caller passes tol = (allowed phase error) eps / t.
+    """
+    ladder = range(PPW_MIN, PPW_CAP + 1, 2)
+    for ppw in ladder:
+        if collocation_error(V, ppw, n_bands) <= tol:
+            return ppw
+    best = min(collocation_error(V, ppw, n_bands) for ppw in ladder)
+    raise TruncationTooSmall(
+        f"no ppw <= {PPW_CAP} resolves bands 1..{n_bands}: best collocation "
+        f"energy difference {best:.3e} exceeds the tolerance {tol:.3e}")
 
 
 def propagate(psi0: GridState, V: PeriodicPotential, W,
@@ -260,41 +338,7 @@ def l2_error(psi: GridState, ansatz: GridState) -> ErrorReport:
     return ErrorReport(plain, opt, float(-np.angle(inner)))
 
 
-# -- exact fiber projection ------------------------------------------------------
-
-_FIBER_CACHE: dict = {}
-
-
-def _fiber_table(V: PeriodicPotential, grid: Grid, n_bands: int):
-    """Bloch eigenvectors on the torus-commensurate fiber lattice.
-
-    The grid supports quasimomenta p_r = 2 pi r / (L K), r = 0 .. LK-1, each
-    carrying the plane-wave modes m = -ppw/2 .. ppw/2 - 1 in x-frequency
-    k = (p_r + 2 pi m)/eps.  Eigensolving every fiber at the matching basis
-    size makes the projection exact on the grid (Parseval).
-    """
-    key = (V.coeffs.tobytes(), grid.length, grid.k_inv, grid.ppw, n_bands)
-    if key in _FIBER_CACHE:
-        return _FIBER_CACHE[key]
-    from .bloch import eigensolve
-
-    lk = grid.length * grid.k_inv
-    m_cut = grid.ppw // 2 - 1
-    if V.m_max > m_cut:
-        # Harmonics beyond the fiber basis are invisible on this grid (they
-        # alias); drop them so the fiber matrices match the resolved modes.
-        mid = (V.coeffs.size - 1) // 2
-        V = PeriodicPotential(V.coeffs[mid - m_cut:mid + m_cut + 1].copy())
-    n_keep = min(n_bands, 2 * m_cut + 1)
-    energies = np.empty((lk, n_keep))
-    vectors = np.empty((lk, n_keep, 2 * m_cut + 1), dtype=complex)
-    for r in range(lk):
-        p_r = TWO_PI * r / lk
-        e, vecs = eigensolve(V, p_r, n_keep, m_cut=m_cut)
-        energies[r] = e
-        vectors[r] = vecs
-    _FIBER_CACHE[key] = (energies, vectors, m_cut)
-    return _FIBER_CACHE[key]
+# -- band-mass projection ----------------------------------------------------
 
 
 def _window_mask(grid: Grid, window) -> np.ndarray:
@@ -320,7 +364,7 @@ def _window_mask(grid: Grid, window) -> np.ndarray:
 @dataclass
 class BandMassTable:
     masses: dict            # band index -> mass
-    rest: float             # mass in higher bands / unresolved modes
+    rest: float             # mass in the bands above n_bands
     total: float            # windowed ||psi||^2
 
     def band(self, n: int) -> float:
@@ -329,30 +373,26 @@ class BandMassTable:
 
 def band_mass(psi: GridState, V: PeriodicPotential, n_bands: int = 4,
               window=None) -> BandMassTable:
-    """Windowed per-band mass by exact commensurate-fiber projection."""
+    """Windowed per-band mass by projection onto the solver's fiber eigenbasis.
+
+    The amplitudes of fiber r are q[r]^H fft(vals.reshape(LK, ppw), axis=0)[r]
+    with q the cached eigenbasis that ``propagate`` steps in, so band n is
+    the nth eigenspace of the very operator the solver applies, and mass
+    does not leak between bands through a mismatch of the two operators.
+    q is unitary, so Parseval holds exactly on the grid: the band masses and
+    ``rest`` (bands above n_bands) sum to the windowed norm.
+    """
     grid = psi.grid
     mask = _window_mask(grid, window)
     vals = psi.values * mask
     total = float(np.sum(np.abs(vals) ** 2) * grid.dx)
     if window is not None and total < 1e-28:
         raise WindowEmpty("windowed state carries no mass")
-    energies, vectors, m_cut = _fiber_table(V, grid, n_bands)
+    _, q = _fiber_basis(V, grid)
     lk = grid.length * grid.k_inv
-    spec = np.fft.fft(vals) * grid.dx   # continuum Fourier coefficients
-    # reshape by fiber: index j = r + lk * m_block
-    n = grid.n
-    j = np.arange(n)
-    r = j % lk
-    m = np.where(j // lk < grid.ppw // 2, j // lk, j // lk - grid.ppw)
-    # collect the symmetric range |m| <= m_cut per fiber
-    fiber_vecs = np.zeros((lk, 2 * m_cut + 1), dtype=complex)
-    keep = np.abs(m) <= m_cut
-    fiber_vecs[r[keep], m[keep] + m_cut] = spec[keep]
-    dropped = float(np.sum(np.abs(spec[~keep]) ** 2) / grid.length)
-    # per-fiber band amplitudes: <chi_n(p_r) | psi_r>
-    amps = np.einsum("rbm,rm->rb", np.conj(vectors), fiber_vecs)
-    per_band = np.sum(np.abs(amps) ** 2, axis=0) / grid.length
-    fiber_total = np.sum(np.abs(fiber_vecs) ** 2) / grid.length
-    masses = {nb + 1: float(per_band[nb]) for nb in range(per_band.size)}
-    rest = float(fiber_total - per_band.sum() + dropped)
+    phi = sfft.fft(vals.reshape(lk, grid.ppw), axis=0)
+    amps = np.matmul(np.conj(q.transpose(0, 2, 1)), phi[:, :, None])[:, :, 0]
+    per_band = np.sum(np.abs(amps) ** 2, axis=0) * grid.dx / lk
+    masses = {n + 1: float(m) for n, m in enumerate(per_band[:n_bands])}
+    rest = float(per_band[n_bands:].sum())
     return BandMassTable(masses=masses, rest=rest, total=total)

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import __version__
+from . import __version__, direct
 from .ansatz import (Grid, GridState, WavepacketParams, assemble_wp0,
                      assemble_wp1, path_dp_chi, predict_excited_mass)
 from .bloch import band_path, coupling_coefficient, smooth_continuation
 from .classical import SplineBand, extend_through_crossing, integrate_flow
 from .direct import (PropagatorConfig, PropagationResult, band_mass,
-                     l2_error, periodize_external, propagate)
+                     l2_error, periodize_external, points_per_period,
+                     propagate)
 from .envelope import (Envelope, coefficients_from_trajectory, evolve_a0,
                        evolve_a1, excited_buildup, excited_envelope,
                        gaussian_envelope, make_grid)
@@ -46,7 +47,7 @@ TRAJECTORY_DT = 1e-4
 MAX_HALVINGS = 3          # dt halvings the step-doubling check may add
 
 # Every direct solve is checked by step doubling (propagate_richardson), and
-# its dt comes from plan_solver alone.
+# its grid and dt come from plan_solver alone.
 _SOLVER_DEFAULTS = {
     # The two a-priori error constants are no longer read: the step-doubling
     # estimate is checked after each run instead.  They stay accepted
@@ -106,7 +107,7 @@ class RunConfig:
     t_final: float = 0.5           # isolated-study observation time
     horizon_pad: float = 0.02
     domain_length: object = None   # int | {"64": int, ...} | None (auto)
-    ppw: int = 32
+    ppw: object = 32               # int pins it | None (derived per case)
     envelope_half_width: float = 40.0
     envelope_points: int = 1024
     pair_halfwidth: float = 1.7
@@ -174,7 +175,10 @@ class RunConfig:
 
 
 def default_config(study: str) -> RunConfig:
-    """Frozen per-study defaults; the CLI overlays the user's JSON on these."""
+    """Frozen per-study defaults; the CLI overlays the user's JSON on these.
+
+    Every default derives its points per period (ppw=None, see plan_solver).
+    """
     if study == "isolated":
         return RunConfig(
             study="isolated",
@@ -184,7 +188,7 @@ def default_config(study: str) -> RunConfig:
             epsilons=(1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0),
             # the corrector's neighbour-band component travels at that band's
             # group velocity, so the box must hold it for the whole run
-            t_final=0.5, domain_length=10,
+            t_final=0.5, domain_length=10, ppw=None,
             envelope_half_width=24.0, envelope_points=768,
             band_window=(0.7, 2.1), m_cut=15,
             solver={"error_budget": 0.25, "signal_prefactor": 0.05},
@@ -201,7 +205,7 @@ def default_config(study: str) -> RunConfig:
             external={"kind": "linear", "alpha": 0.2, "q_ref": 6.0},
             q0=2.0, p0=-0.2,
             pair_halfwidth=0.45, pair_samples=801,
-            domain_length={"64": 11, "128": 10, "256": 10},
+            domain_length={"64": 11, "128": 10, "256": 10}, ppw=None,
             measurements=("breakdown",),
         )
     if study in ("crossing", "inner"):
@@ -210,7 +214,8 @@ def default_config(study: str) -> RunConfig:
         # post-crossing residual and window-mass readouts need; these two
         # studies share identical runs.
         return RunConfig(study=study,
-                         domain_length={"64": 12, "128": 10, "256": 10})
+                         domain_length={"64": 12, "128": 10, "256": 10},
+                         ppw=None)
     raise ValueError(f"no default config for study {study!r}")
 
 
@@ -388,6 +393,8 @@ _CASE_CACHE: dict = {}
 def clear_caches():
     _SCENARIO_CACHE.clear()
     _CASE_CACHE.clear()
+    direct._FIBER_CACHE.clear()
+    direct._PPW_LADDER.clear()
 
 
 def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
@@ -446,21 +453,31 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
 
 @dataclass
 class SolverPlan:
+    grid: Grid
     dt: float
     target: float
 
 
-def plan_solver(cfg: RunConfig, eps: float, signal: float, W,
-                grid: Grid) -> SolverPlan:
-    """dt from the external potential's phase per step, and the error target.
+def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
+                t_run: float) -> SolverPlan:
+    """The grid, dt and error target of one direct solve up to t_run.
 
-    The Bloch-decomposition step solves the fast potential exactly, so only
-    W limits dt; accuracy is checked after the run by step doubling.
+    Unless cfg.ppw pins it, ppw is derived from V: the collocated energies
+    of bands 1..band+2 must be converged to 0.01 target eps / t_run, so
+    their phase error over the run stays within 1% of the solver's error
+    target.  The Bloch-decomposition step solves the fast potential
+    exactly, so only W limits dt; accuracy is checked after the run by step
+    doubling.
     """
     s = cfg.solver
+    target = s["error_budget"] * signal
+    ppw = cfg.ppw
+    if ppw is None:
+        ppw = points_per_period(V, cfg.band + 2, 0.01 * target * eps / t_run)
+    grid = Grid(length=_domain_length(cfg, eps), epsilon=eps, ppw=ppw)
     w_max = float(np.max(np.abs(periodize_external(W, grid))))
     dt = min(s["dt_cap"], 0.45 * eps / max(w_max, 1e-12), eps / 10.0)
-    return SolverPlan(float(dt), s["error_budget"] * signal)
+    return SolverPlan(grid, float(dt), target)
 
 
 def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
@@ -535,6 +552,7 @@ class CrossingCase:
     n_steps: int
     norm_drift: float
     grid_length: int
+    ppw: int                       # points per period of the solver grid
     times: dict                    # label -> snapped time
     errors: dict                   # label -> (raw, phase_optimized)
     solver_error: float            # step-doubling estimate of the solve
@@ -628,12 +646,12 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     if key in _CASE_CACHE:
         return _CASE_CACHE[key]
     scenario = build_crossing_scenario(cfg)
-    grid = Grid(length=_domain_length(cfg, eps), epsilon=eps, ppw=cfg.ppw)
     raw_times = _crossing_times(cfg, scenario, eps)
     t_run = max(raw_times.values())
     signal = cfg.solver["signal_prefactor"] or scenario.signal_scale
     signal = float(signal) * eps ** (1.0 - cfg.xi_prime)
-    plan = plan_solver(cfg, eps, signal, scenario.W, grid)
+    plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W, t_run)
+    grid = plan.grid
     dt, times = _snap(raw_times, plan.dt, t_run)
 
     # initial data: the first-order ansatz at t = 0 with a1 = 0
@@ -704,7 +722,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     case = CrossingCase(
         epsilon=eps, dt=result.dt, n_steps=result.n_steps,
         norm_drift=result.norm_drift_rate, grid_length=grid.length,
-        times=times, errors=errors, solver_error=solver_error,
+        ppw=grid.ppw, times=times, errors=errors, solver_error=solver_error,
         solver_target=plan.target, collar_mass=result.collar_mass,
         energy_drift=max(plus.energy_drift, minus.energy_drift),
         envelope_boundary_mass=boundary_mass,
@@ -760,7 +778,7 @@ def _cases_for(cfg: RunConfig) -> list:
 
 def _diagnostics(case) -> dict:
     """The row columns every isolated, crossing and breakdown row carries."""
-    return {"epsilon": case.epsilon, "dt": case.dt,
+    return {"epsilon": case.epsilon, "dt": case.dt, "ppw": case.ppw,
             "norm_drift": case.norm_drift,
             "solver_error": case.solver_error,
             "solver_target": case.solver_target,
@@ -933,6 +951,7 @@ def run_inner_window(cfg: RunConfig) -> StudyReport:
 class IsolatedCase:
     epsilon: float
     dt: float
+    ppw: int                       # points per period of the solver grid
     error_wp1: float
     error_wp0: float
     error_wp1_phase_opt: float
@@ -959,7 +978,6 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
                           (0.0, cfg.t_final + cfg.horizon_pad), TRAJECTORY_DT,
                           s0=cfg.s0)
     coeffs = coefficients_from_trajectory(path, traj, W)
-    grid = Grid(length=_domain_length(cfg, eps), epsilon=eps, ppw=cfg.ppw)
 
     y = make_grid(cfg.envelope_half_width, cfg.envelope_points)
     a0_init = gaussian_envelope(cfg.sigma, cfg.envelope_half_width,
@@ -967,7 +985,8 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     a1_init = Envelope(y, np.zeros(cfg.envelope_points, dtype=complex))
 
     signal = float(cfg.solver["signal_prefactor"] or 0.05) * eps
-    plan = plan_solver(cfg, eps, signal, W, grid)
+    plan = plan_solver(cfg, eps, signal, V, W, cfg.t_final)
+    grid = plan.grid
     dt, times = _snap({"final": cfg.t_final}, plan.dt, cfg.t_final)
     t_obs = times["final"]
 
@@ -983,7 +1002,7 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     a0_t, a1_t = env[t_obs]
     rep1 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t, a1_t))
     rep0 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t))
-    case = IsolatedCase(epsilon=eps, dt=result.dt,
+    case = IsolatedCase(epsilon=eps, dt=result.dt, ppw=grid.ppw,
                         error_wp1=rep1.plain, error_wp0=rep0.plain,
                         error_wp1_phase_opt=rep1.phase_optimized,
                         error_wp0_phase_opt=rep0.phase_optimized,

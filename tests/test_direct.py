@@ -10,12 +10,15 @@ from bandcross.ansatz import (
 )
 from bandcross.direct import (
     COLLAR_MASS_TOL,
+    PPW_CAP,
     BandMassTable,
     PropagatorConfig,
     _smoothstep,
     band_mass,
+    collocation_error,
     l2_error,
     periodize_external,
+    points_per_period,
     propagate,
     propagate_strang,
 )
@@ -24,6 +27,7 @@ from bandcross.errors import (
     GridMismatch,
     GridOverflow,
     StabilityViolation,
+    TruncationTooSmall,
     WindowEmpty,
 )
 from bandcross.harness import branch_packet
@@ -458,6 +462,37 @@ class TestBandMass:
         assert abs(tab.total - eps * a0m.norm() ** 2) < 2e-4
         assert abs(sum(tab.masses.values()) + tab.rest - tab.total) < 1e-10
 
+    def test_masses_and_rest_sum_to_total(self, crossing_setup):
+        # the fiber eigenbasis is unitary, so Parseval holds on the grid
+        # whatever the number of bands reported
+        V, pair, W, ext = crossing_setup
+        grid = Grid(length=8, epsilon=1.0 / 64, ppw=24)
+        a0 = gaussian_envelope(sigma=1.0)
+        state = two_branch_state(ext, pair, grid, 0.33, a0, a0)
+        for n_bands in (1, 2, 4):
+            tab = band_mass(state, V, n_bands=n_bands)
+            assert len(tab.masses) == n_bands
+            assert sum(tab.masses.values()) + tab.rest == pytest.approx(
+                tab.total, rel=1e-12, abs=0.0)
+
+    def test_two_branch_masses_agree_across_ppw(self, crossing_setup):
+        # the same continuum state sampled at 24 and 32 points per period
+        # must split into the same band masses; a projection onto a basis
+        # other than the grid operator's own (truncated potential, continuum
+        # Fourier modes) read band 3 7% apart on the two grids
+        V, pair, W, ext = crossing_setup
+        a0p = gaussian_envelope(sigma=1.0)
+        a0m_raw = gaussian_envelope(sigma=0.8)
+        a0m = Envelope(a0m_raw.y, 0.7 * a0m_raw.values)
+        tabs = [band_mass(two_branch_state(ext, pair,
+                                           Grid(length=8, epsilon=1.0 / 64,
+                                                ppw=ppw),
+                                           0.33, a0p, a0m), V, n_bands=4)
+                for ppw in (24, 32)]
+        for n in (2, 3):
+            assert tabs[0].masses[n] == pytest.approx(tabs[1].masses[n],
+                                                      rel=1e-3)
+
     def test_window_empty(self):
         grid = Grid(length=4, epsilon=1.0 / 8, ppw=32)
         state = free_gaussian_state(grid, q=2.0)
@@ -466,3 +501,23 @@ class TestBandMass:
         # a valid window far from the packet carries (almost) no mass
         tab = band_mass(state, FLAT, window=(3.8, 3.9))
         assert tab.total < 1e-10
+
+
+class TestPointsPerPeriod:
+    def test_free_and_cosine_give_the_grid_floor(self):
+        # plane waves are exact at any ppw, and a single harmonic leaves the
+        # lowest bands converged to round-off at the floor
+        assert points_per_period(FLAT, 3, 1e-10) == 16
+        assert points_per_period(make_cosine(4.0), 3, 1e-10) == 16
+
+    def test_alias_of_a_low_harmonic_is_not_converged(self):
+        # m = 30 aliases to m = -2 at both 16 and 32 points; the reference
+        # resolves it, so only a grid that holds it passes
+        V = potential_from_coeffs({30: 1.0})
+        assert collocation_error(V, 16, 3) > 0.1
+        assert points_per_period(V, 3, 1e-9) == PPW_CAP
+
+    def test_harmonic_near_the_cap_raises(self):
+        V = potential_from_coeffs({31: 1.0})
+        with pytest.raises(TruncationTooSmall, match="tolerance 1.000e-09"):
+            points_per_period(V, 3, 1e-9)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandcross import harness
+from bandcross import direct, harness
+from bandcross.ansatz import Grid, GridState
+from bandcross.direct import collocation_error
 from bandcross.envelope import BOUNDARY_TOL
 from bandcross.errors import DegenerateFit, GridOverflow, SolverBudgetExceeded
 from bandcross.harness import (
@@ -255,6 +257,10 @@ class TestFreeParticleIsolated:
         (row,) = run_isolated_band(self.CFG).rows
         assert 0.0 <= row["collar_mass"] <= 1e-8
         assert 0.0 <= row["slope_check"] < 1e-6
+        assert row["ppw"] == 32          # the RunConfig default pins it
+        # plane waves are exact on any grid, so the derived ppw is the floor
+        (derived,) = run_isolated_band(replace(self.CFG, ppw=None)).rows
+        assert derived["ppw"] == 16
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +343,7 @@ class TestTrivialCrossing:
                     scenario.ext.minus.energy_drift)
         for row in run_breakdown_study(trivial_cfg).rows:
             assert row["energy_drift"] == drift
+            assert row["ppw"] == trivial_cfg.ppw
             assert 0.0 < row["envelope_boundary_mass"] <= BOUNDARY_TOL
 
     def test_summary_records_the_scenario_diagnostics(self, trivial_cfg):
@@ -458,18 +465,71 @@ class TestStepDoubling:
 class TestGatedCrossingCase:
     """One through-crossing case at eps = 1/32 with the study's gates."""
 
-    def test_crossing_gates(self):
-        cfg = replace(default_config("crossing"), epsilons=(1 / 32,),
-                      measurements=("crossing", "inner"),
-                      pair_halfwidth=1.9, pair_samples=1789, domain_length=14)
-        case = run_crossing_case(cfg, 1 / 32)
+    CFG = replace(default_config("crossing"), epsilons=(1 / 32,),
+                  measurements=("crossing", "inner"),
+                  pair_halfwidth=1.9, pair_samples=1789, domain_length=14)
+
+    @pytest.fixture(scope="class")
+    def counted_case(self):
+        """The case run cold, with the shape of every eigh call it made."""
+        build_crossing_scenario(self.CFG)
+        shapes = []
+        real = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_CASE_CACHE", {})
+            mp.setattr(direct, "_FIBER_CACHE", {})
+            mp.setattr(np.linalg, "eigh", counting)
+            case = run_crossing_case(self.CFG, 1 / 32)
+        return case, shapes
+
+    def test_crossing_gates(self, counted_case):
+        case, _ = counted_case
         assert case.solver_error <= case.solver_target
         predicted = case.excited_mass_predicted
         assert case.overlap >= 0.9
         assert 0.8 <= case.excited_mass_measured / predicted <= 1.2
         assert 0.8 <= case.band_mass_measured / predicted <= 1.2
-        lz = _lz_transfer(build_crossing_scenario(cfg), 1 / 32,
+        lz = _lz_transfer(build_crossing_scenario(self.CFG), 1 / 32,
                           case.times["crossing"])
         assert 0.8 <= lz / case.band_mass_measured <= 1.2
         _, _, measured, predicted_late = case.inner_rows[-1]
         assert 0.8 <= measured / predicted_late <= 1.2
+
+    def test_one_fiber_eigh_per_case(self, counted_case):
+        # the coarse and fine step-doubling runs and all nine band-mass
+        # projections share one batched eigh of the 14 * 32 fibers (the
+        # 2-D calls are the Bloch modes of the predicted packets)
+        case, shapes = counted_case
+        batched = [shape for shape in shapes if len(shape) == 3]
+        assert batched == [(14 * 32, case.ppw, case.ppw)]
+
+    def test_ppw_is_the_smallest_that_meets_the_tolerance(self, counted_case):
+        case, _ = counted_case
+        V = build_crossing_scenario(self.CFG).V
+        t_run = max(case.times.values())
+        tol = 0.01 * case.solver_target * case.epsilon / t_run
+        n_bands = self.CFG.band + 2
+        assert case.ppw == 20
+        assert (collocation_error(V, case.ppw, n_bands) <= tol
+                < collocation_error(V, case.ppw - 2, n_bands))
+
+
+class TestClearCaches:
+    def test_fiber_cache_is_emptied(self, monkeypatch):
+        # private caches, so the other tests keep their cached cases
+        for name in ("_SCENARIO_CACHE", "_CASE_CACHE"):
+            monkeypatch.setattr(harness, name, {})
+        for name in ("_FIBER_CACHE", "_PPW_LADDER"):
+            monkeypatch.setattr(direct, name, {})
+        grid = Grid(length=4, epsilon=1.0 / 8, ppw=16)
+        V = build_potential({"kind": "cosine", "amplitude": 4.0})
+        direct.band_mass(GridState(grid, np.ones(grid.n)), V)
+        direct.points_per_period(V, 3, 1e-10)
+        assert direct._FIBER_CACHE and direct._PPW_LADDER
+        harness.clear_caches()
+        assert direct._FIBER_CACHE == {} and direct._PPW_LADDER == {}
