@@ -5,14 +5,18 @@ H = 1/2 d2E k^2 + 1/2 d2W y^2, integrated by midpoint Strang splitting
 (kinetic part exact in frequency space).  a1 obeys the same flow with the
 cubic-correction source I(t) a0, I = 1/6 d3E k^3 + 1/6 d3W y^3; the two
 march together, a0 taking two half steps per a1 step so that each a1 step
-reads a0 at its midpoint, and only the current states are kept.  The Berry
-connection A = i <chi|d_p chi> would add dW/dq A to H and dW/dq d_pA k +
-d2W A y to I, but the eigenvectors are parallel-transported along p, so
-A = 0 and those terms vanish identically.  The envelope excited at a band
-crossing is a chirp convolution of the incident envelope, computed by a
-closed-form frequency route and an independent direct quadrature; its
-partial buildup in the fast time s is evaluated per frequency with Fresnel
-integrals, which also supply the exact lower-tail seed.
+reads a0 at its midpoint, and only the current states are kept.  Both
+marches take their step as an argument; the harness derives it by step
+doubling against the case's error target (harness.march_envelopes), since
+the coefficients vary on the O(1) time scale and the step owes nothing to
+eps.  The Berry connection A = i <chi|d_p chi> would add dW/dq A to H and
+dW/dq d_pA k + d2W A y to I, but the eigenvectors are parallel-transported
+along p, so A = 0 and those terms vanish identically.  The envelope
+excited at a band crossing is a chirp convolution of the incident envelope,
+computed by a closed-form frequency route and an independent direct
+quadrature; its partial buildup in the fast time s is evaluated per
+frequency with Fresnel integrals, which also supply the exact lower-tail
+seed.
 """
 from __future__ import annotations
 

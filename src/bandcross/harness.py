@@ -6,6 +6,10 @@ returns a StudyReport whose gates decide the process exit code.  Expensive
 direct runs are cached per (scenario, epsilon) so the pre-crossing, post-
 crossing and inner-window studies share a single propagation.
 
+Every resolution is derived from the case's own solver error target: the
+direct solve's grid and dt by plan_solver and its after-run step doubling,
+and each envelope march's step by step doubling in march_envelopes.
+
 Threads: a study runs its epsilons on a case pool of worker_count threads,
 capped by BCL_THREADS.  Each crossing case adds one solver thread of its
 own, which runs the direct solve while the case's thread builds the
@@ -45,6 +49,12 @@ XI_UPPER = 0.5
 FINE_EPS_FLOOR = 1.0 / 256.0   # finer sweeps are opt-in (runtime)
 TRAJECTORY_DT = 1e-4
 MAX_HALVINGS = 3          # dt halvings the step-doubling check may add
+# envelope marches (march_envelopes): the tolerance is ENVELOPE_SHARE of the
+# solver target, as for the ppw rule in plan_solver
+ENVELOPE_SHARE = 0.01
+ENVELOPE_START_STEPS = 16
+MAX_ENVELOPE_HALVINGS = 8
+ROUNDOFF_FLOOR = 1e-12    # packet norm; an exact march estimates ~1e-14
 
 # Every direct solve is checked by step doubling (propagate_richardson), and
 # its grid and dt come from plan_solver alone.
@@ -57,7 +67,6 @@ _SOLVER_DEFAULTS = {
     "strang_constant": 150.0,
     "error_budget": 0.075,      # solver error target as a fraction of signal
     "signal_prefactor": None,   # override the per-study signal scale
-    "envelope_dt": 2.5e-4,
     "dt_cap": 1e-3,
 }
 
@@ -467,7 +476,9 @@ def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
     their phase error over the run stays within 1% of the solver's error
     target.  The Bloch-decomposition step solves the fast potential
     exactly, so only W limits dt; accuracy is checked after the run by step
-    doubling.
+    doubling.  The envelope marches get the same 1% share
+    (ENVELOPE_SHARE * target), and march_envelopes derives their step from
+    it.
     """
     s = cfg.solver
     target = s["error_budget"] * signal
@@ -521,25 +532,76 @@ def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
 # -- envelope transport ----------------------------------------------------------
 
 
-def _evolve_envelopes_to(coeffs, a0: Envelope, a1: Envelope, times, dt):
-    """March (a0, a1) through the sorted times, yielding both at each stop.
+@dataclass
+class EnvelopeMarch:
+    """The accepted march of march_envelopes."""
 
-    Each gap between stops is one joint evolve_a1 march, which keeps only
-    the current states.  Returns ({stop: (a0, a1)}, peak envelope
-    boundary-mass fraction).
+    states: dict          # stop -> the marched envelopes at that stop
+    dt: float             # largest step of the accepted march
+    error: float          # its step-doubling estimate, in packet norm
+    boundary_mass: float  # peak edge-mass fraction over every march run
+
+
+def _march(coeffs, init: tuple, t0: float, stops, steps):
+    """One march of init, (a0,) or (a0, a1), from t0 through the stops.
+
+    The gap before stops[i] takes steps[i] steps: evolve_a0 marches a0
+    alone, evolve_a1 marches a0 and a1 together, and either keeps only the
+    current states.  Returns ([states at each stop], peak boundary mass).
     """
-    out = {}
-    peak = 0.0
-    t_now = float(a0.t)
-    for t_next in times:
-        if t_next < t_now - 1e-12:
-            raise ValueError("envelope stops must be increasing")
-        if t_next > t_now + 1e-12:
-            a0, a1, mass = evolve_a1(coeffs, a0, a1, (t_now, t_next), dt)
+    march = evolve_a0 if len(init) == 1 else evolve_a1
+    states, t_now, peak, out = init, t0, 0.0, []
+    for t_next, n in zip(stops, steps):
+        if n:
+            *states, mass = march(coeffs, *states, (t_now, t_next),
+                                  (t_next - t_now) / n)
             peak = max(peak, mass)
             t_now = t_next
-        out[t_next] = (a0, a1)
+        out.append(tuple(states))
     return out, peak
+
+
+def march_envelopes(coeffs, init: tuple, stops, weights: tuple,
+                    tol: float) -> EnvelopeMarch:
+    """March init through the sorted stops at a step chosen by step doubling.
+
+    The envelope coefficients vary on the O(1) time scale, so the step owes
+    nothing to eps.  The first march takes ENVELOPE_START_STEPS steps over
+    the span, each gap its share; every further march halves each gap's
+    step.  The estimate of a march is max over stops of
+    sum_i weights[i] ||fine_i - coarse_i|| / 3, the leading error of the
+    finer march in packet norm.  The finer march is accepted once its
+    estimate is <= tol and has fallen at least 2x since the previous
+    halving, so two coarse marches that agree by chance cannot pass, or is
+    below ROUNDOFF_FLOOR, where no fall can show.  The accepted states are
+    the fine march itself, not an extrapolation, so a0 stays exactly
+    unitary.  Raises SolverBudgetExceeded after MAX_ENVELOPE_HALVINGS.
+    """
+    t0, dy = float(init[0].t), init[0].dy
+    gaps = np.diff([t0, *stops])
+    if np.any(gaps < -1e-12):
+        raise ValueError("envelope stops must be increasing")
+    span = stops[-1] - t0
+    base = [int(np.ceil(ENVELOPE_START_STEPS * g / span - 1e-9))
+            if g > 1e-12 else 0 for g in gaps]
+    coarse, peak = _march(coeffs, init, t0, stops, base)
+    prev = 0.0    # no fall can show before the second estimate
+    for j in range(1, MAX_ENVELOPE_HALVINGS + 1):
+        steps = [n << j for n in base]
+        fine, mass = _march(coeffs, init, t0, stops, steps)
+        peak = max(peak, mass)
+        est = max(sum(w * np.linalg.norm(a.values - b.values)
+                      for w, a, b in zip(weights, sa, sb))
+                  for sa, sb in zip(coarse, fine)) * np.sqrt(dy) / 3.0
+        if est <= tol and (est <= 0.5 * prev or est <= ROUNDOFF_FLOOR):
+            break
+        coarse, prev = fine, est
+    else:
+        raise SolverBudgetExceeded(
+            f"envelope step-doubling estimate {est:.3e} exceeds the tolerance "
+            f"{tol:.3e} after {MAX_ENVELOPE_HALVINGS} halvings of the step")
+    dt = max((g / n for g, n in zip(gaps, steps) if n), default=0.0)
+    return EnvelopeMarch(dict(zip(stops, fine)), float(dt), float(est), peak)
 
 
 # -- the crossing-scenario case (shared by breakdown / crossing / inner) ---------
@@ -559,6 +621,8 @@ class CrossingCase:
     solver_target: float
     collar_mass: float             # peak collar mass fraction of the solve
     energy_drift: float            # max over both branch trajectories
+    envelope_dt: float             # finest accepted step of the marches
+    envelope_error: float          # their largest step-doubling estimate
     envelope_boundary_mass: float  # peak edge-mass fraction of the marches
     residual_norm: float = None
     overlap: float = None
@@ -677,9 +741,10 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         want_star = {"crossing", "inner"} & set(cfg.measurements)
         if want_star:
             stops.add(scenario.t_star)
-        env, boundary_mass = _evolve_envelopes_to(
-            scenario.coeffs_plus, a0_init, a1_init, sorted(stops),
-            cfg.solver["envelope_dt"])
+        tol = ENVELOPE_SHARE * plan.target
+        marches = [march_envelopes(scenario.coeffs_plus, (a0_init, a1_init),
+                                   sorted(stops), (1.0, np.sqrt(eps)), tol)]
+        env = marches[0].states
         wp1 = {label: branch_packet(plus, scenario.pair.plus, grid,
                                     times[label], *env[times[label]])
                for label in error_labels}
@@ -695,10 +760,10 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
             t_obs = times["crossing"]
             a_minus0 = excited_envelope(a_star, scenario.dqw_star,
                                         scenario.slope_gap, scenario.kappa)
-            a_minus, minus_mass = evolve_a0(
-                scenario.coeffs_minus, a_minus0, (scenario.t_star, t_obs),
-                cfg.solver["envelope_dt"])
-            boundary_mass = max(boundary_mass, minus_mass)
+            marches.append(march_envelopes(scenario.coeffs_minus,
+                                           (a_minus0,), [t_obs],
+                                           (np.sqrt(eps),), tol))
+            (a_minus,) = marches[-1].states[t_obs]
             pred = branch_packet(minus, scenario.pair.minus, grid, t_obs,
                                  a_minus)
 
@@ -725,7 +790,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         ppw=grid.ppw, times=times, errors=errors, solver_error=solver_error,
         solver_target=plan.target, collar_mass=result.collar_mass,
         energy_drift=max(plus.energy_drift, minus.energy_drift),
-        envelope_boundary_mass=boundary_mass,
+        **_envelope_diagnostics(marches),
     )
     if want_star:
         case.excited_mass_predicted = mass_pred
@@ -784,7 +849,16 @@ def _diagnostics(case) -> dict:
             "solver_target": case.solver_target,
             "collar_mass": case.collar_mass,
             "energy_drift": case.energy_drift,
+            "envelope_dt": case.envelope_dt,
+            "envelope_error": case.envelope_error,
             "envelope_boundary_mass": case.envelope_boundary_mass}
+
+
+def _envelope_diagnostics(marches) -> dict:
+    """The case fields of its envelope marches, the worst over them."""
+    return {"envelope_dt": min(m.dt for m in marches),
+            "envelope_error": max(m.error for m in marches),
+            "envelope_boundary_mass": max(m.boundary_mass for m in marches)}
 
 
 def _require_measurement(cfg: RunConfig, name: str):
@@ -961,6 +1035,8 @@ class IsolatedCase:
     solver_target: float
     collar_mass: float             # peak collar mass fraction of the solve
     energy_drift: float            # of the band-flow trajectory
+    envelope_dt: float             # accepted step of the envelope march
+    envelope_error: float          # its step-doubling estimate
     envelope_boundary_mass: float  # peak edge-mass fraction of the marches
     slope_check: float             # spline vs Hellmann-Feynman band slope
 
@@ -996,10 +1072,9 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     result, solver_error = propagate_richardson(psi0, V, W, prop_cfg,
                                                 plan.target)
     psi = result.snapshots[-1]
-    env, boundary_mass = _evolve_envelopes_to(coeffs, a0_init, a1_init,
-                                              [t_obs],
-                                              cfg.solver["envelope_dt"])
-    a0_t, a1_t = env[t_obs]
+    march = march_envelopes(coeffs, (a0_init, a1_init), [t_obs],
+                            (1.0, np.sqrt(eps)), ENVELOPE_SHARE * plan.target)
+    a0_t, a1_t = march.states[t_obs]
     rep1 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t, a1_t))
     rep0 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t))
     case = IsolatedCase(epsilon=eps, dt=result.dt, ppw=grid.ppw,
@@ -1010,7 +1085,7 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
                         solver_error=solver_error, solver_target=plan.target,
                         collar_mass=result.collar_mass,
                         energy_drift=traj.energy_drift,
-                        envelope_boundary_mass=boundary_mass,
+                        **_envelope_diagnostics([march]),
                         slope_check=band.slope_check)
     _CASE_CACHE[key] = case
     return case

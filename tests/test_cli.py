@@ -28,6 +28,12 @@ class TestLoadConfig:
             cli.main(["run", "isolated", "--config", path])
         assert exc.value.code == 2
 
+    def test_deleted_solver_key_is_a_usage_error(self, tmp_path):
+        path = write_config(tmp_path, {"solver": {"envelope_dt": 1e-3}})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "isolated", "--config", path])
+        assert exc.value.code == 2
+
     def test_other_study_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cli.load_config("isolated",
@@ -44,7 +50,8 @@ class TestRun:
         assert summary["passed"] is True
         assert summary["config"]["out_dir"] == str(out)
         header = (out / "isolated_rows.csv").read_text().splitlines()[0]
-        assert {"energy_drift", "envelope_boundary_mass"} <= set(
+        assert {"energy_drift", "envelope_dt", "envelope_error",
+                "envelope_boundary_mass"} <= set(
             header.split(","))
 
     def test_failed_gate_exits_nonzero(self, tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from bandcross.errors import (
     DegenerateSlopes,
     GridMismatch,
     GridOverflow,
+    SolverBudgetExceeded,
 )
 
 
@@ -306,14 +307,14 @@ class TestEnvelopeMarchMemory:
         g = gaussian_envelope(sigma=1.0, center=0.5, momentum=0.3,
                               half_width=24.0, n=768)
         a1 = Envelope(g.y, 0.1 * g.values)
-        stops, dt = [0.3, 0.58], 2e-3
-        got, peak = harness._evolve_envelopes_to(co, g, a1, stops, dt)
+        stops, steps = [0.3, 0.58], [150, 140]
+        got, peak = harness._march(co, (g, a1), 0.0, stops, steps)
         a0, ref_peak, t_now = g, 0.0, 0.0
-        for t in stops:
-            a0, a1, mass = evolve_a1(co, a0, a1, (t_now, t), dt)
+        for i, (t, n) in enumerate(zip(stops, steps)):
+            a0, a1, mass = evolve_a1(co, a0, a1, (t_now, t), (t - t_now) / n)
             ref_peak, t_now = max(ref_peak, mass), t
-            assert np.array_equal(got[t][0].values, a0.values)
-            assert np.array_equal(got[t][1].values, a1.values)
+            assert np.array_equal(got[i][0].values, a0.values)
+            assert np.array_equal(got[i][1].values, a1.values)
         assert peak == ref_peak
 
     def test_peak_is_far_below_a_stored_a0_path(self):
@@ -327,12 +328,85 @@ class TestEnvelopeMarchMemory:
             path_bytes = (2 * n_steps + 1) * g.values.nbytes
             tracemalloc.start()
             try:
-                harness._evolve_envelopes_to(co, g, a1, [t_stop],
-                                             t_stop / n_steps)
+                harness._march(co, (g, a1), 0.0, [t_stop], [n_steps])
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 0.1 * path_bytes, n_steps
+
+
+class TestMarchEnvelopes:
+    """The envelope step chosen by step doubling (harness.march_envelopes)."""
+
+    EPS = 1.0 / 32.0
+    TOL = 1e-7
+    D2E, D3E = 0.8, 0.5
+
+    def _derived(self, d2W):
+        co = OscillatorCoefficients.constant((0.0, 0.6), d2E=self.D2E,
+                                             d2W=d2W, d3E=self.D3E)
+        g = gaussian_envelope(sigma=1.0, center=0.5, momentum=0.3,
+                              half_width=10.0, n=128)
+        a1 = Envelope(g.y, 0.1 * g.values)
+        return g, a1, harness.march_envelopes(
+            co, (g, a1), [0.3, 0.6], (1.0, np.sqrt(self.EPS)), self.TOL)
+
+    def test_exact_solution_without_a_y_potential(self):
+        # constant d2E, d3E and d2W = d3W = 0:
+        #   a0^(t) = e^{-i d2E k^2 t/2} a0^(0)
+        #   a1^(t) = e^{-i d2E k^2 t/2} (a1^(0) - i t (d3E/6) k^3 a0^(0))
+        g, a1, march = self._derived(d2W=0.0)
+        k, spec0 = g.k_grid(), np.fft.fft(g.values)
+        assert march.error <= self.TOL
+        for t, (a0_t, a1_t) in march.states.items():
+            phase = np.exp(-0.5j * self.D2E * k ** 2 * t)
+            exact0 = np.fft.ifft(phase * spec0)
+            exact1 = np.fft.ifft(phase * (np.fft.fft(a1.values) - 1j * t
+                                          * self.D3E / 6.0 * k ** 3 * spec0))
+            assert l2_diff(a0_t, exact0) <= self.TOL
+            assert np.sqrt(self.EPS) * l2_diff(a1_t, exact1) <= self.TOL
+
+    def test_y_potential_needs_a_finer_step(self):
+        # with d2W != 0 the split y phase makes the march second order, so
+        # its step must shrink; the accepted march meets the tolerance
+        # against a march at a far finer step
+        _, _, free = self._derived(d2W=0.0)
+        g, a1, osc = self._derived(d2W=1.0)
+        assert osc.dt < free.dt
+        assert osc.error <= self.TOL
+        co = OscillatorCoefficients.constant((0.0, 0.6), d2E=self.D2E,
+                                             d2W=1.0, d3E=self.D3E)
+        a0_ref, a1_ref, _ = evolve_a1(co, g, a1, (0.0, 0.6), 0.6 / 2048)
+        a0_t, a1_t = osc.states[0.6]
+        err = (l2_diff(a0_t, a0_ref.values)
+               + np.sqrt(self.EPS) * l2_diff(a1_t, a1_ref.values))
+        assert err <= self.TOL
+
+    def test_first_estimate_is_never_accepted(self):
+        # whatever the tolerance, the march runs at 16, 32 and 64 steps
+        # before a fall of the estimate can show; the boundary mass is the
+        # peak over all three marches
+        co = OscillatorCoefficients.constant((0.0, 0.6), d2E=1.0, d2W=1.0)
+        g = gaussian_envelope(sigma=1.0, center=2.0, half_width=10.0, n=128)
+        march = harness.march_envelopes(co, (g,), [0.3, 0.6], (1.0,), 1.0)
+        assert march.dt == pytest.approx(0.6 / 64)
+        peaks = [harness._march(co, (g,), 0.0, [0.3, 0.6], [n, n])[1]
+                 for n in (8, 16, 32)]
+        assert march.boundary_mass == max(peaks) > 0.0
+
+    def test_unreachable_tolerance_raises(self):
+        co = OscillatorCoefficients.constant((0.0, 0.6), d2E=1.0, d2W=1.0)
+        g = gaussian_envelope(sigma=1.0, center=0.5, half_width=12.0, n=128)
+        with pytest.raises(SolverBudgetExceeded,
+                           match=r"estimate \d\.\d{3}e-\d+ exceeds the "
+                                 r"tolerance 1\.000e-300 after 8 halvings"):
+            harness.march_envelopes(co, (g,), [0.6], (1.0,), 1e-300)
+
+    def test_stops_must_increase(self):
+        co = OscillatorCoefficients.constant((0.0, 0.6), d2E=1.0)
+        g = gaussian_envelope(sigma=1.0, half_width=12.0, n=128)
+        with pytest.raises(ValueError):
+            harness.march_envelopes(co, (g,), [0.4, 0.2], (1.0,), 1.0)
 
 
 class TestBoundaryMass:

@@ -121,6 +121,11 @@ class TestRunConfig:
             with pytest.raises(ValueError):
                 RunConfig(solver=solver)
 
+    def test_envelope_dt_is_not_a_solver_key(self):
+        # the envelope step is derived by step doubling (march_envelopes)
+        with pytest.raises(ValueError, match="unknown solver keys"):
+            RunConfig(solver={"envelope_dt": 1e-3})
+
     def test_measurements_validated(self):
         with pytest.raises(ValueError):
             RunConfig(measurements=("breakdown", "spectral"))
@@ -345,6 +350,10 @@ class TestTrivialCrossing:
             assert row["energy_drift"] == drift
             assert row["ppw"] == trivial_cfg.ppw
             assert 0.0 < row["envelope_boundary_mass"] <= BOUNDARY_TOL
+            assert 0.0 < row["envelope_error"] <= (harness.ENVELOPE_SHARE
+                                                   * row["solver_target"])
+            # the accepted march halved the first step at least once
+            assert 0.0 < row["envelope_dt"] <= row["breakdown_xi_time"] / 32
 
     def test_summary_records_the_scenario_diagnostics(self, trivial_cfg):
         rep = run_breakdown_study(trivial_cfg)
