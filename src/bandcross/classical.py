@@ -30,25 +30,6 @@ TWO_PI = 2.0 * np.pi
 DELTA_PRIME = 0.1   # widest backward stitch of the minus branch before t*
 
 
-class ParabolicBand:
-    """Analytic band E(p) = 1/2 (p - center)^2 on the whole line."""
-
-    def __init__(self, center: float = 0.0):
-        self.center = float(center)
-        self.p_min = -np.inf
-        self.p_max = np.inf
-
-    def energy(self, p):
-        return 0.5 * (np.asarray(p) - self.center) ** 2
-
-    def slope(self, p):
-        return np.asarray(p) - self.center
-
-    def energy_slope(self, p: float) -> tuple[float, float]:
-        d = p - self.center
-        return 0.5 * d ** 2, d
-
-
 class SplineBand:
     """Cubic-spline interpolant of a sampled band path.
 

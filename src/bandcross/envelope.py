@@ -13,10 +13,9 @@ eps.  The Berry connection A = i <chi|d_p chi> would add dW/dq A to H and
 dW/dq d_pA k + d2W A y to I, but the eigenvectors are parallel-transported
 along p, so A = 0 and those terms vanish identically.  The envelope
 excited at a band crossing is a chirp convolution of the incident envelope,
-computed by a closed-form frequency route and an independent direct
-quadrature; its partial buildup in the fast time s is evaluated per
-frequency with Fresnel integrals, which also supply the exact lower-tail
-seed.
+computed in closed form per frequency; its partial buildup in the fast time
+s is evaluated per frequency with Fresnel integrals, which also supply the
+exact lower-tail seed.
 """
 from __future__ import annotations
 
@@ -279,77 +278,23 @@ def _chirp_params(dqW_star: float, slope_gap: float,
 
 
 def excited_envelope(a_star: Envelope, dqW_star: float, slope_gap: float,
-                     coupling: complex, route: str = "spectral") -> Envelope:
+                     coupling: complex) -> Envelope:
     """Excited-branch envelope at the crossing time.
 
     a_minus(y) = dqW* kappa  Integral  e^{i dqW* sg tau^2 / 2}
                                        a*(y - sg tau) d tau
 
-    route="spectral": per-frequency closed form (complete Fresnel phase).
-    route="quadrature": direct chirp-kernel convolution with composite
-    Simpson weights and a smooth endpoint taper, fully independent of the
-    frequency route.
+    evaluated per frequency in closed form (complete Fresnel phase).
     """
     a_coef = _chirp_params(dqW_star, slope_gap)
-    if route == "spectral":
-        k = a_star.k_grid()
-        # Integral e^{i a tau^2 - i k sg tau} d tau
-        #   = sqrt(pi/|a|) e^{i sgn(a) pi/4} e^{-i (k sg)^2/(4a)}
-        factor = (np.sqrt(np.pi / abs(a_coef))
-                  * np.exp(1j * np.sign(a_coef) * np.pi / 4.0)
-                  * np.exp(-0.25j * (k * slope_gap) ** 2 / a_coef))
-        vals = dqW_star * coupling * np.fft.ifft(factor * np.fft.fft(a_star.values))
-        return Envelope(a_star.y, vals, t=a_star.t)
-    if route == "quadrature":
-        return _excited_by_quadrature(a_star, dqW_star, slope_gap, coupling,
-                                      a_coef)
-    raise ValueError(f"unknown route {route!r}")
-
-
-def _excited_by_quadrature(a_star, dqW_star, slope_gap, coupling, a_coef,
-                           refine: int = 4):
-    """Direct convolution with the chirp kernel K(u) = e^{i a u^2/sg^2}/sg."""
-    y, dy = a_star.y, a_star.dy
-    # band-limited refinement of a* onto an r-times finer grid, fine enough
-    # to resolve the chirp phase over the whole grid (>= 10 points per pi)
-    r = refine
-    rate = 2.0 * abs(a_coef) * a_star.half_width / slope_gap ** 2
-    while np.pi / (rate * dy / r + 1e-300) < 10 and r < 64:
-        r *= 2
-    fine_vals = _spectral_refine(a_star.values, r)
-    du = dy / r
-    m = fine_vals.size
-    # kernel support must cover [y - supp, y + supp] for every y on the
-    # grid, supp being the numerical support radius of a*: pad beyond the
-    # y window so the oscillatory cancellation is never cut mid-envelope
-    amax = np.max(np.abs(fine_vals))
-    alive = np.nonzero(np.abs(fine_vals) > 1e-14 * amax)[0]
-    y_fine = y[0] + du * np.arange(m)
-    supp = max(abs(y_fine[alive[0]]), abs(y_fine[alive[-1]]))
-    pad_cells = int(np.ceil((supp + 4.0) / du))
-    if (m + 2 * pad_cells) % 2 == 0:
-        pad_cells += 1
-    mk = m + 2 * pad_cells
-    u = -(a_star.half_width + pad_cells * du) + du * np.arange(mk)
-    kern = np.exp(1j * (a_coef / slope_gap ** 2) * u ** 2) / slope_gap
-    # composite Simpson weights (mk odd) over the kernel support
-    w = np.ones(mk)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= du / 3.0
-    # smooth endpoint damping, confined to the pad so no on-grid y loses
-    # kernel coverage of the envelope support
-    n_taper = max(4, int(round(2.0 / du)))
-    ramp = np.sin(0.5 * np.pi * np.arange(n_taper) / n_taper) ** 2
-    w[:n_taper] *= ramp
-    w[-n_taper:] *= ramp[::-1]
-    # alignment: a* index i sits at y = -Y + i du, kernel index l at
-    # u = -(Y + pad) + l du, so the result at y index j is the full linear
-    # convolution at index j + m//2 + pad_cells
-    conv = np.convolve(fine_vals, kern * w)
-    start = m // 2 + pad_cells
-    vals = dqW_star * coupling * conv[start: start + m: r]
-    return Envelope(y, vals, t=a_star.t)
+    k = a_star.k_grid()
+    # Integral e^{i a tau^2 - i k sg tau} d tau
+    #   = sqrt(pi/|a|) e^{i sgn(a) pi/4} e^{-i (k sg)^2/(4a)}
+    factor = (np.sqrt(np.pi / abs(a_coef))
+              * np.exp(1j * np.sign(a_coef) * np.pi / 4.0)
+              * np.exp(-0.25j * (k * slope_gap) ** 2 / a_coef))
+    vals = dqW_star * coupling * np.fft.ifft(factor * np.fft.fft(a_star.values))
+    return Envelope(a_star.y, vals, t=a_star.t)
 
 
 def _spectral_refine(values: np.ndarray, r: int) -> np.ndarray:

@@ -145,15 +145,22 @@ class EllipticParams:
         return eisenstein_invariants(self.omega_prime)
 
 
-def _nearest_pole_distance(z: complex, omega_prime: float) -> float:
-    """Distance from z to the period lattice {m + 2 i n w'}."""
-    x, y = z.real, z.imag
+def _check_poles(z: np.ndarray, omega_prime: float, pole_tol: float) -> None:
+    """Raise PoleProximity naming the first z within pole_tol of the lattice.
+
+    The lattice is {m + 2 i n w'}; each z is compared with the four lattice
+    points at the corners of its cell.
+    """
+    flat = np.atleast_1d(z).ravel()
+    x, y = flat.real, flat.imag
     dy = 2.0 * omega_prime
-    best = np.inf
+    dist = np.full(flat.shape, np.inf)
     for mm in (np.floor(x), np.ceil(x)):
         for nn in (np.floor(y / dy), np.ceil(y / dy)):
-            best = min(best, np.hypot(x - mm, y - nn * dy))
-    return float(best)
+            dist = np.minimum(dist, np.hypot(x - mm, y - nn * dy))
+    close = np.flatnonzero(dist < pole_tol)
+    if close.size:
+        raise PoleProximity(f"z = {flat[close[0]]} is within {pole_tol} of a pole")
 
 
 def _row_sum(z, omega_prime: float, term, tol: float = 1e-16, max_rows: int = 400):
@@ -179,9 +186,7 @@ def weierstrass_p(z, params: EllipticParams, pole_tol: float = 1e-6):
     """
     w = params.omega_prime
     zz = np.asarray(z, dtype=complex)
-    for val in np.atleast_1d(zz).ravel():
-        if _nearest_pole_distance(complex(val), w) < pole_tol:
-            raise PoleProximity(f"z = {val} is within {pole_tol} of a pole")
+    _check_poles(zz, w, pole_tol)
 
     pi = np.pi
 
@@ -203,9 +208,7 @@ def weierstrass_p_prime(z, params: EllipticParams, pole_tol: float = 1e-6):
     """Derivative wp'(z) = -2 sum_Omega 1/(z-Omega)^3 by the same row summation."""
     w = params.omega_prime
     zz = np.asarray(z, dtype=complex)
-    for val in np.atleast_1d(zz).ravel():
-        if _nearest_pole_distance(complex(val), w) < pole_tol:
-            raise PoleProximity(f"z = {val} is within {pole_tol} of a pole")
+    _check_poles(zz, w, pole_tol)
 
     pi = np.pi
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandcross import bloch
 from bandcross.ansatz import path_dp_chi
 from bandcross.bloch import (
     assemble,
@@ -26,6 +27,7 @@ from bandcross.bloch import (
 from bandcross.errors import (
     IsolationFailure,
     NoCrossing,
+    NotLinearCrossing,
     OverlapCollapse,
     SingularResolvent,
     TruncationTooSmall,
@@ -365,6 +367,124 @@ class TestSmoothContinuation:
         with pytest.raises(NoCrossing):
             smooth_continuation(one_gap, 1, np.pi, halfwidth=0.2,
                                 n_samples=41, m_cut=32)
+
+
+def reference_table(V, p, band_index, m_cut):
+    """Per-sample oracle: eigensolve and the scalar second-order sum.
+
+    band_index[i] is the 0-based band whose energy, eigenvector, Hellmann-
+    Feynman slope and E'' = 1 + 2 sum_k |<k|v|i>|^2 / (E_i - E_k) are taken at
+    p[i].
+    """
+    m = np.arange(-m_cut, m_cut + 1)
+    energies, chi, dE, d2E = [], [], [], []
+    for pi, i in zip(p, band_index):
+        evals, vecs = eigensolve(V, float(pi), m.size, m_cut)
+        vel = pi + TWO_PI * m
+        amps = vecs.conj() @ (vel * vecs[i])
+        d2 = 1.0
+        for k in range(m.size):
+            if k != i:
+                d2 += 2.0 * abs(amps[k]) ** 2 / (evals[i] - evals[k])
+        energies.append(evals[i])
+        chi.append(vecs[i])
+        dE.append(np.sum(vel * np.abs(vecs[i]) ** 2))
+        d2E.append(d2)
+    return (np.array(energies), np.array(chi), np.array(dE), np.array(d2E))
+
+
+def assert_matches_reference(path, rows, band_index, m_cut):
+    p = path.p_samples[rows]
+    energies, chi, dE, d2E = reference_table(path.potential, p, band_index,
+                                             m_cut)
+    assert np.max(np.abs(path.energies[rows] - energies)) < 1e-12
+    overlap = np.abs(np.sum(chi.conj() * path.chi[rows], axis=1))
+    assert np.min(overlap) > 1 - 1e-12
+    assert np.max(np.abs(path.dE[rows] - dE)) < 1e-10
+    assert np.max(np.abs(path.d2E[rows] - d2E) / np.abs(d2E)) < 1e-12
+
+
+TABLES = ("p_samples", "energies", "chi", "dE", "d2E", "d3E")
+
+
+class TestBatchedTables:
+    """The blocked assembly and eigh against a per-sample reference."""
+
+    def test_band_path_matches_per_sample_reference(self, one_gap):
+        path = band_path(one_gap, 1, (0.5, 2.5), n_samples=201, m_cut=32)
+        rows = np.arange(path.p_samples.size)
+        assert_matches_reference(path, rows, np.zeros(rows.size, int), 32)
+
+    def test_pair_matches_per_sample_reference(self, one_gap_pair):
+        # band 2 below p* = 0 and band 3 above for the plus branch; the
+        # crossing fiber itself is split by velocity and checked elsewhere
+        p = one_gap_pair.p_samples
+        rows = np.flatnonzero(np.arange(p.size) != one_gap_pair.i_star)
+        below = p[rows] < one_gap_pair.p_star
+        assert_matches_reference(one_gap_pair.plus, rows,
+                                 np.where(below, 1, 2), 32)
+        assert_matches_reference(one_gap_pair.minus, rows,
+                                 np.where(below, 2, 1), 32)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_leaves_tables_unchanged(self, one_gap, one_gap_pair,
+                                                monkeypatch, block):
+        path = band_path(one_gap, 1, (0.5, 2.5), n_samples=201, m_cut=32)
+        monkeypatch.setattr(bloch, "_BLOCK", block)
+        pair = smooth_continuation(one_gap, 2, 0.0, halfwidth=0.5,
+                                   n_samples=201, m_cut=32)
+        blocked = band_path(one_gap, 1, (0.5, 2.5), n_samples=201, m_cut=32)
+        for ours, ref in ((pair.plus, one_gap_pair.plus),
+                          (pair.minus, one_gap_pair.minus), (blocked, path)):
+            for name in TABLES:
+                assert np.array_equal(getattr(ours, name), getattr(ref, name))
+        assert (pair.slope_plus, pair.slope_minus, pair.margin) == (
+            one_gap_pair.slope_plus, one_gap_pair.slope_minus,
+            one_gap_pair.margin)
+
+    def test_free_pair_builds_without_floating_point_exceptions(self):
+        # the crossing fiber is degenerate: its second-order sums must skip
+        # the partner branch instead of dividing 0 by 0
+        with np.errstate(all="raise"):
+            pair = smooth_continuation(free_potential(), 1, np.pi,
+                                       halfwidth=0.4, n_samples=161, m_cut=16)
+        assert np.all(np.isfinite(pair.plus.d2E))
+        assert np.all(np.isfinite(pair.minus.d3E))
+
+    @pytest.mark.parametrize("block", [1, 7, 128])
+    def test_isolation_failure_names_the_first_offending_p(
+            self, one_gap, monkeypatch, block):
+        # bands 2 and 3 touch at p = 0: samples from p = -0.015 on fall
+        # under the floor, and the message names the first of them
+        monkeypatch.setattr(bloch, "_BLOCK", block)
+        with pytest.raises(IsolationFailure,
+                           match=r"band 2 gap 1\.88e-01 at p=-0\.015000 "):
+            band_path(one_gap, 2, (-0.5, 0.5), n_samples=201, m_cut=32,
+                      isolation_floor=0.2)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_window_shrinks_until_the_pair_is_isolated(self, one_gap,
+                                                       monkeypatch, block):
+        # bands 3 and 4 approach towards p = pi: at halfwidth 2 the margin
+        # reads 7.19, at halfwidth 1 it reads 13.47
+        monkeypatch.setattr(bloch, "_BLOCK", block)
+        pair = smooth_continuation(one_gap, 2, 0.0, halfwidth=2.0,
+                                   n_samples=201, m_cut=32,
+                                   isolation_floor=10.0)
+        assert pair.halfwidth == 1.0
+        assert pair.margin == pytest.approx(13.467306469771934, rel=1e-12)
+        with pytest.raises(IsolationFailure, match="not isolable"):
+            smooth_continuation(one_gap, 2, 0.0, halfwidth=2.0,
+                                n_samples=201, m_cut=32, isolation_floor=20.0)
+
+    def test_crossing_checks_survive_blocking(self, one_gap, monkeypatch):
+        monkeypatch.setattr(bloch, "_BLOCK", 7)
+        with pytest.raises(NoCrossing):
+            smooth_continuation(one_gap, 1, np.pi, halfwidth=0.2,
+                                n_samples=41, m_cut=32)
+        with pytest.raises(NotLinearCrossing):
+            smooth_continuation(one_gap, 2, 0.0, halfwidth=0.2, n_samples=41,
+                                m_cut=32, slope_floor=100.0)
 
 
 class TestCoupling:

@@ -11,7 +11,6 @@ import pytest
 from bandcross.bloch import BandPath, band_path, smooth_continuation
 from bandcross.classical import (
     ExtendedTrajectory,
-    ParabolicBand,
     SplineBand,
     Trajectory,
     detect_crossing_time,
@@ -36,6 +35,25 @@ from bandcross.potential import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+class ParabolicBand:
+    """Analytic band E(p) = 1/2 (p - center)^2 on the whole line."""
+
+    def __init__(self, center: float = 0.0):
+        self.center = float(center)
+        self.p_min = -np.inf
+        self.p_max = np.inf
+
+    def energy(self, p):
+        return 0.5 * (np.asarray(p) - self.center) ** 2
+
+    def slope(self, p):
+        return np.asarray(p) - self.center
+
+    def energy_slope(self, p: float) -> tuple[float, float]:
+        d = p - self.center
+        return 0.5 * d ** 2, d
 
 
 def free_potential():

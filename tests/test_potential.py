@@ -132,6 +132,14 @@ class TestWeierstrass:
         with pytest.raises(PoleProximity):
             weierstrass_p(1.0 + 1.0000000001j, par)  # lattice point 1 + 2i w'
 
+    def test_pole_proximity_names_the_first_point_of_an_array(self):
+        par = EllipticParams(1, 0.5)
+        z = np.array([[0.3 + 0.1j, 2.0 + 1e-8j],
+                      [1.0 + 1.0000000001j, 0.5j]])
+        for f in (weierstrass_p, weierstrass_p_prime):
+            with pytest.raises(PoleProximity, match=r"z = \(2\+1e-08j\) "):
+                f(z, par)
+
     def test_lemniscatic_g3_vanishes(self):
         # square lattice (w' = 1/2): g3 = 0 by symmetry
         g2, g3 = eisenstein_invariants(0.5)
