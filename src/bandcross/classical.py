@@ -3,14 +3,18 @@
 The flow q' = dE/dp, p' = -dW/dq is integrated with a fixed-step RK4 scheme
 (reproducible event times), the action S' = p dE/dp - E - W accumulated
 alongside, and crossing times located by root-finding on a Hermite
-interpolant of p(t).  Extended branch trajectories re-use the smooth band
-pair: the plus branch flows straight through the crossing, the minus branch
-is launched at the crossing point with the opposite-slope branch.
+interpolant of p(t).  Each trajectory keeps the band spline it was
+integrated on and builds its (q, p, S) interpolant once, on first use.
+Through a crossing each smooth branch is integrated once, forward: the plus
+branch from the initial data straight through the crossing, the minus
+branch from the crossing point (q*, p*, S*) at t* on the opposite-slope
+branch.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
@@ -27,7 +31,7 @@ from .errors import (
 from .potential import ExternalPotential
 
 TWO_PI = 2.0 * np.pi
-DELTA_PRIME = 0.1   # widest backward stitch of the minus branch before t*
+ENERGY_TOL = 1e-9   # E(p) + W(q) drift allowed, relative to its scale
 
 
 class SplineBand:
@@ -97,35 +101,37 @@ class Trajectory:
     q: np.ndarray
     p: np.ndarray
     S: np.ndarray
-    band: str
-    t_star: float | None = None
-    q_star: float | None = None
-    p_star: float | None = None
+    band: SplineBand     # the band the flow was integrated on
     energy_drift: float = 0.0
+
+    @cached_property
+    def splines(self) -> tuple[CubicSpline, CubicSpline, CubicSpline]:
+        """Cubic splines of q, p and S over t_grid, built on first use."""
+        return tuple(CubicSpline(self.t_grid, y)
+                     for y in (self.q, self.p, self.S))
 
     def state_at(self, t: float) -> tuple[float, float, float]:
         """Cubic interpolation of (q, p, S) at an off-grid time."""
-        qs = CubicSpline(self.t_grid, self.q)
-        ps = CubicSpline(self.t_grid, self.p)
-        ss = CubicSpline(self.t_grid, self.S)
+        qs, ps, ss = self.splines
         return float(qs(t)), float(ps(t)), float(ss(t))
 
 
 @dataclass
 class ExtendedTrajectory:
-    """Smooth plus/minus branch trajectories stitched through a crossing."""
+    """Smooth plus/minus branch trajectories through a crossing at t*."""
 
     plus: Trajectory
     minus: Trajectory
+    t_star: float
+    q_star: float
 
 
 def integrate_flow(band, W: ExternalPotential, q0: float, p0: float,
-                   t_span, dt: float, band_label: str = "",
-                   s0: float = 0.0, energy_tol: float = 1e-9) -> Trajectory:
+                   t_span, dt: float, s0: float = 0.0) -> Trajectory:
     """Fixed-step RK4 for q' = dE/dp, p' = -dW/dq, S' = p dE/dp - E - W.
 
     The step count is rounded so the span is covered exactly; the invariant
-    E(p) + W(q) is monitored and a drift beyond energy_tol (relative to the
+    E(p) + W(q) is monitored and a drift beyond ENERGY_TOL (relative to the
     scale of the initial value) raises ConvergenceFailure.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -160,12 +166,12 @@ def integrate_flow(band, W: ExternalPotential, q0: float, p0: float,
     H = band.energy(p) + np.asarray(W.w(q), dtype=float)
     drift = float(np.max(np.abs(H - H[0])))
     scale = max(1.0, abs(float(H[0])))
-    if drift > energy_tol * scale:
+    if drift > ENERGY_TOL * scale:
         raise ConvergenceFailure(
-            f"energy drift {drift:.2e} exceeds {energy_tol:.1e} x {scale:.1f}; "
+            f"energy drift {drift:.2e} exceeds {ENERGY_TOL:.1e} x {scale:.1f}; "
             "reduce dt"
         )
-    return Trajectory(t, q, p, S, band_label, energy_drift=drift)
+    return Trajectory(t, q, p, S, band, energy_drift=drift)
 
 
 def detect_crossing_time(traj: Trajectory, p_star: float, W: ExternalPotential,
@@ -210,58 +216,28 @@ def detect_crossing_time(traj: Trajectory, p_star: float, W: ExternalPotential,
 
 
 def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
-                            incoming: Trajectory, T: float,
-                            dt: float = 1e-3) -> ExtendedTrajectory:
-    """Build the smooth plus/minus branch trajectories through the crossing.
+                            q0: float, p0: float, s0: float, T: float,
+                            dt: float) -> ExtendedTrajectory:
+    """Integrate both smooth branches through the crossing, each once.
 
-    The plus branch re-integrates the incoming initial data with the smooth
-    E_+ interpolant over [t0, T] (identical to the raw band flow away from
-    p_star); the minus branch launches from (q*, p*) at t* with E_- and the
-    action seeded at S* in both time directions.
+    The plus branch flows from (q0, p0, S = s0) at t = 0 to T on the E_+
+    interpolant (identical to the raw band flow away from p_star), and t*
+    is where its p reaches p_star.  The minus branch, on E_-, starts from
+    the plus state (q*, p*, S*) at t* and runs forward to T.  Either branch
+    reaching the next image of p_star before T raises SecondCrossing.
     """
-    band_plus = SplineBand(pair.plus)
-    band_minus = SplineBand(pair.minus)
-    t0 = float(incoming.t_grid[0])
-    q0, p0 = float(incoming.q[0]), float(incoming.p[0])
-    s0 = float(incoming.S[0])
-
-    plus = integrate_flow(band_plus, W, q0, p0, (t0, T), dt,
-                          band_label="+", s0=s0)
+    plus = integrate_flow(SplineBand(pair.plus), W, q0, p0, (0.0, T), dt,
+                          s0=s0)
     t_star, q_star = detect_crossing_time(plus, pair.p_star, W)
     _, p_at_star, s_star = plus.state_at(t_star)
-
-    span_p = np.max(np.abs(plus.p - pair.p_star))
-    if span_p >= TWO_PI - 1e-9:
+    if np.max(np.abs(plus.p - pair.p_star)) >= TWO_PI - 1e-9:
         raise SecondCrossing(
             "plus branch reaches the next image of the crossing before T"
         )
-
-    # shrink the backward stitching width until p_-([t*-delta', t*]) stays
-    # inside the sampled pair window
-    dprime = DELTA_PRIME
-    pdot_star = -float(W.dw(q_star))
-    halfwidth = pair.halfwidth
-    while dprime > 1e-6 and abs(pdot_star) * dprime > 0.9 * halfwidth:
-        dprime *= 0.5
-
-    fwd = integrate_flow(band_minus, W, q_star, p_at_star, (t_star, T), dt,
-                         band_label="-", s0=s_star)
-    back = integrate_flow(band_minus, W, q_star, p_at_star,
-                          (t_star, t_star - dprime), dt,
-                          band_label="-", s0=s_star)
-    t_m = np.concatenate([back.t_grid[::-1][:-1], fwd.t_grid])
-    minus = Trajectory(
-        t_m,
-        np.concatenate([back.q[::-1][:-1], fwd.q]),
-        np.concatenate([back.p[::-1][:-1], fwd.p]),
-        np.concatenate([back.S[::-1][:-1], fwd.S]),
-        band="-",
-        t_star=t_star, q_star=q_star, p_star=pair.p_star,
-        energy_drift=max(fwd.energy_drift, back.energy_drift),
-    )
+    minus = integrate_flow(SplineBand(pair.minus), W, q_star, p_at_star,
+                           (t_star, T), dt, s0=s_star)
     if np.max(np.abs(minus.p - pair.p_star)) >= TWO_PI - 1e-9:
         raise SecondCrossing(
             "minus branch reaches the next image of the crossing before T"
         )
-    plus = replace(plus, t_star=t_star, q_star=q_star, p_star=pair.p_star)
-    return ExtendedTrajectory(plus=plus, minus=minus)
+    return ExtendedTrajectory(plus, minus, t_star, q_star)

@@ -41,6 +41,7 @@ from .potential import PeriodicPotential, evaluate_periodic
 
 TWO_PI = 2.0 * np.pi
 HALF_STEP_PHASE_LIMIT = 0.5   # rad of split-off potential phase per half-step
+COLLAR = 1.0                  # width of the blend that periodizes W
 COLLAR_MASS_TOL = 1e-8
 
 
@@ -53,7 +54,7 @@ def _smoothstep(s: np.ndarray) -> np.ndarray:
     return f / (f + g)
 
 
-def periodize_external(W, grid: Grid, collar: float = 1.0) -> np.ndarray:
+def periodize_external(W, grid: Grid, collar: float = COLLAR) -> np.ndarray:
     """Sample W on the grid, blended to its x - L translate over the collar.
 
     The blend W + sigma((x - L + c)/c) (W(x - L) - W(x)) agrees with W to all
@@ -73,11 +74,10 @@ def periodize_external(W, grid: Grid, collar: float = 1.0) -> np.ndarray:
     return w
 
 
-def grid_potential(V: PeriodicPotential, W, grid: Grid,
-                   collar: float = 1.0) -> np.ndarray:
+def grid_potential(V: PeriodicPotential, W, grid: Grid) -> np.ndarray:
     """V(x/eps) + W(x) on the grid, W periodized over the collar."""
     u = evaluate_periodic(V, np.round(np.mod(grid.x / grid.epsilon, 1.0), 12))
-    return u.real + periodize_external(W, grid, collar)
+    return u.real + periodize_external(W, grid)
 
 
 @dataclass
@@ -87,7 +87,6 @@ class PropagatorConfig:
     dt: float
     t_final: float
     snapshot_times: tuple = ()
-    collar: float = 1.0
     check_collar: bool = True
 
     def __post_init__(self):
@@ -113,7 +112,6 @@ class PropagatorConfig:
 @dataclass
 class PropagationResult:
     snapshots: list
-    norms: np.ndarray
     norm_drift_rate: float
     n_steps: int
     dt: float
@@ -145,7 +143,7 @@ def _split_run(psi0: GridState, cfg: PropagatorConfig, half: np.ndarray,
     snap_steps = sorted({int(round(t / dt)) for t in cfg.snapshot_times}
                         | {n_steps})
     full = half * half
-    collar_idx = grid.x >= grid.length - cfg.collar
+    collar_idx = grid.x >= grid.length - COLLAR
 
     psi = psi0.values.copy()
     norm0 = psi0.norm()
@@ -182,7 +180,7 @@ def _split_run(psi0: GridState, cfg: PropagatorConfig, half: np.ndarray,
     ts = np.array([s.t for s in snapshots])
     pos = ts > 0
     drift = float(np.max(np.abs(norms[pos] - norm0) / ts[pos])) if np.any(pos) else 0.0
-    return PropagationResult(snapshots, norms, drift, n_steps, dt, collar_peak)
+    return PropagationResult(snapshots, drift, n_steps, dt, collar_peak)
 
 
 def _collocation(V: PeriodicPotential, ppw: int, p: np.ndarray) -> np.ndarray:
@@ -289,7 +287,7 @@ def propagate(psi0: GridState, V: PeriodicPotential, W,
     grid = psi0.grid
     lk, ppw = grid.length * grid.k_inv, grid.ppw
     _, dt = cfg.steps()
-    half = _half_phase(periodize_external(W, grid, cfg.collar), dt,
+    half = _half_phase(periodize_external(W, grid), dt,
                        grid.epsilon, "external potential")
     fiber = _fiber_propagators(V, grid, dt)
 
@@ -307,7 +305,7 @@ def propagate_strang(psi0: GridState, V: PeriodicPotential, W,
     grid = psi0.grid
     eps = grid.epsilon
     _, dt = cfg.steps()
-    half = _half_phase(grid_potential(V, W, grid, cfg.collar), dt, eps,
+    half = _half_phase(grid_potential(V, W, grid), dt, eps,
                        "potential")
     kin_full = np.exp(-1j * dt * eps * grid.wavenumbers() ** 2 / 2.0)
 
@@ -321,7 +319,6 @@ def propagate_strang(psi0: GridState, V: PeriodicPotential, W,
 class ErrorReport:
     plain: float
     phase_optimized: float
-    optimal_phase: float
 
 
 def l2_error(psi: GridState, ansatz: GridState) -> ErrorReport:
@@ -335,7 +332,7 @@ def l2_error(psi: GridState, ansatz: GridState) -> ErrorReport:
     n2 = np.sum(np.abs(psi.values) ** 2) * dx + \
         np.sum(np.abs(ansatz.values) ** 2) * dx
     opt = float(np.sqrt(max(n2 - 2.0 * abs(inner), 0.0)))
-    return ErrorReport(plain, opt, float(-np.angle(inner)))
+    return ErrorReport(plain, opt)
 
 
 # -- band-mass projection ----------------------------------------------------

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import __version__, direct
 from .ansatz import (Grid, GridState, WavepacketParams, assemble_wp0,
@@ -67,7 +66,6 @@ _SOLVER_DEFAULTS = {
     "strang_constant": 150.0,
     "error_budget": 0.075,      # solver error target as a fraction of signal
     "signal_prefactor": None,   # override the per-study signal scale
-    "dt_cap": 1e-3,
 }
 
 
@@ -416,10 +414,6 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
                                halfwidth=cfg.pair_halfwidth,
                                n_samples=cfg.pair_samples, m_cut=cfg.m_cut)
     kappa = coupling_coefficient(pair)
-    band_plus = SplineBand(pair.plus)
-    stub = integrate_flow(band_plus, W, cfg.q0, cfg.p0,
-                          (0.0, 0.01), TRAJECTORY_DT, band_label="+",
-                          s0=cfg.s0)
     # rough crossing time from the constant-drive estimate, refined by the
     # actual flow inside extend_through_crossing
     pdot = -float(W.dw(cfg.q0))
@@ -436,21 +430,22 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
         raise IsolationFailure(
             f"horizon t={horizon:.3f} drives p to {p_end:.3f}, outside the "
             f"sampled pair window (halfwidth {cfg.pair_halfwidth})")
-    ext = extend_through_crossing(pair, W, stub, horizon, dt=TRAJECTORY_DT)
+    ext = extend_through_crossing(pair, W, cfg.q0, cfg.p0, cfg.s0, horizon,
+                                  TRAJECTORY_DT)
     coeffs_plus = coefficients_from_trajectory(pair.plus, ext.plus, W)
     coeffs_minus = coefficients_from_trajectory(pair.minus, ext.minus, W)
     scenario = CrossingScenario(
         V=V, W=W, pair=pair, ext=ext,
         coeffs_plus=coeffs_plus, coeffs_minus=coeffs_minus,
         kappa=kappa, slope_gap=pair.slope_gap,
-        dqw_star=float(W.dw(ext.plus.q_star)),
-        t_star=float(ext.plus.t_star), q_star=float(ext.plus.q_star),
+        dqw_star=float(W.dw(ext.q_star)),
+        t_star=ext.t_star, q_star=ext.q_star,
         horizon=horizon,
         diagnostics={
             "pair_margin": pair.margin,
             "slope_fd_mismatch": pair.slope_fd_mismatch,
-            "slope_check_plus": band_plus.slope_check,
-            "slope_check_minus": SplineBand(pair.minus).slope_check,
+            "slope_check_plus": ext.plus.band.slope_check,
+            "slope_check_minus": ext.minus.band.slope_check,
         },
     )
     _SCENARIO_CACHE[key] = scenario
@@ -487,7 +482,7 @@ def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
         ppw = points_per_period(V, cfg.band + 2, 0.01 * target * eps / t_run)
     grid = Grid(length=_domain_length(cfg, eps), epsilon=eps, ppw=ppw)
     w_max = float(np.max(np.abs(periodize_external(W, grid))))
-    dt = min(s["dt_cap"], 0.45 * eps / max(w_max, 1e-12), eps / 10.0)
+    dt = min(0.45 * eps / max(w_max, 1e-12), eps / 10.0)
     return SolverPlan(grid, float(dt), target)
 
 
@@ -521,7 +516,7 @@ def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
             f"{target:.3e} after {MAX_HALVINGS} halvings of dt")
     snaps = [GridState(a.grid, (4.0 * b.values - a.values) / 3.0, t=a.t)
              for a, b in zip(coarse.snapshots, fine.snapshots)]
-    result = PropagationResult(snapshots=snaps, norms=fine.norms,
+    result = PropagationResult(snapshots=snaps,
                                norm_drift_rate=fine.norm_drift_rate,
                                n_steps=n_steps, dt=cfg.dt,
                                collar_mass=max(coarse.collar_mass,
@@ -913,11 +908,8 @@ def _lz_transfer(scenario: CrossingScenario, eps: float,
     The levels are the pair's E_+ and E_- at the plus branch's momentum
     p(t), and the coupling is kappa times the drive dp/dt = -dW/dq(q(t)).
     """
-    traj = scenario.ext.plus
-    p_of_t = CubicSpline(traj.t_grid, traj.p)
-    q_of_t = CubicSpline(traj.t_grid, traj.q)
-    band_plus = SplineBand(scenario.pair.plus)
-    band_minus = SplineBand(scenario.pair.minus)
+    q_of_t, p_of_t, _ = scenario.ext.plus.splines
+    band_plus, band_minus = scenario.ext.plus.band, scenario.ext.minus.band
 
     def gap(t):
         p = p_of_t(t)

@@ -290,13 +290,19 @@ class ExternalPotential:
         return self.w(np.asarray(q, dtype=float))
 
 
+def _constant(c: float):
+    """q -> c: a float for a float q, else an array shaped like q."""
+    c = float(c)
+    return lambda q: c if isinstance(q, float) else np.full(np.shape(q), c)
+
+
 def linear_ramp(alpha: float, q_ref: float = 0.0) -> ExternalPotential:
     """W(q) = -alpha (q - q_ref); constant drive dp/dt = alpha."""
     return ExternalPotential(
         w=lambda q: -alpha * (q - q_ref),
-        dw=lambda q: -alpha * np.ones_like(q),
-        d2w=lambda q: np.zeros_like(q),
-        d3w=lambda q: np.zeros_like(q),
+        dw=_constant(-alpha),
+        d2w=_constant(0.0),
+        d3w=_constant(0.0),
         label=f"linear(alpha={alpha!r}, q_ref={q_ref!r})",
     )
 
@@ -314,9 +320,9 @@ def cosine_external(beta: float, omega: float) -> ExternalPotential:
 
 def zero_external() -> ExternalPotential:
     return ExternalPotential(
-        w=lambda q: np.zeros_like(q),
-        dw=lambda q: np.zeros_like(q),
-        d2w=lambda q: np.zeros_like(q),
-        d3w=lambda q: np.zeros_like(q),
+        w=_constant(0.0),
+        dw=_constant(0.0),
+        d2w=_constant(0.0),
+        d3w=_constant(0.0),
         label="zero",
     )

@@ -206,18 +206,15 @@ class TestAssembleWp1:
 @pytest.fixture(scope="module")
 def crossing_setup():
     from bandcross.bloch import smooth_continuation
-    from bandcross.classical import (
-        SplineBand, extend_through_crossing, integrate_flow,
-    )
+    from bandcross.classical import extend_through_crossing
     from bandcross.potential import EllipticParams, linear_ramp, make_m_gap
 
     V = make_m_gap(EllipticParams(1, 0.8), m_max=16)
     pair = smooth_continuation(V, 2, 0.0, halfwidth=0.5, n_samples=201,
                                m_cut=32)
     W = linear_ramp(-2.0)   # dW/dq = +2 so dp/dt = -2: approach from above
-    incoming = integrate_flow(SplineBand(pair.plus), W, q0=4.0, p0=0.4,
-                              t_span=(0.0, 0.1), dt=1e-3)
-    ext = extend_through_crossing(pair, W, incoming, T=0.35, dt=1e-3)
+    ext = extend_through_crossing(pair, W, q0=4.0, p0=0.4, s0=0.0, T=0.35,
+                                  dt=1e-3)
     return V, pair, W, ext
 
 

@@ -318,49 +318,77 @@ class TestDetectCrossing:
 
 
 class TestExtendThroughCrossing:
-    def _incoming(self, pair, W, p0, t1=0.25):
-        band = SplineBand(pair.plus)
-        return integrate_flow(band, W, 0.0, p0, (0.0, t1), 1e-3)
+    def _extend(self, pair, W=None, T=0.6):
+        # free pair under a unit ramp: p = pi - 0.3 + t reaches pi at t* = 0.3
+        W = W or linear_ramp(1.0)
+        return extend_through_crossing(pair, W, 0.0, np.pi - 0.3, 0.0, T=T,
+                                       dt=1e-3)
 
     def test_free_pair_branches_match_closed_form(self, free_pair):
-        W = linear_ramp(1.0)
-        incoming = self._incoming(free_pair, W, np.pi - 0.3)
-        ext = extend_through_crossing(free_pair, W, incoming, T=0.6, dt=1e-3)
+        ext = self._extend(free_pair)
         t = ext.plus.t_grid
-        assert abs(ext.plus.t_star - 0.3) < 1e-10
+        assert abs(ext.t_star - 0.3) < 1e-10
         # plus branch: E+ = p^2/2 -> q' = p = p0 + t
         p0 = np.pi - 0.3
         assert np.max(np.abs(ext.plus.p - (p0 + t))) < 1e-10
         assert np.max(np.abs(ext.plus.q - (p0 * t + t ** 2 / 2))) < 1e-9
         # minus branch: E- = (p - 2 pi)^2/2, launched at (q*, pi) at t*
         tm = ext.minus.t_grid
-        q_star = ext.plus.q_star
+        q_star = ext.q_star
         ref_q = q_star + (np.pi - TWO_PI) * (tm - 0.3) + (tm - 0.3) ** 2 / 2
         assert np.max(np.abs(ext.minus.q - ref_q)) < 1e-8
 
     def test_opposite_group_velocities(self, free_pair):
-        W = linear_ramp(1.0)
-        incoming = self._incoming(free_pair, W, np.pi - 0.3)
-        ext = extend_through_crossing(free_pair, W, incoming, T=0.6, dt=1e-3)
+        ext = self._extend(free_pair)
         i = np.searchsorted(ext.plus.t_grid, 0.3)
-        j = np.searchsorted(ext.minus.t_grid, 0.3)
+        # the minus branch starts at t*, so its velocity there is the
+        # one-sided second-order difference at its first sample
         dq_plus = np.gradient(ext.plus.q, ext.plus.t_grid)[i]
-        dq_minus = np.gradient(ext.minus.q, ext.minus.t_grid)[j]
+        dq_minus = np.gradient(ext.minus.q, ext.minus.t_grid,
+                               edge_order=2)[0]
         assert abs(dq_plus - np.pi) < 1e-6
         assert abs(dq_minus + np.pi) < 1e-6
 
     def test_action_seeded_continuously(self, free_pair):
-        W = linear_ramp(1.0)
-        incoming = self._incoming(free_pair, W, np.pi - 0.3)
-        ext = extend_through_crossing(free_pair, W, incoming, T=0.6, dt=1e-3)
-        _, _, s_plus = ext.plus.state_at(ext.plus.t_star)
-        _, _, s_minus = ext.minus.state_at(ext.plus.t_star)
+        ext = self._extend(free_pair)
+        _, _, s_plus = ext.plus.state_at(ext.t_star)
+        _, _, s_minus = ext.minus.state_at(ext.t_star)
         assert abs(s_plus - s_minus) < 1e-10
+
+    def test_minus_branch_starts_at_the_crossing_point(self, free_pair):
+        ext = self._extend(free_pair)
+        _, p_star, s_star = ext.plus.state_at(ext.t_star)
+        assert ext.minus.t_grid[0] == ext.t_star
+        assert ext.minus.t_grid[-1] == pytest.approx(0.6, abs=1e-12)
+        q, p, S = ext.minus.state_at(ext.t_star)
+        assert abs(q - ext.q_star) < 1e-12
+        assert abs(p - p_star) < 1e-12
+        assert abs(S - s_star) < 1e-12
+
+    def test_one_forward_flow_per_branch(self, free_pair, monkeypatch):
+        import bandcross.classical as classical
+        spans = []
+
+        def counting(band, W, q0, p0, t_span, dt, s0=0.0):
+            spans.append(tuple(t_span))
+            return integrate_flow(band, W, q0, p0, t_span, dt, s0=s0)
+
+        monkeypatch.setattr(classical, "integrate_flow", counting)
+        ext = self._extend(free_pair)
+        assert spans == [(0.0, 0.6), (ext.t_star, 0.6)]
+
+    def test_trajectories_carry_their_band_splines(self, free_pair):
+        ext = self._extend(free_pair)
+        p = np.linspace(np.pi - 0.4, np.pi + 0.4, 9)
+        for traj, path in ((ext.plus, free_pair.plus),
+                           (ext.minus, free_pair.minus)):
+            assert isinstance(traj.band, SplineBand)
+            assert np.array_equal(traj.band.energy(p),
+                                  SplineBand(path).energy(p))
 
     def test_restart_oracle_both_sides(self, free_pair):
         W = linear_ramp(1.0)
-        incoming = self._incoming(free_pair, W, np.pi - 0.3)
-        ext = extend_through_crossing(free_pair, W, incoming, T=0.6, dt=1e-3)
+        ext = self._extend(free_pair, W)
         band = SplineBand(free_pair.plus)
         for t_restart in (0.15, 0.45):
             q_r, p_r, s_r = ext.plus.state_at(t_restart)
@@ -384,9 +412,31 @@ class TestExtendThroughCrossing:
         pair_like.plus = path
         pair_like.minus = path
         pair_like.p_star = p_star
-        pair_like.halfwidth = 7.0
         W = linear_ramp(1.0)
-        incoming = integrate_flow(SplineBand(path), W, 0.0, np.pi - 0.5,
-                                  (0.0, 0.1), 1e-3)
         with pytest.raises(SecondCrossing):
-            extend_through_crossing(pair_like, W, incoming, T=6.8, dt=1e-3)
+            extend_through_crossing(pair_like, W, 0.0, np.pi - 0.5, 0.0,
+                                    T=6.8, dt=1e-3)
+
+
+class TestTrajectoryInterpolant:
+    def test_splines_built_once_and_exact(self, cosine_path, monkeypatch):
+        import bandcross.classical as classical
+        from scipy.interpolate import CubicSpline
+        traj = integrate_flow(SplineBand(cosine_path), linear_ramp(0.25),
+                              3.5, 1.3, (0.0, 0.5), 1e-3, s0=0.2)
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return CubicSpline(*args, **kwargs)
+
+        monkeypatch.setattr(classical, "CubicSpline", counting)
+        times = (0.01234, 0.25, 0.4999, 0.1)
+        states = [traj.state_at(t) for t in times]
+        assert len(built) == 3
+        states += [traj.state_at(t) for t in times]
+        assert len(built) == 3
+        for t, state in zip(times * 2, states):
+            fresh = tuple(float(CubicSpline(traj.t_grid, y)(t))
+                          for y in (traj.q, traj.p, traj.S))
+            assert state == fresh

@@ -15,12 +15,14 @@ def write_config(tmp_path, data):
 class TestLoadConfig:
     def test_overlay_keeps_unset_defaults(self, tmp_path):
         cfg = cli.load_config("isolated", write_config(
-            tmp_path, {"epsilons": [16, 24], "solver": {"dt_cap": 5e-4}}))
+            tmp_path, {"epsilons": [16, 24],
+                       "solver": {"error_budget": 0.05}}))
         default = harness.default_config("isolated")
         assert cfg.epsilons == (1 / 16, 1 / 24)
         assert cfg.sigma == default.sigma
-        assert cfg.solver["dt_cap"] == 5e-4
-        assert cfg.solver["error_budget"] == default.solver["error_budget"]
+        assert cfg.solver["error_budget"] == 0.05
+        assert cfg.solver["signal_prefactor"] == (
+            default.solver["signal_prefactor"])
 
     def test_unknown_key_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, {"no_such_key": 1})
@@ -30,6 +32,12 @@ class TestLoadConfig:
 
     def test_deleted_solver_key_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, {"solver": {"envelope_dt": 1e-3}})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "isolated", "--config", path])
+        assert exc.value.code == 2
+
+    def test_dt_cap_is_a_usage_error(self, tmp_path):
+        path = write_config(tmp_path, {"solver": {"dt_cap": 1e-3}})
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "isolated", "--config", path])
         assert exc.value.code == 2

@@ -9,6 +9,7 @@ from bandcross.ansatz import (
     assemble_wp0,
 )
 from bandcross.direct import (
+    COLLAR,
     COLLAR_MASS_TOL,
     PPW_CAP,
     BandMassTable,
@@ -216,7 +217,7 @@ class SolverContract:
         cfg = PropagatorConfig(dt=1e-3, t_final=4.0, check_collar=False,
                                snapshot_times=tuple(np.arange(1, 16) * 0.25))
         res = self.solve(state, FLAT, None, cfg)
-        collar = grid.x >= grid.length - cfg.collar
+        collar = grid.x >= grid.length - COLLAR
         fracs = [np.sum(np.abs(s.values[collar]) ** 2) / np.sum(
             np.abs(s.values) ** 2) for s in res.snapshots if s.t > 0]
         assert np.argmax(fracs) < len(fracs) - 1
@@ -359,18 +360,15 @@ class TestL2Error:
 @pytest.fixture(scope="module")
 def crossing_setup():
     from bandcross.bloch import smooth_continuation
-    from bandcross.classical import (
-        SplineBand, extend_through_crossing, integrate_flow,
-    )
+    from bandcross.classical import extend_through_crossing
     from bandcross.potential import EllipticParams, make_m_gap
 
     V = make_m_gap(EllipticParams(1, 0.8), m_max=16)
     pair = smooth_continuation(V, 2, 0.0, halfwidth=0.5, n_samples=201,
                                m_cut=32)
     W = linear_ramp(-2.0)
-    incoming = integrate_flow(SplineBand(pair.plus), W, q0=4.0, p0=0.4,
-                              t_span=(0.0, 0.1), dt=1e-3)
-    ext = extend_through_crossing(pair, W, incoming, T=0.35, dt=1e-3)
+    ext = extend_through_crossing(pair, W, q0=4.0, p0=0.4, s0=0.0, T=0.35,
+                                  dt=1e-3)
     return V, pair, W, ext
 
 

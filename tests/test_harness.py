@@ -126,6 +126,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown solver keys"):
             RunConfig(solver={"envelope_dt": 1e-3})
 
+    def test_dt_cap_is_not_a_solver_key(self):
+        # the direct step comes from plan_solver's W and eps rules alone
+        with pytest.raises(ValueError, match="unknown solver keys"):
+            RunConfig(solver={"dt_cap": 1e-3})
+
     def test_measurements_validated(self):
         with pytest.raises(ValueError):
             RunConfig(measurements=("breakdown", "spectral"))
@@ -295,6 +300,28 @@ class TestTrivialCrossing:
         uncoupled = replace(scenario, kappa=0.0)
         assert _lz_transfer(uncoupled, 1 / 32, scenario.t_star) == 0.0
         assert _lz_transfer(scenario, 1 / 32, scenario.t_star) < 1e-20
+
+    def test_one_band_spline_per_branch(self, trivial_cfg, monkeypatch):
+        # the scenario's slope checks and the Landau-Zener levels read the
+        # splines that the two branch flows were integrated on
+        from bandcross.classical import SplineBand
+        built = []
+        init = SplineBand.__init__
+
+        def counting(self, path):
+            built.append(path)
+            init(self, path)
+
+        monkeypatch.setattr(SplineBand, "__init__", counting)
+        monkeypatch.setattr(harness, "_SCENARIO_CACHE", {})
+        scenario = build_crossing_scenario(trivial_cfg)
+        for eps in trivial_cfg.epsilons:
+            _lz_transfer(scenario, eps, scenario.t_star)
+        assert len(built) == 2
+        assert built[0] is scenario.pair.plus
+        assert built[1] is scenario.pair.minus
+        assert scenario.diagnostics["slope_check_minus"] == (
+            scenario.ext.minus.band.slope_check)
 
     def test_error_stays_first_order(self, trivial_cfg):
         # no eps^{1-xi} blow-up near t*: the error keeps an O(eps) bound

@@ -197,3 +197,19 @@ class TestExternal:
     def test_zero(self):
         W = zero_external()
         assert W(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, -0.25])
+    def test_constant_callables_keep_the_argument_kind(self, alpha):
+        # the scalar flow calls dw with a float at every RK4 stage: a float
+        # comes back, bit for bit the value of the array formula
+        W, Z = linear_ramp(alpha, q_ref=1.0), zero_external()
+        q = np.linspace(-3.0, 3.0, 7)
+        cases = [(W.dw, lambda x: -alpha * np.ones_like(x)),
+                 (W.d2w, np.zeros_like), (W.d3w, np.zeros_like)]
+        cases += [(f, np.zeros_like) for f in (Z.w, Z.dw, Z.d2w, Z.d3w)]
+        for f, formula in cases:
+            assert type(f(0.7)) is float
+            assert (np.float64(f(0.7)).tobytes()
+                    == np.asarray(formula(0.7), dtype=float).tobytes())
+            assert isinstance(f(q), np.ndarray)
+            assert f(q).tobytes() == formula(q).tobytes()
