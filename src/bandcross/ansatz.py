@@ -5,14 +5,14 @@ a0((x-q)/sqrt(eps)) chi(x/eps; p); the first-order packet adds
 sqrt(eps) [a1 chi + (-i d_y a0) d_p chi].  After a crossing the state is the
 first-order packet on the continued branch plus sqrt(eps) times a
 zeroth-order packet on the other branch, each riding its own classical
-trajectory; ``harness.branch_packet`` places either packet on one branch.
+trajectory; ``harness.branch_packet`` places either packet on the band path
+its trajectory was integrated on.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .envelope import Envelope, evaluate_envelope
 from .errors import EnvelopeClipped, GridMismatch
@@ -180,9 +180,8 @@ def assemble_wp1(params: WavepacketParams, grid: Grid) -> GridState:
 
 
 def path_dp_chi(path, p: float) -> np.ndarray:
-    """d_p chi along a gauge-fixed path by spectral-grade spline derivative."""
-    sp = CubicSpline(path.p_samples, path.chi, axis=0)
-    return sp(p, 1)
+    """d_p chi along a gauge-fixed path: the derivative of path.chi_spline."""
+    return path.chi_spline(p, 1)
 
 
 def predict_excited_mass(dqW_star: float, coupling: complex, slope_gap: float,

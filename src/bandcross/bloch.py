@@ -13,9 +13,11 @@ coupling coefficient <chi_-|d_p chi_+> at the crossing, which controls the
 size of the transmitted-to-excited transition.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConvergenceFailure,
@@ -188,6 +190,11 @@ class BandPath:
     def p_max(self):
         return float(self.p_samples[-1])
 
+    @cached_property
+    def chi_spline(self) -> CubicSpline:
+        """Cubic spline of the chi table over p_samples, built on first use."""
+        return CubicSpline(self.p_samples, self.chi, axis=0)
+
     def nearest_index(self, p: float) -> int:
         return int(np.argmin(np.abs(self.p_samples - p)))
 
@@ -302,10 +309,8 @@ class SmoothBandPair:
     slope_plus: float
     slope_minus: float
     margin: float
-    halfwidth: float
     i_star: int
     slope_fd_mismatch: float
-    _coupling: complex | None = field(default=None, repr=False)
 
     @property
     def potential(self):
@@ -344,26 +349,16 @@ def smooth_continuation(V: PeriodicPotential, n: int, p_star: float,
     at and above (positive slope), E_- the opposite.  At p_star itself the
     degenerate 2d eigenspace is split by diagonalizing the velocity operator
     restricted to it, which also yields the exact branch slopes; transported
-    gauge then propagates outward.  The window shrinks automatically until the
-    pair is isolated from the other bands.
+    gauge then propagates outward.  The pair must be isolated from the other
+    bands over the whole requested window: a margin at or below
+    isolation_floor raises IsolationFailure.
     """
     if n_samples % 2 == 0:
         n_samples += 1
     n_samples = max(n_samples, 5)
-    h = float(halfwidth)
-    while True:
-        p = p_star + np.linspace(-h, h, n_samples)
-        trial = _build_pair(V, n, p_star, p, m_cut, isolation_floor,
-                            slope_floor, degeneracy_tol)
-        if trial is not None:
-            pair = trial
-            break
-        h *= 0.5
-        if h < 0.02:
-            raise IsolationFailure(
-                f"pair ({n},{n + 1}) not isolable around p={p_star}"
-            )
-    return pair
+    p = p_star + np.linspace(-halfwidth, halfwidth, n_samples)
+    return _build_pair(V, n, p_star, p, m_cut, isolation_floor, slope_floor,
+                       degeneracy_tol)
 
 
 def _split_degenerate(p_star, evals, evecs, lower, m_cut, slope_floor,
@@ -446,7 +441,11 @@ def _build_pair(V, n, p_star, p, m_cut, isolation_floor, slope_floor,
         d2_minus[rows] = _d2e(p[rows], evals, evecs, minus_idx, m_cut)
 
     if margin <= isolation_floor:
-        return None
+        raise IsolationFailure(
+            f"pair ({n},{n + 1}) margin {margin:.3g} to the other bands is "
+            f"not above the floor {isolation_floor} on [{p[0]:.4f}, "
+            f"{p[-1]:.4f}]"
+        )
 
     chi_plus = fix_gauge(chi_plus, anchor=i_star)
     chi_minus = fix_gauge(chi_minus, anchor=i_star)
@@ -475,8 +474,8 @@ def _build_pair(V, n, p_star, p, m_cut, isolation_floor, slope_floor,
     return SmoothBandPair(
         n=n, p_star=float(p_star), plus=plus, minus=minus,
         slope_plus=lam_plus, slope_minus=lam_minus,
-        margin=float(margin), halfwidth=float(p[-1] - p[i_star]),
-        i_star=i_star, slope_fd_mismatch=float(fd_mismatch),
+        margin=float(margin), i_star=i_star,
+        slope_fd_mismatch=float(fd_mismatch),
     )
 
 
@@ -488,8 +487,6 @@ def coupling_coefficient(pair: SmoothBandPair) -> complex:
     excluded part of d_p chi_+, regular because the resonant span is removed.
     The modulus is gauge independent.
     """
-    if pair._coupling is not None:
-        return pair._coupling
     V, m_cut = pair.potential, pair.m_cut
     i = pair.i_star
     chi_p = pair.chi_plus[i]
@@ -500,6 +497,4 @@ def coupling_coefficient(pair: SmoothBandPair) -> complex:
     rhs = -(vel - pair.slope_plus) * chi_p
     w = reduced_resolvent_apply(V, p_star, e_star,
                                 np.vstack([chi_p, chi_m]), rhs, m_cut)
-    kappa = complex(np.vdot(chi_m, vel * w) / pair.slope_gap)
-    pair._coupling = kappa
-    return kappa
+    return complex(np.vdot(chi_m, vel * w) / pair.slope_gap)

@@ -127,18 +127,17 @@ class OscillatorCoefficients:
         return cls(t, d2E * ones, d2W * ones, d3E * ones, d3W * ones)
 
 
-def coefficients_from_trajectory(band_path, traj, W) -> OscillatorCoefficients:
+def coefficients_from_trajectory(traj, W) -> OscillatorCoefficients:
     """Sample oscillator coefficients along a classical trajectory.
 
-    Band derivative tables are interpolated at p(t); external derivatives are
-    evaluated at q(t).
+    The derivative tables of traj.band.path, which bounds every p(t) of the
+    flow, are interpolated at p(t); external derivatives are taken at q(t).
     """
     t = traj.t_grid
     p, q = traj.p, traj.q
-    d2_sp = CubicSpline(band_path.p_samples, band_path.d2E)
-    d3_sp = CubicSpline(band_path.p_samples, band_path.d3E)
-    if np.any(p < band_path.p_min - 1e-9) or np.any(p > band_path.p_max + 1e-9):
-        raise GridMismatch("trajectory leaves the sampled band window")
+    path = traj.band.path
+    d2_sp = CubicSpline(path.p_samples, path.d2E)
+    d3_sp = CubicSpline(path.p_samples, path.d3E)
     return OscillatorCoefficients(
         t_grid=t.copy(),
         d2E=d2_sp(p),

@@ -2,8 +2,10 @@
 
 A study takes a RunConfig, runs the direct solver against the wavepacket
 ansatz over a list of epsilon values, fits log-log scaling exponents, and
-returns a StudyReport whose gates decide the process exit code.  Expensive
-direct runs are cached per (scenario, epsilon) so the pre-crossing, post-
+returns a StudyReport whose gates decide the process exit code.  Each study
+builds its scenario (band path or pair, flow, envelope coefficients) once
+per config, then runs one case per epsilon; every case records the Case
+fields and its own readouts.  Both are cached, so the pre-crossing, post-
 crossing and inner-window studies share a single propagation.
 
 Every resolution is derived from the case's own solver error target: the
@@ -35,7 +37,7 @@ from .direct import (PropagatorConfig, PropagationResult, band_mass,
                      propagate)
 from .envelope import (Envelope, coefficients_from_trajectory, evolve_a0,
                        evolve_a1, excited_buildup, excited_envelope,
-                       gaussian_envelope, make_grid)
+                       gaussian_envelope)
 from .errors import DegenerateFit, IsolationFailure, SolverBudgetExceeded
 from .io import write_csv, write_json
 from .lz import simulate
@@ -380,17 +382,23 @@ class CrossingScenario:
     coeffs_plus: object
     coeffs_minus: object
     kappa: complex
-    slope_gap: float
     dqw_star: float
-    t_star: float
-    q_star: float
-    horizon: float
     diagnostics: dict   # pair isolation margin and slope cross-checks
 
     @property
     def signal_scale(self) -> float:
         """Prefactor of the pre-crossing eps^{1-xi} error signal."""
-        return max(abs(self.kappa) / self.slope_gap, 1e-12)
+        return max(abs(self.kappa) / self.pair.slope_gap, 1e-12)
+
+
+@dataclass
+class IsolatedScenario:
+    """Shared per-config machinery for the isolated-band study."""
+
+    V: PeriodicPotential
+    W: ExternalPotential
+    traj: object        # the band flow; traj.band.path is the band path
+    coeffs: object      # envelope coefficients along traj
 
 
 _SCENARIO_CACHE: dict = {}
@@ -405,7 +413,7 @@ def clear_caches():
 
 
 def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
-    key = cfg.fingerprint()
+    key = ("crossing", cfg.fingerprint())
     if key in _SCENARIO_CACHE:
         return _SCENARIO_CACHE[key]
     V = build_potential(cfg.potential)
@@ -432,15 +440,11 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
             f"sampled pair window (halfwidth {cfg.pair_halfwidth})")
     ext = extend_through_crossing(pair, W, cfg.q0, cfg.p0, cfg.s0, horizon,
                                   TRAJECTORY_DT)
-    coeffs_plus = coefficients_from_trajectory(pair.plus, ext.plus, W)
-    coeffs_minus = coefficients_from_trajectory(pair.minus, ext.minus, W)
     scenario = CrossingScenario(
         V=V, W=W, pair=pair, ext=ext,
-        coeffs_plus=coeffs_plus, coeffs_minus=coeffs_minus,
-        kappa=kappa, slope_gap=pair.slope_gap,
-        dqw_star=float(W.dw(ext.q_star)),
-        t_star=ext.t_star, q_star=ext.q_star,
-        horizon=horizon,
+        coeffs_plus=coefficients_from_trajectory(ext.plus, W),
+        coeffs_minus=coefficients_from_trajectory(ext.minus, W),
+        kappa=kappa, dqw_star=float(W.dw(ext.q_star)),
         diagnostics={
             "pair_margin": pair.margin,
             "slope_fd_mismatch": pair.slope_fd_mismatch,
@@ -448,6 +452,24 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
             "slope_check_minus": ext.minus.band.slope_check,
         },
     )
+    _SCENARIO_CACHE[key] = scenario
+    return scenario
+
+
+def build_isolated_scenario(cfg: RunConfig) -> IsolatedScenario:
+    # the fingerprint drops the study, so the key names the scenario kind
+    key = ("isolated", cfg.fingerprint())
+    if key in _SCENARIO_CACHE:
+        return _SCENARIO_CACHE[key]
+    V = build_potential(cfg.potential)
+    W = build_external(cfg.external)
+    path = band_path(V, cfg.band, cfg.band_window, n_samples=513,
+                     m_cut=cfg.m_cut)
+    traj = integrate_flow(SplineBand(path), W, cfg.q0, cfg.p0,
+                          (0.0, cfg.t_final + cfg.horizon_pad), TRAJECTORY_DT,
+                          s0=cfg.s0)
+    scenario = IsolatedScenario(V, W, traj,
+                                coefficients_from_trajectory(traj, W))
     _SCENARIO_CACHE[key] = scenario
     return scenario
 
@@ -599,26 +621,55 @@ def march_envelopes(coeffs, init: tuple, stops, weights: tuple,
     return EnvelopeMarch(dict(zip(stops, fine)), float(dt), float(est), peak)
 
 
+# -- the case skeleton (shared by every study) -----------------------------------
+
+
+@dataclass
+class Case:
+    """The fields every case records: its solve, flow and envelope marches."""
+
+    epsilon: float
+    dt: float
+    n_steps: int
+    grid_length: int
+    ppw: int                       # points per period of the solver grid
+    norm_drift: float
+    solver_error: float            # step-doubling estimate of the solve
+    solver_target: float
+    collar_mass: float             # peak collar mass fraction of the solve
+    energy_drift: float            # max over the case's trajectories
+    envelope_dt: float             # finest accepted step of the marches
+    envelope_error: float          # their largest step-doubling estimate
+    envelope_boundary_mass: float  # peak edge-mass fraction of the marches
+
+
+def _case_fields(eps: float, plan: SolverPlan, result: PropagationResult,
+                 solver_error: float, energy_drift: float, marches) -> dict:
+    """The Case fields of one solve and its envelope marches (the worst)."""
+    return dict(epsilon=eps, dt=result.dt, n_steps=result.n_steps,
+                grid_length=plan.grid.length, ppw=plan.grid.ppw,
+                norm_drift=result.norm_drift_rate, solver_error=solver_error,
+                solver_target=plan.target, collar_mass=result.collar_mass,
+                energy_drift=energy_drift,
+                envelope_dt=min(m.dt for m in marches),
+                envelope_error=max(m.error for m in marches),
+                envelope_boundary_mass=max(m.boundary_mass for m in marches))
+
+
+def _initial_envelopes(cfg: RunConfig) -> tuple:
+    """(a0, a1) of the first-order ansatz at t = 0: a Gaussian and zero."""
+    a0 = gaussian_envelope(cfg.sigma, cfg.envelope_half_width,
+                           cfg.envelope_points)
+    return a0, Envelope(a0.y, np.zeros_like(a0.values))
+
+
 # -- the crossing-scenario case (shared by breakdown / crossing / inner) ---------
 
 
 @dataclass
-class CrossingCase:
-    epsilon: float
-    dt: float
-    n_steps: int
-    norm_drift: float
-    grid_length: int
-    ppw: int                       # points per period of the solver grid
+class CrossingCase(Case):
     times: dict                    # label -> snapped time
     errors: dict                   # label -> (raw, phase_optimized)
-    solver_error: float            # step-doubling estimate of the solve
-    solver_target: float
-    collar_mass: float             # peak collar mass fraction of the solve
-    energy_drift: float            # max over both branch trajectories
-    envelope_dt: float             # finest accepted step of the marches
-    envelope_error: float          # their largest step-doubling estimate
-    envelope_boundary_mass: float  # peak edge-mass fraction of the marches
     residual_norm: float = None
     overlap: float = None
     excited_mass_measured: float = None
@@ -641,7 +692,7 @@ def _domain_length(cfg: RunConfig, eps: float) -> int:
 
 def _crossing_times(cfg: RunConfig, scenario: CrossingScenario, eps: float):
     """Unsnapped measurement schedule for one epsilon."""
-    t_star = scenario.t_star
+    t_star = scenario.ext.t_star
     times = {}
     if "breakdown" in cfg.measurements:
         times["breakdown_xi"] = t_star - eps ** cfg.xi
@@ -671,14 +722,16 @@ def _snap(times: dict, dt: float, t_run: float):
     return dt_eff, out
 
 
-def branch_packet(traj, path, grid: Grid, t: float, a0: Envelope,
+def branch_packet(traj, grid: Grid, t: float, a0: Envelope,
                   a1: Envelope | None = None) -> GridState:
-    """The packet riding traj on one band branch at time t.
+    """The packet riding traj on its band at time t.
 
-    WP1 when a1 is given, else WP0; path supplies chi and, for WP1, d_p chi
-    at the trajectory's momentum.  The post-crossing state is the WP1 on the
-    continued branch plus sqrt(eps) times the WP0 on the other branch.
+    WP1 when a1 is given, else WP0; the band path the flow was integrated on
+    (traj.band.path) supplies chi and, for WP1, d_p chi at the trajectory's
+    momentum.  The post-crossing state is the WP1 on the continued branch
+    plus sqrt(eps) times the WP0 on the other branch.
     """
+    path = traj.band.path
     q, p, S = traj.state_at(t)
     params = WavepacketParams(S=S, q=q, p=p, a0=a0, epsilon=grid.epsilon,
                               chi=path.chi_at(p))
@@ -701,10 +754,12 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     minus-branch march, and the predicted packets.  The solver spends its
     time in scipy.fft and np.matmul, which release the interpreter lock.
     """
-    key = (cfg.fingerprint(), eps)
+    key = ("crossing", cfg.fingerprint(), eps)
     if key in _CASE_CACHE:
         return _CASE_CACHE[key]
     scenario = build_crossing_scenario(cfg)
+    t_star, q_star = scenario.ext.t_star, scenario.ext.q_star
+    slope_gap = scenario.pair.slope_gap
     raw_times = _crossing_times(cfg, scenario, eps)
     t_run = max(raw_times.values())
     signal = cfg.solver["signal_prefactor"] or scenario.signal_scale
@@ -713,13 +768,9 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     grid = plan.grid
     dt, times = _snap(raw_times, plan.dt, t_run)
 
-    # initial data: the first-order ansatz at t = 0 with a1 = 0
-    y = make_grid(cfg.envelope_half_width, cfg.envelope_points)
-    a0_init = gaussian_envelope(cfg.sigma, cfg.envelope_half_width,
-                                cfg.envelope_points)
-    a1_init = Envelope(y, np.zeros(cfg.envelope_points, dtype=complex))
+    a0_init, a1_init = _initial_envelopes(cfg)
     plus, minus = scenario.ext.plus, scenario.ext.minus
-    psi0 = branch_packet(plus, scenario.pair.plus, grid, 0.0, a0_init, a1_init)
+    psi0 = branch_packet(plus, grid, 0.0, a0_init, a1_init)
 
     prop_cfg = PropagatorConfig(dt=dt, t_final=t_run,
                                 snapshot_times=tuple(sorted(times.values())))
@@ -735,40 +786,38 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         stops = {times[k] for k in error_labels}
         want_star = {"crossing", "inner"} & set(cfg.measurements)
         if want_star:
-            stops.add(scenario.t_star)
+            stops.add(t_star)
         tol = ENVELOPE_SHARE * plan.target
         marches = [march_envelopes(scenario.coeffs_plus, (a0_init, a1_init),
                                    sorted(stops), (1.0, np.sqrt(eps)), tol)]
         env = marches[0].states
-        wp1 = {label: branch_packet(plus, scenario.pair.plus, grid,
-                                    times[label], *env[times[label]])
+        wp1 = {label: branch_packet(plus, grid, times[label],
+                                    *env[times[label]])
                for label in error_labels}
 
         if want_star:
-            a_star = env[scenario.t_star][0]
+            a_star = env[t_star][0]
             mass_pred = float(predict_excited_mass(
-                scenario.dqw_star, scenario.kappa, scenario.slope_gap,
+                scenario.dqw_star, scenario.kappa, slope_gap,
                 a_star.norm(), eps))
 
         if "crossing" in cfg.measurements:
             # the predicted excited packet on the minus branch at t_obs
             t_obs = times["crossing"]
             a_minus0 = excited_envelope(a_star, scenario.dqw_star,
-                                        scenario.slope_gap, scenario.kappa)
+                                        slope_gap, scenario.kappa)
             marches.append(march_envelopes(scenario.coeffs_minus,
                                            (a_minus0,), [t_obs],
                                            (np.sqrt(eps),), tol))
             (a_minus,) = marches[-1].states[t_obs]
-            pred = branch_packet(minus, scenario.pair.minus, grid, t_obs,
-                                 a_minus)
+            pred = branch_packet(minus, grid, t_obs, a_minus)
 
         if "inner" in cfg.measurements:
             # window-mass buildup across t_star by the chirped-ramp model
-            s_grid = np.array([(times[f"inner_{j}"] - scenario.t_star)
+            s_grid = np.array([(times[f"inner_{j}"] - t_star)
                                / np.sqrt(eps) for j in range(cfg.n_inner)])
-            buildup = excited_buildup(a_star, scenario.dqw_star,
-                                      scenario.slope_gap, scenario.kappa,
-                                      s_grid)
+            buildup = excited_buildup(a_star, scenario.dqw_star, slope_gap,
+                                      scenario.kappa, s_grid)
             pred_masses = eps * np.array([e.norm() for e in buildup]) ** 2
 
         result, solver_error = solve.result()
@@ -780,13 +829,9 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         errors[label] = (rep.plain, rep.phase_optimized)
 
     case = CrossingCase(
-        epsilon=eps, dt=result.dt, n_steps=result.n_steps,
-        norm_drift=result.norm_drift_rate, grid_length=grid.length,
-        ppw=grid.ppw, times=times, errors=errors, solver_error=solver_error,
-        solver_target=plan.target, collar_mass=result.collar_mass,
-        energy_drift=max(plus.energy_drift, minus.energy_drift),
-        **_envelope_diagnostics(marches),
-    )
+        **_case_fields(eps, plan, result, solver_error,
+                       max(plus.energy_drift, minus.energy_drift), marches),
+        times=times, errors=errors)
     if want_star:
         case.excited_mass_predicted = mass_pred
 
@@ -814,11 +859,10 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         case.inner_rows = []
         for j in range(cfg.n_inner):
             t = times[f"inner_{j}"]
-            n_band = cfg.band if t > scenario.t_star else cfg.band + 1
+            n_band = cfg.band if t > t_star else cfg.band + 1
             wtab = band_mass(by_time[round(t, 10)], scenario.V,
                              n_bands=cfg.band + 2,
-                             window=(scenario.q_star - 3.0,
-                                     scenario.q_star + 3.0))
+                             window=(q_star - 3.0, q_star + 3.0))
             case.inner_rows.append((float(s_grid[j]), t, wtab.band(n_band),
                                     float(pred_masses[j])))
 
@@ -826,34 +870,19 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     return case
 
 
-def _cases_for(cfg: RunConfig) -> list:
-    build_crossing_scenario(cfg)   # cached once, before the workers look it up
+def _cases_for(cfg: RunConfig, build, run_case) -> list:
+    build(cfg)   # cached once, before the workers look it up
     eps_list = list(cfg.epsilons)
     with ThreadPoolExecutor(max_workers=worker_count(len(eps_list))) as pool:
-        return list(pool.map(lambda e: run_crossing_case(cfg, e), eps_list))
+        return list(pool.map(lambda e: run_case(cfg, e), eps_list))
 
 
 # -- studies ---------------------------------------------------------------------
 
 
-def _diagnostics(case) -> dict:
+def _diagnostics(case: Case) -> dict:
     """The row columns every isolated, crossing and breakdown row carries."""
-    return {"epsilon": case.epsilon, "dt": case.dt, "ppw": case.ppw,
-            "norm_drift": case.norm_drift,
-            "solver_error": case.solver_error,
-            "solver_target": case.solver_target,
-            "collar_mass": case.collar_mass,
-            "energy_drift": case.energy_drift,
-            "envelope_dt": case.envelope_dt,
-            "envelope_error": case.envelope_error,
-            "envelope_boundary_mass": case.envelope_boundary_mass}
-
-
-def _envelope_diagnostics(marches) -> dict:
-    """The case fields of its envelope marches, the worst over them."""
-    return {"envelope_dt": min(m.dt for m in marches),
-            "envelope_error": max(m.error for m in marches),
-            "envelope_boundary_mass": max(m.boundary_mass for m in marches)}
+    return {f.name: getattr(case, f.name) for f in fields(Case)}
 
 
 def _require_measurement(cfg: RunConfig, name: str):
@@ -880,7 +909,7 @@ def _fit_gate(label, pairs, target, tolerance, fits, gates):
 
 def run_breakdown_study(cfg: RunConfig) -> StudyReport:
     _require_measurement(cfg, "breakdown")
-    cases = _cases_for(cfg)
+    cases = _cases_for(cfg, build_crossing_scenario, run_crossing_case)
     rows, fits, gates = [], [], []
     for label, xi in (("breakdown_xi", cfg.xi),
                       ("breakdown_xi_prime", cfg.xi_prime)):
@@ -888,8 +917,7 @@ def run_breakdown_study(cfg: RunConfig) -> StudyReport:
         _fit_gate(f"error_at_t_star_minus_eps^{xi}", pairs,
                   target=1.0 - xi, tolerance=0.15, fits=fits, gates=gates)
     for c in cases:
-        row = {**_diagnostics(c), "n_steps": c.n_steps,
-               "grid_length": c.grid_length}
+        row = _diagnostics(c)
         for label in ("breakdown_xi", "breakdown_xi_prime"):
             row[f"{label}_time"] = c.times[label]
             row[f"{label}_error"] = c.errors[label][0]
@@ -930,7 +958,7 @@ def run_crossing_study(cfg: RunConfig) -> StudyReport:
     trajectory (``_lz_transfer``) over the measured minus-band mass.
     """
     _require_measurement(cfg, "crossing")
-    cases = _cases_for(cfg)
+    cases = _cases_for(cfg, build_crossing_scenario, run_crossing_case)
     scenario = build_crossing_scenario(cfg)
     lz = {c.epsilon: _lz_transfer(scenario, c.epsilon, c.times["crossing"])
           for c in cases}
@@ -976,7 +1004,7 @@ def run_crossing_study(cfg: RunConfig) -> StudyReport:
 
 def run_inner_window(cfg: RunConfig) -> StudyReport:
     _require_measurement(cfg, "inner")
-    cases = _cases_for(cfg)
+    cases = _cases_for(cfg, build_crossing_scenario, run_crossing_case)
     rows, gates = [], []
     for c in cases:
         plateau = c.excited_mass_predicted
@@ -1014,79 +1042,52 @@ def run_inner_window(cfg: RunConfig) -> StudyReport:
 
 
 @dataclass
-class IsolatedCase:
-    epsilon: float
-    dt: float
-    ppw: int                       # points per period of the solver grid
+class IsolatedCase(Case):
     error_wp1: float
     error_wp0: float
     error_wp1_phase_opt: float
     error_wp0_phase_opt: float
-    norm_drift: float
-    solver_error: float            # step-doubling estimate of the solve
-    solver_target: float
-    collar_mass: float             # peak collar mass fraction of the solve
-    energy_drift: float            # of the band-flow trajectory
-    envelope_dt: float             # accepted step of the envelope march
-    envelope_error: float          # its step-doubling estimate
-    envelope_boundary_mass: float  # peak edge-mass fraction of the marches
     slope_check: float             # spline vs Hellmann-Feynman band slope
 
 
 def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
-    key = (cfg.fingerprint(), eps, "isolated")
+    key = ("isolated", cfg.fingerprint(), eps)
     if key in _CASE_CACHE:
         return _CASE_CACHE[key]
-    V = build_potential(cfg.potential)
-    W = build_external(cfg.external)
-    path = band_path(V, cfg.band, cfg.band_window, n_samples=513,
-                     m_cut=cfg.m_cut)
-    band = SplineBand(path)
-    traj = integrate_flow(band, W, cfg.q0, cfg.p0,
-                          (0.0, cfg.t_final + cfg.horizon_pad), TRAJECTORY_DT,
-                          s0=cfg.s0)
-    coeffs = coefficients_from_trajectory(path, traj, W)
-
-    y = make_grid(cfg.envelope_half_width, cfg.envelope_points)
-    a0_init = gaussian_envelope(cfg.sigma, cfg.envelope_half_width,
-                                cfg.envelope_points)
-    a1_init = Envelope(y, np.zeros(cfg.envelope_points, dtype=complex))
+    scenario = build_isolated_scenario(cfg)
+    traj = scenario.traj
+    a0_init, a1_init = _initial_envelopes(cfg)
 
     signal = float(cfg.solver["signal_prefactor"] or 0.05) * eps
-    plan = plan_solver(cfg, eps, signal, V, W, cfg.t_final)
+    plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W, cfg.t_final)
     grid = plan.grid
     dt, times = _snap({"final": cfg.t_final}, plan.dt, cfg.t_final)
     t_obs = times["final"]
 
-    psi0 = branch_packet(traj, path, grid, 0.0, a0_init, a1_init)
+    psi0 = branch_packet(traj, grid, 0.0, a0_init, a1_init)
     prop_cfg = PropagatorConfig(dt=dt, t_final=t_obs,
                                 snapshot_times=(t_obs,))
-    result, solver_error = propagate_richardson(psi0, V, W, prop_cfg,
-                                                plan.target)
+    result, solver_error = propagate_richardson(psi0, scenario.V, scenario.W,
+                                                prop_cfg, plan.target)
     psi = result.snapshots[-1]
-    march = march_envelopes(coeffs, (a0_init, a1_init), [t_obs],
+    march = march_envelopes(scenario.coeffs, (a0_init, a1_init), [t_obs],
                             (1.0, np.sqrt(eps)), ENVELOPE_SHARE * plan.target)
     a0_t, a1_t = march.states[t_obs]
-    rep1 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t, a1_t))
-    rep0 = l2_error(psi, branch_packet(traj, path, grid, t_obs, a0_t))
-    case = IsolatedCase(epsilon=eps, dt=result.dt, ppw=grid.ppw,
-                        error_wp1=rep1.plain, error_wp0=rep0.plain,
-                        error_wp1_phase_opt=rep1.phase_optimized,
-                        error_wp0_phase_opt=rep0.phase_optimized,
-                        norm_drift=result.norm_drift_rate,
-                        solver_error=solver_error, solver_target=plan.target,
-                        collar_mass=result.collar_mass,
-                        energy_drift=traj.energy_drift,
-                        **_envelope_diagnostics([march]),
-                        slope_check=band.slope_check)
+    rep1 = l2_error(psi, branch_packet(traj, grid, t_obs, a0_t, a1_t))
+    rep0 = l2_error(psi, branch_packet(traj, grid, t_obs, a0_t))
+    case = IsolatedCase(
+        **_case_fields(eps, plan, result, solver_error, traj.energy_drift,
+                       [march]),
+        error_wp1=rep1.plain, error_wp0=rep0.plain,
+        error_wp1_phase_opt=rep1.phase_optimized,
+        error_wp0_phase_opt=rep0.phase_optimized,
+        slope_check=traj.band.slope_check)
     _CASE_CACHE[key] = case
     return case
 
 
 def run_isolated_band(cfg: RunConfig) -> StudyReport:
-    eps_list = list(cfg.epsilons)
-    with ThreadPoolExecutor(max_workers=worker_count(len(eps_list))) as pool:
-        cases = list(pool.map(lambda e: run_isolated_case(cfg, e), eps_list))
+    cases = _cases_for(cfg, build_isolated_scenario, run_isolated_case)
     fits, gates = [], []
     _fit_gate("wp1_error", [(c.epsilon, c.error_wp1) for c in cases],
               target=1.0, tolerance=0.3, fits=fits, gates=gates)

@@ -218,11 +218,11 @@ def crossing_setup():
     return V, pair, W, ext
 
 
-def two_branch_state(ext, pair, grid, t, a0_plus, a0_minus) -> GridState:
+def two_branch_state(ext, grid, t, a0_plus, a0_minus) -> GridState:
     """Continued-branch WP1 (a1 = 0) plus sqrt(eps) excited-branch WP0."""
     a1 = Envelope(a0_plus.y, np.zeros_like(a0_plus.values))
-    plus = branch_packet(ext.plus, pair.plus, grid, t, a0_plus, a1)
-    minus = branch_packet(ext.minus, pair.minus, grid, t, a0_minus)
+    plus = branch_packet(ext.plus, grid, t, a0_plus, a1)
+    minus = branch_packet(ext.minus, grid, t, a0_minus)
     return GridState(grid, plus.values + np.sqrt(grid.epsilon) * minus.values,
                      t=t)
 
@@ -234,7 +234,7 @@ class TestTwoBandAnsatz:
         a0p = gaussian_envelope(sigma=1.0)
         zero = Envelope(a0p.y, np.zeros_like(a0p.values))
         t = 0.3
-        state = two_branch_state(ext, pair, grid, t, a0p, zero)
+        state = two_branch_state(ext, grid, t, a0p, zero)
         qp, pp, Sp = ext.plus.state_at(t)
         params = WavepacketParams(
             S=Sp, q=qp, p=pp, a0=a0p,
@@ -243,7 +243,7 @@ class TestTwoBandAnsatz:
             epsilon=1.0 / 32)
         direct = assemble_wp1(params, grid)
         assert np.array_equal(state.values, direct.values)
-        assert branch_packet(ext.plus, pair.plus, grid, t, a0p).t == t
+        assert branch_packet(ext.plus, grid, t, a0p).t == t
 
     def test_mass_split_with_separated_centers(self, crossing_setup):
         V, pair, W, ext = crossing_setup
@@ -256,7 +256,7 @@ class TestTwoBandAnsatz:
         qp = ext.plus.state_at(t)[0]
         qm = ext.minus.state_at(t)[0]
         assert abs(qp - qm) > 0.5
-        state = two_branch_state(ext, pair, grid, t, a0p, a0m)
+        state = two_branch_state(ext, grid, t, a0p, a0m)
         total2 = state.norm() ** 2
         expect = 1.0 + eps * a0m.norm() ** 2
         # wp1 corrector shifts the plus mass at O(eps); centers separated

@@ -463,18 +463,23 @@ class TestBatchedTables:
                       isolation_floor=0.2)
 
     @pytest.mark.parametrize("block", [1, 7])
-    def test_window_shrinks_until_the_pair_is_isolated(self, one_gap,
-                                                       monkeypatch, block):
+    def test_pair_must_be_isolated_on_the_requested_window(
+            self, one_gap, monkeypatch, block):
         # bands 3 and 4 approach towards p = pi: at halfwidth 2 the margin
-        # reads 7.19, at halfwidth 1 it reads 13.47
+        # reads 7.19, at halfwidth 1 it reads 13.47; a margin under the
+        # floor on the requested window raises
         monkeypatch.setattr(bloch, "_BLOCK", block)
-        pair = smooth_continuation(one_gap, 2, 0.0, halfwidth=2.0,
+        with pytest.raises(IsolationFailure,
+                           match=r"margin 7\.19 .* floor 10\.0 "):
+            smooth_continuation(one_gap, 2, 0.0, halfwidth=2.0,
+                                n_samples=201, m_cut=32, isolation_floor=10.0)
+        pair = smooth_continuation(one_gap, 2, 0.0, halfwidth=1.0,
                                    n_samples=201, m_cut=32,
                                    isolation_floor=10.0)
-        assert pair.halfwidth == 1.0
+        assert (pair.p_samples[0], pair.p_samples[-1]) == (-1.0, 1.0)
         assert pair.margin == pytest.approx(13.467306469771934, rel=1e-12)
-        with pytest.raises(IsolationFailure, match="not isolable"):
-            smooth_continuation(one_gap, 2, 0.0, halfwidth=2.0,
+        with pytest.raises(IsolationFailure, match="margin 13.5 "):
+            smooth_continuation(one_gap, 2, 0.0, halfwidth=1.0,
                                 n_samples=201, m_cut=32, isolation_floor=20.0)
 
     def test_crossing_checks_survive_blocking(self, one_gap, monkeypatch):

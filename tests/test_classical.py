@@ -267,8 +267,8 @@ class TestVectorisedExternalCalls:
     def test_oscillator_coefficients(self, W, cosine_path):
         traj = integrate_flow(SplineBand(cosine_path), W, 0.4, 1.3,
                               (0.0, 0.5), 1e-3)
-        a = coefficients_from_trajectory(cosine_path, traj, W)
-        b = coefficients_from_trajectory(cosine_path, traj, pointwise(W))
+        a = coefficients_from_trajectory(traj, W)
+        b = coefficients_from_trajectory(traj, pointwise(W))
         for name in ("d2W", "d3W"):
             x, y = getattr(a, name), getattr(b, name)
             assert np.all(np.abs(x - y) <= 1e-14 * np.abs(y)), name

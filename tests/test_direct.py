@@ -372,11 +372,11 @@ def crossing_setup():
     return V, pair, W, ext
 
 
-def two_branch_state(ext, pair, grid, t, a0_plus, a0_minus) -> GridState:
+def two_branch_state(ext, grid, t, a0_plus, a0_minus) -> GridState:
     """Continued-branch WP1 (a1 = 0) plus sqrt(eps) excited-branch WP0."""
     a1 = Envelope(a0_plus.y, np.zeros_like(a0_plus.values))
-    plus = branch_packet(ext.plus, pair.plus, grid, t, a0_plus, a1)
-    minus = branch_packet(ext.minus, pair.minus, grid, t, a0_minus)
+    plus = branch_packet(ext.plus, grid, t, a0_plus, a1)
+    minus = branch_packet(ext.minus, grid, t, a0_minus)
     return GridState(grid, plus.values + np.sqrt(grid.epsilon) * minus.values,
                      t=t)
 
@@ -417,9 +417,9 @@ class TestBandMass:
         a0m = Envelope(a0m_raw.y, 0.7 * a0m_raw.values)
         zero = Envelope(a0m_raw.y, np.zeros_like(a0m_raw.values))
         t = 0.33
-        both = band_mass(two_branch_state(ext, pair, grid, t, a0p, a0m), V,
+        both = band_mass(two_branch_state(ext, grid, t, a0p, a0m), V,
                          n_bands=4)
-        only = band_mass(two_branch_state(ext, pair, grid, t, a0p, zero), V,
+        only = band_mass(two_branch_state(ext, grid, t, a0p, zero), V,
                          n_bands=4)
         pm = ext.minus.state_at(t)[1]
         # identify the band indices of each branch at the current momenta
@@ -448,7 +448,7 @@ class TestBandMass:
         a0m_raw = gaussian_envelope(sigma=0.8)
         a0m = Envelope(a0m_raw.y, 0.7 * a0m_raw.values)
         t = 0.33
-        state = two_branch_state(ext, pair, grid, t, a0p, a0m)
+        state = two_branch_state(ext, grid, t, a0p, a0m)
         qp = ext.plus.state_at(t)[0]
         qm = ext.minus.state_at(t)[0]
         mid = 0.5 * (qp + qm)
@@ -466,7 +466,7 @@ class TestBandMass:
         V, pair, W, ext = crossing_setup
         grid = Grid(length=8, epsilon=1.0 / 64, ppw=24)
         a0 = gaussian_envelope(sigma=1.0)
-        state = two_branch_state(ext, pair, grid, 0.33, a0, a0)
+        state = two_branch_state(ext, grid, 0.33, a0, a0)
         for n_bands in (1, 2, 4):
             tab = band_mass(state, V, n_bands=n_bands)
             assert len(tab.masses) == n_bands
@@ -482,7 +482,7 @@ class TestBandMass:
         a0p = gaussian_envelope(sigma=1.0)
         a0m_raw = gaussian_envelope(sigma=0.8)
         a0m = Envelope(a0m_raw.y, 0.7 * a0m_raw.values)
-        tabs = [band_mass(two_branch_state(ext, pair,
+        tabs = [band_mass(two_branch_state(ext,
                                            Grid(length=8, epsilon=1.0 / 64,
                                                 ppw=ppw),
                                            0.33, a0p, a0m), V, n_bands=4)

@@ -622,21 +622,7 @@ class TestCoefficientsFromTrajectory:
         W = linear_ramp(0.5)
         traj = integrate_flow(SplineBand(path), W, q0=0.0, p0=1.5,
                               t_span=(0.0, 2.0), dt=1e-3)
-        co = coefficients_from_trajectory(path, traj, W)
+        co = coefficients_from_trajectory(traj, W)
         assert np.allclose(co.d2E, 1.0, atol=1e-7)
         assert np.allclose(co.d3E, 0.0, atol=1e-5)
         assert np.allclose(co.d2W, 0.0, atol=1e-14)
-
-    def test_leaves_window_raises(self):
-        from bandcross.bloch import band_path
-        from bandcross.classical import SplineBand, integrate_flow
-        from bandcross.potential import linear_ramp, potential_from_coeffs
-
-        V = potential_from_coeffs({})
-        path = band_path(V, 1, (1.2, 2.8), n_samples=129, m_cut=24)
-        W = linear_ramp(-2.0)
-        bigger = band_path(V, 1, (0.5, 3.0), n_samples=129, m_cut=24)
-        traj = integrate_flow(SplineBand(bigger), W, q0=0.0, p0=1.5,
-                              t_span=(0.0, 0.4), dt=1e-3)
-        with pytest.raises(GridMismatch):
-            coefficients_from_trajectory(path, traj, W)

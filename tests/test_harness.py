@@ -3,7 +3,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from bandcross.harness import (
     _lz_transfer,
     _snap,
     build_crossing_scenario,
+    build_isolated_scenario,
     build_external,
     build_potential,
     default_config,
@@ -32,6 +33,7 @@ from bandcross.harness import (
     make_scaling_report,
     run_breakdown_study,
     run_crossing_case,
+    run_crossing_study,
     run_isolated_band,
     run_isolated_case,
     worker_count,
@@ -298,8 +300,8 @@ class TestTrivialCrossing:
     def test_lz_transfer_vanishes_without_coupling(self, trivial_cfg):
         scenario = build_crossing_scenario(trivial_cfg)
         uncoupled = replace(scenario, kappa=0.0)
-        assert _lz_transfer(uncoupled, 1 / 32, scenario.t_star) == 0.0
-        assert _lz_transfer(scenario, 1 / 32, scenario.t_star) < 1e-20
+        assert _lz_transfer(uncoupled, 1 / 32, scenario.ext.t_star) == 0.0
+        assert _lz_transfer(scenario, 1 / 32, scenario.ext.t_star) < 1e-20
 
     def test_one_band_spline_per_branch(self, trivial_cfg, monkeypatch):
         # the scenario's slope checks and the Landau-Zener levels read the
@@ -316,7 +318,7 @@ class TestTrivialCrossing:
         monkeypatch.setattr(harness, "_SCENARIO_CACHE", {})
         scenario = build_crossing_scenario(trivial_cfg)
         for eps in trivial_cfg.epsilons:
-            _lz_transfer(scenario, eps, scenario.t_star)
+            _lz_transfer(scenario, eps, scenario.ext.t_star)
         assert len(built) == 2
         assert built[0] is scenario.pair.plus
         assert built[1] is scenario.pair.minus
@@ -454,9 +456,55 @@ class TestScenarioFanOut:
             return eps
 
         monkeypatch.setattr(harness, "smooth_continuation", counting)
-        monkeypatch.setattr(harness, "run_crossing_case", stub_case)
-        assert harness._cases_for(cfg) == list(cfg.epsilons)
+        assert harness._cases_for(cfg, build_crossing_scenario,
+                                  stub_case) == list(cfg.epsilons)
         assert len(calls) == 1
+
+    def test_isolated_scenario_built_once_for_the_sweep(self, monkeypatch):
+        # one band path and one flow serve every epsilon of the study
+        monkeypatch.setenv("BCL_THREADS", "2")
+        for name in ("_SCENARIO_CACHE", "_CASE_CACHE"):
+            monkeypatch.setattr(harness, name, {})
+        calls = {"band_path": 0, "integrate_flow": 0}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(harness, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(harness, name, counting)
+        cfg = replace(TestFreeParticleIsolated.CFG,
+                      epsilons=(1 / 16, 1 / 24, 1 / 32))
+        assert len(run_isolated_band(cfg).rows) == 3
+        assert calls == {"band_path": 1, "integrate_flow": 1}
+
+    def test_isolated_and_crossing_scenarios_kept_apart(self, trivial_cfg,
+                                                        monkeypatch):
+        # the fingerprint drops the study, so the two configs share it; the
+        # band window holds the isolated flow below the crossing at p = pi
+        monkeypatch.setattr(harness, "_SCENARIO_CACHE", {})
+        crossing = replace(trivial_cfg, band_window=(1.5, 3.0), t_final=0.1)
+        isolated = replace(crossing, study="isolated")
+        assert isolated.fingerprint() == crossing.fingerprint()
+        pair_scenario = build_crossing_scenario(crossing)
+        band_scenario = build_isolated_scenario(isolated)
+        assert isinstance(pair_scenario, harness.CrossingScenario)
+        assert isinstance(band_scenario, harness.IsolatedScenario)
+        assert build_crossing_scenario(crossing) is pair_scenario
+        assert build_isolated_scenario(isolated) is band_scenario
+
+
+class TestCaseRows:
+    def test_every_row_carries_every_case_field(self, trivial_cfg):
+        names = {f.name for f in fields(harness.Case)}
+        assert len(names) == 13
+        crossing = replace(trivial_cfg, study="crossing", epsilons=(1 / 32,),
+                           measurements=("crossing",))
+        for rows in (run_isolated_band(TestFreeParticleIsolated.CFG).rows,
+                     run_breakdown_study(trivial_cfg).rows,
+                     run_crossing_study(crossing).rows):
+            assert rows
+            for row in rows:
+                assert names <= set(row), names - set(row)
 
 
 class TestEpsilonParsing:
