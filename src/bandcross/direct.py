@@ -16,7 +16,17 @@ the kinetic term; it is kept as the test oracle.  The two solvers share the
 semi-discrete system and differ only by time error.
 
 The external potential is made periodic by a C-infinity collar blend near
-x = L where no packet is allowed to travel.
+x = L where no packet is allowed to travel.  A constant shift of W changes
+the solution only by a global phase, so ``propagate`` splits off W - c, with
+c the midpoint of the periodized W's range (``centred_external``), and
+multiplies each snapshot at time t by e^{-i c t/eps}.  The split-step
+solution under W - c is exactly e^{i c t/eps} times that under W, so the
+snapshots are the solution under W, while the half-step phase, and with it
+the planned dt, reads max|W - c| rather than the gauge-dependent max|W|.
+
+Each BD step runs in place: the period-index FFTs and the fiber matvecs
+write into buffers allocated once per run (numpy's ``out=``), so the step
+allocates nothing.
 
 The fiber eigenbasis is computed once per (V, grid), by one batched eigh,
 and cached in ``_FIBER_CACHE``.  The BD step builds its propagator table
@@ -29,10 +39,10 @@ to a tolerance that the caller ties to its error target.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .ansatz import Grid, GridState
 from .errors import (GridMismatch, GridOverflow, StabilityViolation,
@@ -72,6 +82,17 @@ def periodize_external(W, grid: Grid, collar: float = COLLAR) -> np.ndarray:
     w_shift = np.asarray(W.w(x[sel] - grid.length), dtype=float)
     w[sel] = w[sel] + _smoothstep(s) * (w_shift - w[sel])
     return w
+
+
+def centred_external(W, grid: Grid) -> tuple:
+    """(periodized W - c, c), with c = (max + min)/2 of the periodized W.
+
+    Shifting W by c leaves max|W - c| at half the range of W, the least
+    max|W - c| over every constant shift.
+    """
+    w = periodize_external(W, grid)
+    c = 0.5 * float(np.max(w) + np.min(w))
+    return w - c, c
 
 
 def grid_potential(V: PeriodicPotential, W, grid: Grid) -> np.ndarray:
@@ -156,8 +177,8 @@ def _split_run(psi0: GridState, cfg: PropagatorConfig, half: np.ndarray,
             snapshots.append(GridState(grid, psi.copy(), t=0.0))
             norms.append(norm0)
             continue
-        # fused run of (target - step) symmetric steps; scipy's FFT releases
-        # the GIL, so epsilon sweeps parallelize on a thread pool
+        # fused run of (target - step) symmetric steps; middle may step psi
+        # in place, so psi is copied at each snapshot
         psi = psi * half
         for _ in range(target - step - 1):
             psi = middle(psi)
@@ -201,6 +222,7 @@ def _collocation(V: PeriodicPotential, ppw: int, p: np.ndarray) -> np.ndarray:
 
 
 _FIBER_CACHE: dict = {}
+_FIBER_LOCK = threading.Lock()   # the coarse and fine runs may start together
 
 
 def _fiber_basis(V: PeriodicPotential, grid: Grid) -> tuple:
@@ -214,17 +236,18 @@ def _fiber_basis(V: PeriodicPotential, grid: Grid) -> tuple:
     column n-1 is band n.  The solver and band_mass share this basis.
     """
     key = (V.coeffs.tobytes(), grid.length, grid.k_inv, grid.ppw)
-    if key not in _FIBER_CACHE:
-        ppw = grid.ppw
-        lk = grid.length * grid.k_inv
-        energies, vecs = np.linalg.eigh(
-            _collocation(V, ppw, TWO_PI * np.arange(lk) / lk))
-        a = np.arange(ppw)
-        twist = np.exp(TWO_PI * 1j * np.arange(lk)[:, None, None]
-                       * a[None, :, None] / grid.n)
-        q = twist * (np.sqrt(ppw) * np.fft.ifft(vecs, axis=1))
-        _FIBER_CACHE[key] = (energies, q)
-    return _FIBER_CACHE[key]
+    with _FIBER_LOCK:
+        if key not in _FIBER_CACHE:
+            ppw = grid.ppw
+            lk = grid.length * grid.k_inv
+            energies, vecs = np.linalg.eigh(
+                _collocation(V, ppw, TWO_PI * np.arange(lk) / lk))
+            a = np.arange(ppw)
+            twist = np.exp(TWO_PI * 1j * np.arange(lk)[:, None, None]
+                           * a[None, :, None] / grid.n)
+            q = twist * (np.sqrt(ppw) * np.fft.ifft(vecs, axis=1))
+            _FIBER_CACHE[key] = (energies, q)
+        return _FIBER_CACHE[key]
 
 
 def _fiber_propagators(V: PeriodicPotential, grid: Grid,
@@ -283,20 +306,32 @@ def points_per_period(V: PeriodicPotential, n_bands: int, tol: float) -> int:
 
 def propagate(psi0: GridState, V: PeriodicPotential, W,
               cfg: PropagatorConfig) -> PropagationResult:
-    """Bloch-decomposition Strang steps to t_final (t_final always a snapshot)."""
+    """Bloch-decomposition Strang steps to t_final (t_final always a snapshot).
+
+    The steps split off the centred W - c; each snapshot is multiplied by
+    e^{-i c t/eps}, so it is the solution under W itself.
+    """
     grid = psi0.grid
+    eps = grid.epsilon
     lk, ppw = grid.length * grid.k_inv, grid.ppw
     _, dt = cfg.steps()
-    half = _half_phase(periodize_external(W, grid), dt,
-                       grid.epsilon, "external potential")
+    w, c = centred_external(W, grid)
+    half = _half_phase(w, dt, eps, "external potential")
     fiber = _fiber_propagators(V, grid, dt)
+    phi = np.empty((lk, ppw, 1), dtype=complex)
+    out = np.empty_like(phi)
 
     def middle(psi):
-        phi = sfft.fft(psi.reshape(lk, ppw), axis=0)
-        phi = np.matmul(fiber, phi[:, :, None])[:, :, 0]
-        return sfft.ifft(phi, axis=0, overwrite_x=True).reshape(-1)
+        rows = psi.reshape(lk, ppw)    # a view: psi is contiguous
+        np.fft.fft(rows, axis=0, out=phi[:, :, 0])
+        np.matmul(fiber, phi, out=out)
+        np.fft.ifft(out[:, :, 0], axis=0, out=rows)
+        return psi
 
-    return _split_run(psi0, cfg, half, middle)
+    result = _split_run(psi0, cfg, half, middle)
+    for snap in result.snapshots:
+        snap.values *= np.exp(-1j * c * snap.t / eps)
+    return result
 
 
 def propagate_strang(psi0: GridState, V: PeriodicPotential, W,
@@ -310,7 +345,7 @@ def propagate_strang(psi0: GridState, V: PeriodicPotential, W,
     kin_full = np.exp(-1j * dt * eps * grid.wavenumbers() ** 2 / 2.0)
 
     def middle(psi):
-        return sfft.ifft(kin_full * sfft.fft(psi))
+        return np.fft.ifft(kin_full * np.fft.fft(psi))
 
     return _split_run(psi0, cfg, half, middle)
 
@@ -387,7 +422,7 @@ def band_mass(psi: GridState, V: PeriodicPotential, n_bands: int = 4,
         raise WindowEmpty("windowed state carries no mass")
     _, q = _fiber_basis(V, grid)
     lk = grid.length * grid.k_inv
-    phi = sfft.fft(vals.reshape(lk, grid.ppw), axis=0)
+    phi = np.fft.fft(vals.reshape(lk, grid.ppw), axis=0)
     amps = np.matmul(np.conj(q.transpose(0, 2, 1)), phi[:, :, None])[:, :, 0]
     per_band = np.sum(np.abs(amps) ** 2, axis=0) * grid.dx / lk
     masses = {n + 1: float(m) for n, m in enumerate(per_band[:n_bands])}

@@ -13,10 +13,12 @@ direct solve's grid and dt by plan_solver and its after-run step doubling,
 and each envelope march's step by step doubling in march_envelopes.
 
 Threads: a study runs its epsilons on a case pool of worker_count threads,
-capped by BCL_THREADS.  Each crossing case adds one solver thread of its
-own, which runs the direct solve while the case's thread builds the
-semiclassical prediction, so a crossing study runs up to twice the pool
-size of threads.  Isolated cases run on their pool thread alone.
+capped by BCL_THREADS.  Each crossing case adds two solver threads of its
+own: one runs the step-doubling solve and the other the first fine run
+beside its coarse run, while the case's thread builds the semiclassical
+prediction.  So a crossing case runs up to three threads, and a crossing
+study up to three times the pool size.  Isolated cases run on their pool
+thread alone, coarse run then fine run.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .ansatz import (Grid, GridState, WavepacketParams, assemble_wp0,
 from .bloch import band_path, coupling_coefficient, smooth_continuation
 from .classical import SplineBand, extend_through_crossing, integrate_flow
 from .direct import (PropagatorConfig, PropagationResult, band_mass,
-                     l2_error, periodize_external, points_per_period,
+                     centred_external, l2_error, points_per_period,
                      propagate)
 from .envelope import (Envelope, coefficients_from_trajectory, evolve_a0,
                        evolve_a1, excited_buildup, excited_envelope,
@@ -74,8 +76,8 @@ _SOLVER_DEFAULTS = {
 def worker_count(n_jobs: int) -> int:
     """Case-pool size: BCL_THREADS caps it, defaults to the machine's cores.
 
-    Each crossing case also runs its direct solve on one solver thread of
-    its own, on top of this pool.
+    Each crossing case also runs its direct solve on two solver threads of
+    its own, on top of this pool: up to three threads per case.
     """
     cap = os.environ.get("BCL_THREADS", "")
     limit = int(cap) if cap.strip() else (os.cpu_count() or 1)
@@ -492,7 +494,10 @@ def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
     of bands 1..band+2 must be converged to 0.01 target eps / t_run, so
     their phase error over the run stays within 1% of the solver's error
     target.  The Bloch-decomposition step solves the fast potential
-    exactly, so only W limits dt; accuracy is checked after the run by step
+    exactly, so only W limits dt: dt = min(0.45 eps / max|W - c|, eps/10),
+    with W - c the gauge-centred W that propagate splits off
+    (direct.centred_external), so the phase rule reads half the range of W,
+    not a gauge-dependent max|W|.  Accuracy is checked after the run by step
     doubling.  The envelope marches get the same 1% share
     (ENVELOPE_SHARE * target), and march_envelopes derives their step from
     it.
@@ -503,13 +508,13 @@ def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
     if ppw is None:
         ppw = points_per_period(V, cfg.band + 2, 0.01 * target * eps / t_run)
     grid = Grid(length=_domain_length(cfg, eps), epsilon=eps, ppw=ppw)
-    w_max = float(np.max(np.abs(periodize_external(W, grid))))
+    w_max = float(np.max(np.abs(centred_external(W, grid)[0])))
     dt = min(0.45 * eps / max(w_max, 1e-12), eps / 10.0)
     return SolverPlan(grid, float(dt), target)
 
 
 def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
-                         target: float):
+                         target: float, fine_run=None):
     """Step doubling: (4 psi_{dt/2} - psi_dt)/3 and its error estimate.
 
     The estimate is max over snapshots of ||psi_{dt/2} - psi_dt||/3, the
@@ -518,11 +523,19 @@ def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
     Snapshot times land on every step grid because each is a multiple of
     dt.  Returns (result, estimate); n_steps counts every step run, and
     collar_mass is the peak over both runs of the accepted pair.
+
+    fine_run, if given, is a future of the first fine run,
+    propagate(psi0, V, W, cfg with dt/2), which the caller started beside
+    this call; its result, or its exception, is taken in place of running
+    it here.  The halvings after a failed check run here, one after another.
     """
     coarse = propagate(psi0, V, W, cfg)
     n_steps = coarse.n_steps
     for _ in range(MAX_HALVINGS + 1):
-        fine = propagate(psi0, V, W, replace(cfg, dt=cfg.dt / 2.0))
+        if fine_run is None:
+            fine = propagate(psi0, V, W, replace(cfg, dt=cfg.dt / 2.0))
+        else:
+            fine, fine_run = fine_run.result(), None
         n_steps += fine.n_steps
         for a, b in zip(coarse.snapshots, fine.snapshots):
             if abs(a.t - b.t) > 1e-9:
@@ -749,10 +762,12 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     """The direct solve of one epsilon against the semiclassical prediction.
 
     The two computations share nothing until the comparisons, so the direct
-    solve runs on a helper thread while this thread builds the prediction:
-    the plus-branch envelopes, the excited envelope at t* with its
-    minus-branch march, and the predicted packets.  The solver spends its
-    time in scipy.fft and np.matmul, which release the interpreter lock.
+    solve runs on two helper threads while this thread builds the
+    prediction: the plus-branch envelopes, the excited envelope at t* with
+    its minus-branch march, and the predicted packets.  One helper runs
+    propagate_richardson; the other runs its first fine run (dt/2) beside
+    the coarse run, since neither reads the other.  The solver spends its
+    time in numpy's FFT and matmul, which release the interpreter lock.
     """
     key = ("crossing", cfg.fingerprint(), eps)
     if key in _CASE_CACHE:
@@ -774,11 +789,13 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
 
     prop_cfg = PropagatorConfig(dt=dt, t_final=t_run,
                                 snapshot_times=tuple(sorted(times.values())))
-    # the with block joins the helper thread on every exit, and an error on
-    # either side reaches the caller unchanged
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    # the with block joins the helper threads on every exit, and an error on
+    # any thread reaches the caller unchanged
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fine_run = pool.submit(propagate, psi0, scenario.V, scenario.W,
+                               replace(prop_cfg, dt=prop_cfg.dt / 2.0))
         solve = pool.submit(propagate_richardson, psi0, scenario.V,
-                            scenario.W, prop_cfg, plan.target)
+                            scenario.W, prop_cfg, plan.target, fine_run)
 
         # plus-branch envelopes only where the comparisons need them
         error_labels = [k for k in ("breakdown_xi", "breakdown_xi_prime",

@@ -1,7 +1,11 @@
 """Direct solver tests: the Bloch-decomposition step and the Strang oracle."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from bandcross import direct
 from bandcross.ansatz import (
     Grid,
     GridState,
@@ -16,6 +20,7 @@ from bandcross.direct import (
     PropagatorConfig,
     _smoothstep,
     band_mass,
+    centred_external,
     collocation_error,
     l2_error,
     periodize_external,
@@ -275,11 +280,82 @@ class TestPropagate(SolverContract):
         with pytest.raises(StabilityViolation):
             propagate(state, V, linear_ramp(40.0, q_ref=4.0), cfg)
 
+    def test_constant_shift_of_w_is_a_global_phase(self):
+        # W + 200 (the ramp with q_ref moved by 400) changes the solution by
+        # e^{-i 200 t/eps} alone: the steps split off the centred W, whose
+        # phase per half step is 0.007 rad, not the 0.81 rad the shifted
+        # max|W| would give, and each snapshot carries the phase of its own
+        # gauge, so at equal dt the two runs agree to roundoff
+        eps = 1.0 / 8
+        grid = Grid(length=8, epsilon=eps, ppw=32)
+        state = bloch_packet(grid)
+        V = make_cosine(4.0)
+        cfg = PropagatorConfig(dt=1e-3, t_final=0.2, snapshot_times=(0.1,))
+        base, shifted = (propagate(state, V, linear_ramp(0.5, q_ref=q), cfg)
+                         for q in (4.0, 404.0))
+        assert [s.t for s in shifted.snapshots] == [0.1, 0.2]
+        for a, b in zip(base.snapshots, shifted.snapshots):
+            expected = np.exp(-1j * 200.0 * a.t / eps) * a.values
+            scale = np.max(np.abs(a.values))
+            assert np.max(np.abs(b.values - expected)) <= 1e-12 * scale
+
     def test_snapshot_validation(self):
         with pytest.raises(ValueError):
             PropagatorConfig(dt=1e-3, t_final=0.5, snapshot_times=(0.0005,))
         with pytest.raises(ValueError):
             PropagatorConfig(dt=1e-3, t_final=0.5, snapshot_times=(0.7,))
+
+
+class TestFiberBasis:
+    def test_concurrent_first_use_builds_once(self, monkeypatch):
+        # more threads than cores ask for one uncached basis at once under a
+        # short switch interval: one batched eigh runs, and every thread
+        # gets the same arrays
+        monkeypatch.setattr(direct, "_FIBER_CACHE", {})
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        grid = Grid(length=8, epsilon=1.0 / 16, ppw=16)
+        V = make_cosine(4.0)
+        n_threads = 6
+        barrier = threading.Barrier(n_threads)
+        results = []
+
+        def first_use():
+            barrier.wait(timeout=10)
+            results.append(direct._fiber_basis(V, grid))
+
+        threads = [threading.Thread(target=first_use)
+                   for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert calls == [(8 * 16, 16, 16)]
+        assert len(results) == n_threads
+        assert all(r is results[0] for r in results)
+
+
+class TestCentredExternal:
+    def test_midpoint_removed(self):
+        grid = Grid(length=8, epsilon=1.0 / 8, ppw=32)
+        W = linear_ramp(0.5, q_ref=4.0)
+        w, c = centred_external(W, grid)
+        full = periodize_external(W, grid)
+        assert c == pytest.approx(0.5 * (full.max() + full.min()), rel=1e-15)
+        np.testing.assert_allclose(w, full - c, rtol=0, atol=1e-15)
+        assert w.max() == pytest.approx(-w.min(), rel=1e-12)
 
 
 class TestPropagateStrang(SolverContract):

@@ -2,7 +2,9 @@
 import json
 import math
 import os
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -413,17 +415,47 @@ class TestSolverOverlap:
 
     def test_solver_runs_off_the_calling_thread(self, trivial_cfg,
                                                 monkeypatch):
-        seen = []
-        real = harness.propagate_richardson
+        # propagate_richardson runs the coarse run on one helper thread, and
+        # the first fine run (dt/2) runs beside it on the other
+        seen, runs = [], []
+        real, real_run = harness.propagate_richardson, harness.propagate
 
         def recording(*args, **kwargs):
             seen.append(threading.get_ident())
             return real(*args, **kwargs)
 
+        def recording_run(psi0, V, W, cfg):
+            runs.append((cfg.dt, threading.get_ident()))
+            return real_run(psi0, V, W, cfg)
+
         monkeypatch.setattr(harness, "propagate_richardson", recording)
+        monkeypatch.setattr(harness, "propagate", recording_run)
         case = run_crossing_case(trivial_cfg, 1 / 32)
         assert len(seen) == 1 and seen[0] != threading.get_ident()
         assert case.solver_error <= case.solver_target
+        assert len(runs) == 2
+        (coarse_dt, coarse_thread), = [r for r in runs if r[0] == case.dt]
+        (fine_dt, fine_thread), = [r for r in runs if r[0] != case.dt]
+        assert fine_dt == pytest.approx(coarse_dt / 2)
+        assert coarse_thread == seen[0]
+        assert fine_thread not in (coarse_thread, threading.get_ident())
+
+    def test_fine_run_error_reaches_the_caller(self, trivial_cfg,
+                                               monkeypatch):
+        planned = run_crossing_case(trivial_cfg, 1 / 32)
+        harness._CASE_CACHE.clear()
+        error = GridOverflow("raised in the early fine run")
+        real = harness.propagate
+
+        def failing_fine(psi0, V, W, cfg):
+            if cfg.dt < 0.75 * planned.dt:
+                raise error
+            return real(psi0, V, W, cfg)
+
+        monkeypatch.setattr(harness, "propagate", failing_fine)
+        with pytest.raises(GridOverflow) as caught:
+            run_crossing_case(trivial_cfg, 1 / 32)
+        assert caught.value is error
 
     def test_solver_error_reaches_the_caller(self, trivial_cfg):
         cfg = replace(trivial_cfg,
@@ -545,6 +577,28 @@ class TestStepDoubling:
         assert result.collar_mass == max(r.collar_mass for r in runs)
         assert result.collar_mass > 0.0
 
+    @pytest.mark.parametrize("halvings", [0, 1])
+    def test_overlapped_pair_equals_the_sequential_pair(self, halvings):
+        # the first fine run started on another thread gives the same result
+        # bit for bit, with and without a halving after it
+        psi0, V, W, cfg = self._problem()
+        _, first = harness.propagate_richardson(psi0, V, W, cfg, math.inf)
+        target = math.inf if halvings == 0 else 0.5 * first
+        seq, seq_est = harness.propagate_richardson(psi0, V, W, cfg, target)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            fine_run = pool.submit(harness.propagate, psi0, V, W,
+                                   replace(cfg, dt=cfg.dt / 2))
+            par, par_est = harness.propagate_richardson(psi0, V, W, cfg,
+                                                        target, fine_run)
+        assert seq.dt == pytest.approx(cfg.dt / 2 ** halvings, rel=1e-15)
+        assert par_est == seq_est
+        assert (par.n_steps, par.dt, par.collar_mass, par.norm_drift_rate) \
+            == (seq.n_steps, seq.dt, seq.collar_mass, seq.norm_drift_rate)
+        assert len(par.snapshots) == len(seq.snapshots)
+        for a, b in zip(par.snapshots, seq.snapshots):
+            assert a.t == b.t
+            assert np.array_equal(a.values, b.values)
+
 
 class TestGatedCrossingCase:
     """One through-crossing case at eps = 1/32 with the study's gates."""
@@ -564,11 +618,19 @@ class TestGatedCrossingCase:
             shapes.append(np.shape(a))
             return real(a, *args, **kwargs)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "_CASE_CACHE", {})
-            mp.setattr(direct, "_FIBER_CACHE", {})
-            mp.setattr(np.linalg, "eigh", counting)
-            case = run_crossing_case(self.CFG, 1 / 32)
+        # the coarse and fine runs start together and ask for the fiber
+        # basis at once; a short switch interval makes a lost check-then-act
+        # on the fiber cache show as a second batched eigh
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "_CASE_CACHE", {})
+                mp.setattr(direct, "_FIBER_CACHE", {})
+                mp.setattr(np.linalg, "eigh", counting)
+                case = run_crossing_case(self.CFG, 1 / 32)
+        finally:
+            sys.setswitchinterval(interval)
         return case, shapes
 
     def test_crossing_gates(self, counted_case):
@@ -601,6 +663,25 @@ class TestGatedCrossingCase:
         assert case.ppw == 20
         assert (collocation_error(V, case.ppw, n_bands) <= tol
                 < collocation_error(V, case.ppw - 2, n_bands))
+
+
+class TestPlanSolver:
+    def test_constant_shift_of_w_keeps_dt(self):
+        # the crossing ramp and the same ramp raised by 40 (q_ref moved by
+        # 10) plan the same dt, set by half the range of the periodized W
+        cfg = replace(default_config("crossing"), ppw=32)
+        V = build_potential(cfg.potential)
+        plans = [harness.plan_solver(cfg, 1 / 128, 1.0, V,
+                                     build_external({**cfg.external,
+                                                     "q_ref": q_ref}), 0.6)
+                 for q_ref in (6.0, 16.0)]
+        w = direct.periodize_external(build_external(cfg.external),
+                                      plans[0].grid)
+        half_range = 0.5 * (w.max() - w.min())
+        assert plans[0].dt < (1 / 128) / 10    # the phase rule binds
+        for plan in plans:
+            assert plan.dt == pytest.approx(0.45 / 128 / half_range,
+                                            rel=1e-12)
 
 
 class TestClearCaches:
