@@ -260,12 +260,6 @@ def _blocks(V, p, m_cut):
         yield rows, evals, evecs
 
 
-def _finite_diff(p, y):
-    """Centered first derivative of a sampled smooth function."""
-    d = np.gradient(y, p, edge_order=2)
-    return d
-
-
 def band_path(V: PeriodicPotential, n: int, p_window, n_samples: int = 513,
               m_cut: int = DEFAULT_M_CUT, isolation_floor: float = 1e-6) -> BandPath:
     """Sample an isolated band over a window with transported gauge."""
@@ -289,7 +283,7 @@ def band_path(V: PeriodicPotential, n: int, p_window, n_samples: int = 513,
                         m_cut)
     chi = fix_gauge(chi, anchor=n_samples // 2)
     dE = _hf_velocity(p, chi, m_cut)
-    d3 = _finite_diff(p, d2)
+    d3 = np.gradient(d2, p, edge_order=2)
     return BandPath(V, p, energies, chi, dE, d2, d3, m_cut, label=f"n={n}")
 
 
@@ -313,52 +307,8 @@ class SmoothBandPair:
     slope_fd_mismatch: float
 
     @property
-    def potential(self):
-        return self.plus.potential
-
-    @property
-    def m_cut(self):
-        return self.plus.m_cut
-
-    @property
-    def p_samples(self):
-        return self.plus.p_samples
-
-    @property
-    def chi_plus(self):
-        return self.plus.chi
-
-    @property
-    def chi_minus(self):
-        return self.minus.chi
-
-    @property
     def slope_gap(self) -> float:
         return self.slope_plus - self.slope_minus
-
-
-def smooth_continuation(V: PeriodicPotential, n: int, p_star: float,
-                        halfwidth: float = 0.5, n_samples: int = 801,
-                        m_cut: int = DEFAULT_M_CUT,
-                        isolation_floor: float = 1e-3,
-                        slope_floor: float = 1e-3,
-                        degeneracy_tol: float = 1e-7) -> SmoothBandPair:
-    """Build E_+/E_- and transported chi_+/chi_- through the crossing.
-
-    The ordered bands swap roles at p_star: E_+ follows E_n below and E_{n+1}
-    at and above (positive slope), E_- the opposite.  At p_star itself the
-    degenerate 2d eigenspace is split by diagonalizing the velocity operator
-    restricted to it, which also yields the exact branch slopes; transported
-    gauge then propagates outward.  The pair must be isolated from the other
-    bands over the whole requested window: a margin at or below
-    isolation_floor raises IsolationFailure.
-    """
-    if n_samples % 2 == 0:
-        n_samples += 1
-    n_samples = max(n_samples, 5)
-    p = p_star + np.linspace(-halfwidth, halfwidth, n_samples)
-    return _build_pair(V, n, p_star, p, m_cut, isolation_floor, slope_floor,
-                       degeneracy_tol)
 
 
 def _split_degenerate(p_star, evals, evecs, lower, m_cut, slope_floor,
@@ -399,11 +349,27 @@ def _split_degenerate(p_star, evals, evecs, lower, m_cut, slope_floor,
     return energy, u_plus, u_minus, d2(u_plus, u_minus), d2(u_minus, u_plus)
 
 
-def _build_pair(V, n, p_star, p, m_cut, isolation_floor, slope_floor,
-                degeneracy_tol):
-    n_samples = p.size
+def smooth_continuation(V: PeriodicPotential, n: int, p_star: float,
+                        halfwidth: float = 0.5, n_samples: int = 801,
+                        m_cut: int = DEFAULT_M_CUT,
+                        isolation_floor: float = 1e-3,
+                        slope_floor: float = 1e-3,
+                        degeneracy_tol: float = 1e-7) -> SmoothBandPair:
+    """Build E_+/E_- and transported chi_+/chi_- through the crossing.
+
+    The ordered bands swap roles at p_star: E_+ follows E_n below and E_{n+1}
+    at and above (positive slope), E_- the opposite.  At p_star itself the
+    degenerate 2d eigenspace is split by diagonalizing the velocity operator
+    restricted to it, which also yields the exact branch slopes; transported
+    gauge then propagates outward.  The pair must be isolated from the other
+    bands over the whole requested window: a margin at or below
+    isolation_floor raises IsolationFailure.
+    """
+    if n_samples % 2 == 0:
+        n_samples += 1
+    n_samples = max(n_samples, 5)
+    p = p_star + np.linspace(-halfwidth, halfwidth, n_samples)
     i_star = n_samples // 2
-    p = p.copy()
     p[i_star] = p_star
     dim = 2 * m_cut + 1
     e_plus = np.empty(n_samples)
@@ -468,9 +434,11 @@ def _build_pair(V, n, p_star, p, m_cut, isolation_floor, slope_floor,
     )
 
     plus = BandPath(V, p, e_plus, chi_plus, dE_plus, d2_plus,
-                    _finite_diff(p, d2_plus), m_cut, label=f"pair({n},{n + 1})+")
+                    np.gradient(d2_plus, p, edge_order=2), m_cut,
+                    label=f"pair({n},{n + 1})+")
     minus = BandPath(V, p, e_minus, chi_minus, dE_minus, d2_minus,
-                     _finite_diff(p, d2_minus), m_cut, label=f"pair({n},{n + 1})-")
+                     np.gradient(d2_minus, p, edge_order=2), m_cut,
+                     label=f"pair({n},{n + 1})-")
     return SmoothBandPair(
         n=n, p_star=float(p_star), plus=plus, minus=minus,
         slope_plus=lam_plus, slope_minus=lam_minus,
@@ -487,10 +455,10 @@ def coupling_coefficient(pair: SmoothBandPair) -> complex:
     excluded part of d_p chi_+, regular because the resonant span is removed.
     The modulus is gauge independent.
     """
-    V, m_cut = pair.potential, pair.m_cut
+    V, m_cut = pair.plus.potential, pair.plus.m_cut
     i = pair.i_star
-    chi_p = pair.chi_plus[i]
-    chi_m = pair.chi_minus[i]
+    chi_p = pair.plus.chi[i]
+    chi_m = pair.minus.chi[i]
     p_star = pair.p_star
     e_star = pair.plus.energies[i]
     vel = _velocity([p_star], m_cut)[0]

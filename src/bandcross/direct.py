@@ -15,6 +15,11 @@ not by the O(eps^-2) commutator of the kinetic term with V(x/eps).
 the kinetic term; it is kept as the test oracle.  The two solvers share the
 semi-discrete system and differ only by time error.
 
+Both take the step dt and an increasing list of whole step counts, and
+return one snapshot after each count, at t = count * dt; the last count
+ends the run.  The caller plans that grid (harness.plan_solver), so no time
+is rounded onto steps here.
+
 The external potential is made periodic by a C-infinity collar blend near
 x = L where no packet is allowed to travel.  A constant shift of W changes
 the solution only by a global phase, so ``propagate`` splits off W - c, with
@@ -102,37 +107,8 @@ def grid_potential(V: PeriodicPotential, W, grid: Grid) -> np.ndarray:
 
 
 @dataclass
-class PropagatorConfig:
-    """Time-stepping parameters for one propagation."""
-
-    dt: float
-    t_final: float
-    snapshot_times: tuple = ()
-    check_collar: bool = True
-
-    def __post_init__(self):
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("dt and t_final must be positive")
-        snaps = sorted(set(float(t) for t in self.snapshot_times))
-        for t in snaps:
-            if t < 0 or t > self.t_final + 1e-12:
-                raise ValueError(f"snapshot time {t} outside [0, t_final]")
-            steps = t / self.dt
-            if abs(steps - round(steps)) > 1e-6:
-                raise ValueError(f"snapshot time {t} not a multiple of dt")
-        self.snapshot_times = tuple(snaps)
-
-    def steps(self) -> tuple:
-        """(n_steps, dt) with n_steps * dt = t_final exactly."""
-        n_steps = int(round(self.t_final / self.dt))
-        if abs(n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
-            n_steps = int(np.ceil(self.t_final / self.dt))
-        return n_steps, self.t_final / n_steps
-
-
-@dataclass
 class PropagationResult:
-    snapshots: list
+    snapshots: list         # one per entry of the step list
     norm_drift_rate: float
     n_steps: int
     dt: float
@@ -150,19 +126,24 @@ def _half_phase(u: np.ndarray, dt: float, eps: float, what: str) -> np.ndarray:
     return np.exp(-1j * dt * u / (2.0 * eps))
 
 
-def _split_run(psi0: GridState, cfg: PropagatorConfig, half: np.ndarray,
-               middle) -> PropagationResult:
-    """Symmetric steps half * middle * half, recording snapshots.
+def _split_run(psi0: GridState, dt: float, steps, half: np.ndarray, middle,
+               check_collar: bool) -> PropagationResult:
+    """Symmetric steps half * middle * half, one snapshot per entry of steps.
 
-    Consecutive half-phases between snapshots are fused into one full phase.
-    The mass fraction inside the collar is measured at every snapshot after
-    t = 0; its peak is recorded, and with check_collar it must stay below
+    steps is an increasing list of whole step counts; the snapshot after n
+    steps has t = n dt, and the last count ends the run.  Consecutive
+    half-phases between snapshots are fused into one full phase.  The mass
+    fraction inside the collar is measured at every snapshot after t = 0;
+    its peak is recorded, and with check_collar it must stay below
     COLLAR_MASS_TOL.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if (not steps or steps[0] < 0 or steps[-1] < 1
+            or any(b <= a for a, b in zip(steps, steps[1:]))):
+        raise ValueError(f"steps {steps} must be increasing counts >= 0 "
+                         "ending at >= 1")
     grid = psi0.grid
-    n_steps, dt = cfg.steps()
-    snap_steps = sorted({int(round(t / dt)) for t in cfg.snapshot_times}
-                        | {n_steps})
     full = half * half
     collar_idx = grid.x >= grid.length - COLLAR
 
@@ -172,7 +153,7 @@ def _split_run(psi0: GridState, cfg: PropagatorConfig, half: np.ndarray,
     norms = []
     collar_peak = 0.0
     step = 0
-    for target in snap_steps:
+    for target in steps:
         if target == 0:
             snapshots.append(GridState(grid, psi.copy(), t=0.0))
             norms.append(norm0)
@@ -193,7 +174,7 @@ def _split_run(psi0: GridState, cfg: PropagatorConfig, half: np.ndarray,
         frac = float(np.sum(np.abs(psi[collar_idx]) ** 2) * grid.dx
                      / max(norms[-1] ** 2, 1e-300))
         collar_peak = max(collar_peak, frac)
-        if cfg.check_collar and frac > COLLAR_MASS_TOL:
+        if check_collar and frac > COLLAR_MASS_TOL:
             raise GridOverflow(
                 f"packet mass fraction {frac:.2e} inside the collar at t={t:.4f}"
             )
@@ -201,7 +182,7 @@ def _split_run(psi0: GridState, cfg: PropagatorConfig, half: np.ndarray,
     ts = np.array([s.t for s in snapshots])
     pos = ts > 0
     drift = float(np.max(np.abs(norms[pos] - norm0) / ts[pos])) if np.any(pos) else 0.0
-    return PropagationResult(snapshots, drift, n_steps, dt, collar_peak)
+    return PropagationResult(snapshots, drift, steps[-1], dt, collar_peak)
 
 
 def _collocation(V: PeriodicPotential, ppw: int, p: np.ndarray) -> np.ndarray:
@@ -304,9 +285,9 @@ def points_per_period(V: PeriodicPotential, n_bands: int, tol: float) -> int:
         f"energy difference {best:.3e} exceeds the tolerance {tol:.3e}")
 
 
-def propagate(psi0: GridState, V: PeriodicPotential, W,
-              cfg: PropagatorConfig) -> PropagationResult:
-    """Bloch-decomposition Strang steps to t_final (t_final always a snapshot).
+def propagate(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
+              check_collar: bool = True) -> PropagationResult:
+    """Bloch-decomposition Strang steps of dt, a snapshot after each count.
 
     The steps split off the centred W - c; each snapshot is multiplied by
     e^{-i c t/eps}, so it is the solution under W itself.
@@ -314,7 +295,6 @@ def propagate(psi0: GridState, V: PeriodicPotential, W,
     grid = psi0.grid
     eps = grid.epsilon
     lk, ppw = grid.length * grid.k_inv, grid.ppw
-    _, dt = cfg.steps()
     w, c = centred_external(W, grid)
     half = _half_phase(w, dt, eps, "external potential")
     fiber = _fiber_propagators(V, grid, dt)
@@ -328,18 +308,17 @@ def propagate(psi0: GridState, V: PeriodicPotential, W,
         np.fft.ifft(out[:, :, 0], axis=0, out=rows)
         return psi
 
-    result = _split_run(psi0, cfg, half, middle)
+    result = _split_run(psi0, dt, steps, half, middle, check_collar)
     for snap in result.snapshots:
         snap.values *= np.exp(-1j * c * snap.t / eps)
     return result
 
 
-def propagate_strang(psi0: GridState, V: PeriodicPotential, W,
-                     cfg: PropagatorConfig) -> PropagationResult:
+def propagate_strang(psi0: GridState, V: PeriodicPotential, W, dt: float,
+                     steps, check_collar: bool = True) -> PropagationResult:
     """Plain Strang steps (V + W split from the kinetic term); test oracle."""
     grid = psi0.grid
     eps = grid.epsilon
-    _, dt = cfg.steps()
     half = _half_phase(grid_potential(V, W, grid), dt, eps,
                        "potential")
     kin_full = np.exp(-1j * dt * eps * grid.wavenumbers() ** 2 / 2.0)
@@ -347,7 +326,7 @@ def propagate_strang(psi0: GridState, V: PeriodicPotential, W,
     def middle(psi):
         return np.fft.ifft(kin_full * np.fft.fft(psi))
 
-    return _split_run(psi0, cfg, half, middle)
+    return _split_run(psi0, dt, steps, half, middle, check_collar)
 
 
 @dataclass

@@ -283,17 +283,12 @@ def excited_envelope(a_star: Envelope, dqW_star: float, slope_gap: float,
     a_minus(y) = dqW* kappa  Integral  e^{i dqW* sg tau^2 / 2}
                                        a*(y - sg tau) d tau
 
-    evaluated per frequency in closed form (complete Fresnel phase).
+    the complete buildup, excited_buildup at s = +inf, where the lower
+    Fresnel integral is complete: fresnel(inf) = (1/2, 1/2).
     """
-    a_coef = _chirp_params(dqW_star, slope_gap)
-    k = a_star.k_grid()
-    # Integral e^{i a tau^2 - i k sg tau} d tau
-    #   = sqrt(pi/|a|) e^{i sgn(a) pi/4} e^{-i (k sg)^2/(4a)}
-    factor = (np.sqrt(np.pi / abs(a_coef))
-              * np.exp(1j * np.sign(a_coef) * np.pi / 4.0)
-              * np.exp(-0.25j * (k * slope_gap) ** 2 / a_coef))
-    vals = dqW_star * coupling * np.fft.ifft(factor * np.fft.fft(a_star.values))
-    return Envelope(a_star.y, vals, t=a_star.t)
+    (out,) = excited_buildup(a_star, dqW_star, slope_gap, coupling, [np.inf])
+    out.t = a_star.t
+    return out
 
 
 def _spectral_refine(values: np.ndarray, r: int) -> np.ndarray:
@@ -319,7 +314,8 @@ def excited_buildup(a_star: Envelope, dqW_star: float, slope_gap: float,
     buildup(y, s) = dqW* kappa Integral_{-inf}^{s} e^{i a s'^2}
                     a*(y - sg s') ds'
     evaluated per frequency with lower Fresnel integrals (exact lower tail).
-    As s -> +inf the final envelope converges to excited_envelope.
+    At s = +inf the integral is complete, and the buildup is
+    excited_envelope.
     """
     a_coef = _chirp_params(dqW_star, slope_gap)
     k = a_star.k_grid()

@@ -11,6 +11,9 @@ crossing and inner-window studies share a single propagation.
 Every resolution is derived from the case's own solver error target: the
 direct solve's grid and dt by plan_solver and its after-run step doubling,
 and each envelope march's step by step doubling in march_envelopes.
+plan_solver is the one place where a measurement time becomes a whole
+number of steps; the solver takes those counts, and each case reads its
+snapshots by step count, never by a float time.
 
 Threads: a study runs its epsilons on a case pool of worker_count threads,
 capped by BCL_THREADS.  Each crossing case adds two solver threads of its
@@ -25,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,9 +37,8 @@ from .ansatz import (Grid, GridState, WavepacketParams, assemble_wp0,
                      assemble_wp1, path_dp_chi, predict_excited_mass)
 from .bloch import band_path, coupling_coefficient, smooth_continuation
 from .classical import SplineBand, extend_through_crossing, integrate_flow
-from .direct import (PropagatorConfig, PropagationResult, band_mass,
-                     centred_external, l2_error, points_per_period,
-                     propagate)
+from .direct import (PropagationResult, band_mass, centred_external,
+                     l2_error, points_per_period, propagate)
 from .envelope import (Envelope, coefficients_from_trajectory, evolve_a0,
                        evolve_a1, excited_buildup, excited_envelope,
                        gaussian_envelope)
@@ -58,6 +60,7 @@ ENVELOPE_SHARE = 0.01
 ENVELOPE_START_STEPS = 16
 MAX_ENVELOPE_HALVINGS = 8
 ROUNDOFF_FLOOR = 1e-12    # packet norm; an exact march estimates ~1e-14
+RATIO_RANGE = (0.8, 1.2)  # gate on the crossing and inner mass ratios
 
 # Every direct solve is checked by step doubling (propagate_richardson), and
 # its grid and dt come from plan_solver alone.
@@ -484,67 +487,85 @@ class SolverPlan:
     grid: Grid
     dt: float
     target: float
+    steps: dict         # label -> whole number of steps of dt to its time
 
 
 def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
-                t_run: float) -> SolverPlan:
-    """The grid, dt and error target of one direct solve up to t_run.
+                times: dict) -> SolverPlan:
+    """The grid, step grid and error target of one direct solve.
 
-    Unless cfg.ppw pins it, ppw is derived from V: the collocated energies
-    of bands 1..band+2 must be converged to 0.01 target eps / t_run, so
-    their phase error over the run stays within 1% of the solver's error
-    target.  The Bloch-decomposition step solves the fast potential
-    exactly, so only W limits dt: dt = min(0.45 eps / max|W - c|, eps/10),
-    with W - c the gauge-centred W that propagate splits off
-    (direct.centred_external), so the phase rule reads half the range of W,
-    not a gauge-dependent max|W|.  Accuracy is checked after the run by step
-    doubling.  The envelope marches get the same 1% share
-    (ENVELOPE_SHARE * target), and march_envelopes derives their step from
-    it.
+    The run ends at the latest of the labelled times, t_run.  Unless
+    cfg.ppw pins it, ppw is derived from V: the collocated energies of
+    bands 1..band+2 must be converged to 0.01 target eps / t_run, so their
+    phase error over the run stays within 1% of the solver's error target.
+    The Bloch-decomposition step solves the fast potential exactly, so only
+    W limits the step: min(0.45 eps / max|W - c|, eps/10), with W - c the
+    gauge-centred W that propagate splits off (direct.centred_external), so
+    the phase rule reads half the range of W, not a gauge-dependent max|W|.
+    _snap rounds that step so t_run is a whole number of steps and gives
+    each label its whole number of steps; the solver takes both as they
+    are.  Accuracy is checked after the run by step doubling.  The envelope
+    marches get the same 1% share (ENVELOPE_SHARE * target), and
+    march_envelopes derives their step from it.
     """
     s = cfg.solver
     target = s["error_budget"] * signal
+    t_run = max(times.values())
     ppw = cfg.ppw
     if ppw is None:
         ppw = points_per_period(V, cfg.band + 2, 0.01 * target * eps / t_run)
     grid = Grid(length=_domain_length(cfg, eps), epsilon=eps, ppw=ppw)
     w_max = float(np.max(np.abs(centred_external(W, grid)[0])))
-    dt = min(0.45 * eps / max(w_max, 1e-12), eps / 10.0)
-    return SolverPlan(grid, float(dt), target)
+    dt, steps = _snap(times, min(0.45 * eps / max(w_max, 1e-12), eps / 10.0),
+                      t_run)
+    return SolverPlan(grid, dt, target, steps)
 
 
-def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
+def _snap(times: dict, dt: float, t_run: float):
+    """(dt_eff, label -> steps): dt rounded so t_run is n_total dt_eff.
+
+    Each time becomes its nearest whole number of steps of dt_eff, within
+    [0, n_total].
+    """
+    n_total = max(1, int(round(t_run / dt)))
+    dt_eff = t_run / n_total
+    return dt_eff, {label: min(n_total, max(0, int(round(t / dt_eff))))
+                    for label, t in times.items()}
+
+
+def propagate_richardson(psi0: GridState, V, W, dt: float, steps,
                          target: float, fine_run=None):
     """Step doubling: (4 psi_{dt/2} - psi_dt)/3 and its error estimate.
 
     The estimate is max over snapshots of ||psi_{dt/2} - psi_dt||/3, the
-    leading error of the finer run.  While it exceeds target, dt is halved
-    and the finer run becomes the coarse one, at most MAX_HALVINGS times.
-    Snapshot times land on every step grid because each is a multiple of
-    dt.  Returns (result, estimate); n_steps counts every step run, and
-    collar_mass is the peak over both runs of the accepted pair.
+    leading error of the finer run.  The finer run takes (dt/2, [2n for n
+    in steps]), so its snapshots fall at the coarse run's times exactly.
+    While the estimate exceeds target, dt is halved again and the finer run
+    becomes the coarse one, at most MAX_HALVINGS times.  Returns (result,
+    estimate); result.dt is the coarse dt of the accepted pair, n_steps
+    counts every step run, and collar_mass is the peak over both runs of the
+    accepted pair.
 
     fine_run, if given, is a future of the first fine run,
-    propagate(psi0, V, W, cfg with dt/2), which the caller started beside
-    this call; its result, or its exception, is taken in place of running
-    it here.  The halvings after a failed check run here, one after another.
+    propagate(psi0, V, W, dt/2, [2n for n in steps]), which the caller
+    started beside this call; its result, or its exception, is taken in
+    place of running it here.  The halvings after a failed check run here,
+    one after another.
     """
-    coarse = propagate(psi0, V, W, cfg)
+    coarse = propagate(psi0, V, W, dt, steps)
     n_steps = coarse.n_steps
     for _ in range(MAX_HALVINGS + 1):
+        dt, steps = dt / 2.0, [2 * n for n in steps]
         if fine_run is None:
-            fine = propagate(psi0, V, W, replace(cfg, dt=cfg.dt / 2.0))
+            fine = propagate(psi0, V, W, dt, steps)
         else:
             fine, fine_run = fine_run.result(), None
         n_steps += fine.n_steps
-        for a, b in zip(coarse.snapshots, fine.snapshots):
-            if abs(a.t - b.t) > 1e-9:
-                raise ValueError(f"snapshot misalignment {a.t} vs {b.t}")
         est = max(l2_error(b, a).plain for a, b in
                   zip(coarse.snapshots, fine.snapshots)) / 3.0
         if est <= target:
             break
-        coarse, cfg = fine, replace(cfg, dt=cfg.dt / 2.0)
+        coarse = fine
     else:
         raise SolverBudgetExceeded(
             f"step-doubling error estimate {est:.3e} exceeds the target "
@@ -553,7 +574,7 @@ def propagate_richardson(psi0: GridState, V, W, cfg: PropagatorConfig,
              for a, b in zip(coarse.snapshots, fine.snapshots)]
     result = PropagationResult(snapshots=snaps,
                                norm_drift_rate=fine.norm_drift_rate,
-                               n_steps=n_steps, dt=cfg.dt,
+                               n_steps=n_steps, dt=coarse.dt,
                                collar_mass=max(coarse.collar_mass,
                                                fine.collar_mass))
     return result, est
@@ -724,17 +745,6 @@ def _crossing_times(cfg: RunConfig, scenario: CrossingScenario, eps: float):
     return times
 
 
-def _snap(times: dict, dt: float, t_run: float):
-    """Round dt so t_run is an exact multiple, then snap times onto it."""
-    n_total = max(1, int(round(t_run / dt)))
-    dt_eff = t_run / n_total
-    out = {}
-    for label, t in times.items():
-        n = min(n_total, max(0, int(round(t / dt_eff))))
-        out[label] = n * dt_eff
-    return dt_eff, out
-
-
 def branch_packet(traj, grid: Grid, t: float, a0: Envelope,
                   a1: Envelope | None = None) -> GridState:
     """The packet riding traj on its band at time t.
@@ -775,27 +785,25 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     scenario = build_crossing_scenario(cfg)
     t_star, q_star = scenario.ext.t_star, scenario.ext.q_star
     slope_gap = scenario.pair.slope_gap
-    raw_times = _crossing_times(cfg, scenario, eps)
-    t_run = max(raw_times.values())
     signal = cfg.solver["signal_prefactor"] or scenario.signal_scale
     signal = float(signal) * eps ** (1.0 - cfg.xi_prime)
-    plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W, t_run)
+    plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W,
+                       _crossing_times(cfg, scenario, eps))
     grid = plan.grid
-    dt, times = _snap(raw_times, plan.dt, t_run)
+    times = {label: n * plan.dt for label, n in plan.steps.items()}
+    steps = sorted(set(plan.steps.values()))
 
     a0_init, a1_init = _initial_envelopes(cfg)
     plus, minus = scenario.ext.plus, scenario.ext.minus
     psi0 = branch_packet(plus, grid, 0.0, a0_init, a1_init)
 
-    prop_cfg = PropagatorConfig(dt=dt, t_final=t_run,
-                                snapshot_times=tuple(sorted(times.values())))
     # the with block joins the helper threads on every exit, and an error on
     # any thread reaches the caller unchanged
     with ThreadPoolExecutor(max_workers=2) as pool:
         fine_run = pool.submit(propagate, psi0, scenario.V, scenario.W,
-                               replace(prop_cfg, dt=prop_cfg.dt / 2.0))
+                               plan.dt / 2.0, [2 * n for n in steps])
         solve = pool.submit(propagate_richardson, psi0, scenario.V,
-                            scenario.W, prop_cfg, plan.target, fine_run)
+                            scenario.W, plan.dt, steps, plan.target, fine_run)
 
         # plus-branch envelopes only where the comparisons need them
         error_labels = [k for k in ("breakdown_xi", "breakdown_xi_prime",
@@ -838,11 +846,12 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
             pred_masses = eps * np.array([e.norm() for e in buildup]) ** 2
 
         result, solver_error = solve.result()
-    by_time = {round(s.t, 10): s for s in result.snapshots}
+    by_step = dict(zip(steps, result.snapshots))
+    psi = {label: by_step[n] for label, n in plan.steps.items()}
 
     errors = {}
     for label in error_labels:
-        rep = l2_error(by_time[round(times[label], 10)], wp1[label])
+        rep = l2_error(psi[label], wp1[label])
         errors[label] = (rep.plain, rep.phase_optimized)
 
     case = CrossingCase(
@@ -854,7 +863,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
 
     if "crossing" in cfg.measurements:
         # post-crossing residual against the predicted excited packet
-        psi_obs = by_time[round(t_obs, 10)]
+        psi_obs = psi["crossing"]
         resid = psi_obs.values - wp1["crossing"].values
         resid_norm = float(np.sqrt(np.sum(np.abs(resid) ** 2) * grid.dx))
         pred_vals = np.sqrt(eps) * pred.values
@@ -877,7 +886,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         for j in range(cfg.n_inner):
             t = times[f"inner_{j}"]
             n_band = cfg.band if t > t_star else cfg.band + 1
-            wtab = band_mass(by_time[round(t, 10)], scenario.V,
+            wtab = band_mass(psi[f"inner_{j}"], scenario.V,
                              n_bands=cfg.band + 2,
                              window=(q_star - 3.0, q_star + 3.0))
             case.inner_rows.append((float(s_grid[j]), t, wtab.band(n_band),
@@ -906,6 +915,14 @@ def _require_measurement(cfg: RunConfig, name: str):
     if name not in cfg.measurements:
         raise ValueError(
             f"config must include {name!r} in measurements for this study")
+
+
+def _ratio_gate(name: str, ratio: float) -> GateResult:
+    """Pass a mass ratio that lies within RATIO_RANGE."""
+    lo, hi = RATIO_RANGE
+    return GateResult(name=name, value=ratio,
+                      requirement=f"within [{lo}, {hi}]",
+                      passed=lo <= ratio <= hi)
 
 
 def _fit_gate(label, pairs, target, tolerance, fits, gates):
@@ -990,19 +1007,13 @@ def run_crossing_study(cfg: RunConfig) -> StudyReport:
         passed=smallest.overlap >= 0.9))
     ratio = (smallest.excited_mass_measured
              / max(smallest.excited_mass_predicted, 1e-300))
-    gates.append(GateResult(
-        name="excited_mass_ratio", value=ratio,
-        requirement="within [0.8, 1.2]", passed=0.8 <= ratio <= 1.2))
+    gates.append(_ratio_gate("excited_mass_ratio", ratio))
     band_ratio = (smallest.band_mass_measured
                   / max(smallest.excited_mass_predicted, 1e-300))
-    gates.append(GateResult(
-        name="band_mass_ratio", value=band_ratio,
-        requirement="within [0.8, 1.2]", passed=0.8 <= band_ratio <= 1.2))
+    gates.append(_ratio_gate("band_mass_ratio", band_ratio))
     lz_ratio = (lz[smallest.epsilon]
                 / max(smallest.band_mass_measured, 1e-300))
-    gates.append(GateResult(
-        name="lz_to_band_mass_ratio", value=lz_ratio,
-        requirement="within [0.8, 1.2]", passed=0.8 <= lz_ratio <= 1.2))
+    gates.append(_ratio_gate("lz_to_band_mass_ratio", lz_ratio))
     for c in cases:
         rows.append({
             **_diagnostics(c),
@@ -1045,10 +1056,7 @@ def run_inner_window(cfg: RunConfig) -> StudyReport:
         passed=m0 <= 0.25 * plateau and p0 <= 0.25 * plateau))
     s1, _, m1, p1 = smallest.inner_rows[-1]
     late_ratio = m1 / max(p1, 1e-300)
-    gates.append(GateResult(
-        name="late_window_plateau_ratio", value=late_ratio,
-        requirement="within [0.8, 1.2]",
-        passed=0.8 <= late_ratio <= 1.2))
+    gates.append(_ratio_gate("late_window_plateau_ratio", late_ratio))
     return StudyReport(study="inner", version=__version__,
                        config=cfg.resolved(), rows=rows, fits=[],
                        gates=gates,
@@ -1076,17 +1084,16 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     a0_init, a1_init = _initial_envelopes(cfg)
 
     signal = float(cfg.solver["signal_prefactor"] or 0.05) * eps
-    plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W, cfg.t_final)
+    plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W,
+                       {"final": cfg.t_final})
     grid = plan.grid
-    dt, times = _snap({"final": cfg.t_final}, plan.dt, cfg.t_final)
-    t_obs = times["final"]
 
     psi0 = branch_packet(traj, grid, 0.0, a0_init, a1_init)
-    prop_cfg = PropagatorConfig(dt=dt, t_final=t_obs,
-                                snapshot_times=(t_obs,))
-    result, solver_error = propagate_richardson(psi0, scenario.V, scenario.W,
-                                                prop_cfg, plan.target)
+    result, solver_error = propagate_richardson(
+        psi0, scenario.V, scenario.W, plan.dt, [plan.steps["final"]],
+        plan.target)
     psi = result.snapshots[-1]
+    t_obs = psi.t
     march = march_envelopes(scenario.coeffs, (a0_init, a1_init), [t_obs],
                             (1.0, np.sqrt(eps)), ENVELOPE_SHARE * plan.target)
     a0_t, a1_t = march.states[t_obs]

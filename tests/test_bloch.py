@@ -115,17 +115,17 @@ def _verify_symmetry_identity(pair):
         return np.append(np.conj(c[:2 * M][::-1]), 0.0)
 
     i_star = pair.i_star
-    n = pair.p_samples.size
-    t_at_star = tmap(pair.chi_plus[i_star])
-    ov = np.vdot(pair.chi_minus[i_star], t_at_star)
+    n = pair.plus.p_samples.size
+    t_at_star = tmap(pair.plus.chi[i_star])
+    ov = np.vdot(pair.minus.chi[i_star], t_at_star)
     if abs(ov) < 1e-12:
         return float(np.sqrt(2.0))
     phase = np.conj(ov) / abs(ov)
     worst = 0.0
     for i in range(n):
         j = n - 1 - i  # mirrored sample: p_j = 2 p_star - p_i
-        pred = phase * tmap(pair.chi_plus[j])
-        worst = max(worst, float(np.linalg.norm(pair.chi_minus[i] - pred)))
+        pred = phase * tmap(pair.plus.chi[j])
+        worst = max(worst, float(np.linalg.norm(pair.minus.chi[i] - pred)))
     return worst
 
 
@@ -338,7 +338,7 @@ class TestSmoothContinuation:
     def test_free_branches_are_exact_parabolas(self):
         pair = smooth_continuation(free_potential(), 1, np.pi,
                                    halfwidth=0.4, n_samples=161, m_cut=16)
-        p = pair.p_samples
+        p = pair.plus.p_samples
         assert np.max(np.abs(pair.plus.energies - 0.5 * p ** 2)) < 1e-12
         assert np.max(np.abs(pair.minus.energies - 0.5 * (p - TWO_PI) ** 2)) < 1e-12
         assert np.max(np.abs(pair.plus.d2E - 1.0)) < 1e-10
@@ -418,7 +418,7 @@ class TestBatchedTables:
     def test_pair_matches_per_sample_reference(self, one_gap_pair):
         # band 2 below p* = 0 and band 3 above for the plus branch; the
         # crossing fiber itself is split by velocity and checked elsewhere
-        p = one_gap_pair.p_samples
+        p = one_gap_pair.plus.p_samples
         rows = np.flatnonzero(np.arange(p.size) != one_gap_pair.i_star)
         below = p[rows] < one_gap_pair.p_star
         assert_matches_reference(one_gap_pair.plus, rows,
@@ -476,7 +476,7 @@ class TestBatchedTables:
         pair = smooth_continuation(one_gap, 2, 0.0, halfwidth=1.0,
                                    n_samples=201, m_cut=32,
                                    isolation_floor=10.0)
-        assert (pair.p_samples[0], pair.p_samples[-1]) == (-1.0, 1.0)
+        assert (pair.plus.p_samples[0], pair.plus.p_samples[-1]) == (-1.0, 1.0)
         assert pair.margin == pytest.approx(13.467306469771934, rel=1e-12)
         with pytest.raises(IsolationFailure, match="margin 13.5 "):
             smooth_continuation(one_gap, 2, 0.0, halfwidth=1.0,
@@ -526,8 +526,8 @@ class TestCoupling:
             pair = smooth_continuation(one_gap, 2, 0.0, halfwidth=2 * h,
                                        n_samples=5, m_cut=32)
             i = pair.i_star
-            dchi = (pair.chi_plus[i + 1] - pair.chi_plus[i - 1]) / (2 * h)
-            fd = complex(np.vdot(pair.chi_minus[i], dchi))
+            dchi = (pair.plus.chi[i + 1] - pair.plus.chi[i - 1]) / (2 * h)
+            fd = complex(np.vdot(pair.minus.chi[i], dchi))
             kappa = coupling_coefficient(pair)
             assert abs(fd - kappa) < 1e-7
 
@@ -536,9 +536,9 @@ class TestCoupling:
         i = one_gap_pair.i_star
         dchi = path_dp_chi(one_gap_pair.plus, one_gap_pair.p_star)
         kappa = coupling_coefficient(one_gap_pair)
-        assert abs(np.vdot(one_gap_pair.chi_minus[i], dchi) - kappa) \
+        assert abs(np.vdot(one_gap_pair.minus.chi[i], dchi) - kappa) \
             < 1e-4 * abs(kappa)
-        assert abs(np.vdot(one_gap_pair.chi_plus[i], dchi)) < 1e-9
+        assert abs(np.vdot(one_gap_pair.plus.chi[i], dchi)) < 1e-9
 
 
 class TestSymmetryIdentity:

@@ -17,7 +17,6 @@ from bandcross.direct import (
     COLLAR_MASS_TOL,
     PPW_CAP,
     BandMassTable,
-    PropagatorConfig,
     _smoothstep,
     band_mass,
     centred_external,
@@ -134,8 +133,7 @@ class SolverContract:
         eps = 1.0 / 16
         grid = Grid(length=8, epsilon=eps, ppw=32)
         state = free_gaussian_state(grid, q=4.0)
-        cfg = PropagatorConfig(dt=1e-3, t_final=0.5)
-        res = self.solve(state, FLAT, None, cfg)
+        res = self.solve(state, FLAT, None, 1e-3, [500])
         t = 0.5
         x = grid.x
         y = (x - 4.0) / np.sqrt(eps)
@@ -161,9 +159,7 @@ class SolverContract:
                                   epsilon=eps, chi=vecs[0])
         state = assemble_wp0(params, grid)
         W = cosine_external(0.5, 0.7)
-        cfg = PropagatorConfig(dt=1.25e-4, t_final=0.5,
-                               snapshot_times=(0.125, 0.25, 0.375))
-        res = self.solve(state, V, W, cfg)
+        res = self.solve(state, V, W, 1.25e-4, [1000, 2000, 3000, 4000])
         assert res.norm_drift_rate < 1e-10
 
     def test_second_order_in_dt(self):
@@ -173,13 +169,12 @@ class SolverContract:
         W = cosine_external(0.5, 0.7)
         T = 0.2
 
-        def final(dt):
-            cfg = PropagatorConfig(dt=dt, t_final=T)
-            return self.solve(state, V, W, cfg).snapshots[-1].values
+        def final(n):
+            return self.solve(state, V, W, T / n, [n]).snapshots[-1].values
 
-        ref = final(T / 6400)
-        e1 = np.linalg.norm(final(T / 400) - ref)
-        e2 = np.linalg.norm(final(T / 800) - ref)
+        ref = final(6400)
+        e1 = np.linalg.norm(final(400) - ref)
+        e2 = np.linalg.norm(final(800) - ref)
         assert e1 / e2 > 3.7
 
     def test_spatial_resolution_converged(self):
@@ -189,8 +184,7 @@ class SolverContract:
         finals = []
         for ppw in (32, 64):
             state = bloch_packet(Grid(length=8, epsilon=eps, ppw=ppw))
-            cfg = PropagatorConfig(dt=1e-3, t_final=0.2)
-            finals.append(self.solve(state, V, W, cfg).snapshots[-1])
+            finals.append(self.solve(state, V, W, 1e-3, [200]).snapshots[-1])
         coarse = finals[0].values
         fine_on_coarse = finals[1].values[::2]
         err = np.sqrt(np.sum(np.abs(coarse - fine_on_coarse) ** 2)
@@ -204,10 +198,8 @@ class SolverContract:
         params = WavepacketParams(S=0.0, q=5.0, p=1.0, a0=a0,
                                   epsilon=eps, chi=flat_chi())
         state = assemble_wp0(params, grid)
-        cfg = PropagatorConfig(dt=1e-3, t_final=1.5,
-                               snapshot_times=tuple(np.arange(1, 15) * 0.1))
         with pytest.raises(GridOverflow):
-            self.solve(state, FLAT, None, cfg)
+            self.solve(state, FLAT, None, 1e-3, list(range(100, 1501, 100)))
 
     def test_collar_mass_peak_recorded(self):
         # the packet of test_collar_guard_trips with the guard off, run
@@ -219,15 +211,36 @@ class SolverContract:
                                   a0=gaussian_envelope(sigma=1.0),
                                   epsilon=eps, chi=flat_chi())
         state = assemble_wp0(params, grid)
-        cfg = PropagatorConfig(dt=1e-3, t_final=4.0, check_collar=False,
-                               snapshot_times=tuple(np.arange(1, 16) * 0.25))
-        res = self.solve(state, FLAT, None, cfg)
+        res = self.solve(state, FLAT, None, 1e-3, list(range(250, 4001, 250)),
+                         check_collar=False)
         collar = grid.x >= grid.length - COLLAR
         fracs = [np.sum(np.abs(s.values[collar]) ** 2) / np.sum(
             np.abs(s.values) ** 2) for s in res.snapshots if s.t > 0]
         assert np.argmax(fracs) < len(fracs) - 1
         assert res.collar_mass == pytest.approx(max(fracs), rel=1e-12)
         assert res.collar_mass > COLLAR_MASS_TOL
+
+    @pytest.mark.parametrize("dt, steps", [
+        (1e-3, []), (1e-3, [20, 20]), (1e-3, [30, 10]), (1e-3, [-5, 10]),
+        (1e-3, [0]), (0.0, [10]), (-1e-3, [10]),
+    ], ids=["empty", "not_increasing", "decreasing", "negative_count",
+            "ends_before_a_step", "zero_dt", "negative_dt"])
+    def test_step_list_validation(self, dt, steps):
+        grid = Grid(length=4, epsilon=1.0 / 8, ppw=16)
+        state = free_gaussian_state(grid, q=2.0)
+        with pytest.raises(ValueError):
+            self.solve(state, FLAT, None, dt, steps)
+
+    def test_snapshot_times_are_whole_steps(self):
+        # the snapshot after n steps sits at t = n dt exactly, a t = 0
+        # snapshot included, and n_steps is the last count
+        grid = Grid(length=4, epsilon=1.0 / 8, ppw=16)
+        state = free_gaussian_state(grid, q=2.0)
+        dt, steps = 0.2 / 3, [0, 1, 4, 7, 9]
+        res = self.solve(state, FLAT, None, dt, steps, check_collar=False)
+        assert [s.t for s in res.snapshots] == [n * dt for n in steps]
+        assert (res.n_steps, res.dt) == (9, dt)
+        assert np.array_equal(res.snapshots[0].values, state.values)
 
 
 class TestPropagate(SolverContract):
@@ -242,8 +255,7 @@ class TestPropagate(SolverContract):
         V = make_cosine(4.0)
         psi0, energy = bloch_eigenstate(grid, V, r=5)
         for dt in (0.3, 1.7):
-            cfg = PropagatorConfig(dt=dt, t_final=dt, check_collar=False)
-            res = propagate(psi0, V, None, cfg)
+            res = propagate(psi0, V, None, dt, [1], check_collar=False)
             assert res.n_steps == 1
             exact = np.exp(-1j * energy * dt / grid.epsilon) * psi0.values
             assert np.max(np.abs(res.snapshots[-1].values - exact)) < 1e-12
@@ -258,8 +270,7 @@ class TestPropagate(SolverContract):
         T = 0.2
 
         def final(solve, n):
-            cfg = PropagatorConfig(dt=T / n, t_final=T)
-            return solve(state, V, W, cfg).snapshots[-1].values
+            return solve(state, V, W, T / n, [n]).snapshots[-1].values
 
         oracle = (4 * final(propagate_strang, 6400)
                   - final(propagate_strang, 3200)) / 3
@@ -274,11 +285,9 @@ class TestPropagate(SolverContract):
         grid = Grid(length=8, epsilon=eps, ppw=32)
         state = free_gaussian_state(grid, q=4.0)
         V = make_cosine(4.0)
-        propagate(state, V, None,
-                  PropagatorConfig(dt=0.1, t_final=0.1, check_collar=False))
-        cfg = PropagatorConfig(dt=1e-2, t_final=0.5)
+        propagate(state, V, None, 0.1, [1], check_collar=False)
         with pytest.raises(StabilityViolation):
-            propagate(state, V, linear_ramp(40.0, q_ref=4.0), cfg)
+            propagate(state, V, linear_ramp(40.0, q_ref=4.0), 1e-2, [50])
 
     def test_constant_shift_of_w_is_a_global_phase(self):
         # W + 200 (the ramp with q_ref moved by 400) changes the solution by
@@ -290,20 +299,14 @@ class TestPropagate(SolverContract):
         grid = Grid(length=8, epsilon=eps, ppw=32)
         state = bloch_packet(grid)
         V = make_cosine(4.0)
-        cfg = PropagatorConfig(dt=1e-3, t_final=0.2, snapshot_times=(0.1,))
-        base, shifted = (propagate(state, V, linear_ramp(0.5, q_ref=q), cfg)
+        base, shifted = (propagate(state, V, linear_ramp(0.5, q_ref=q), 1e-3,
+                                   [100, 200])
                          for q in (4.0, 404.0))
         assert [s.t for s in shifted.snapshots] == [0.1, 0.2]
         for a, b in zip(base.snapshots, shifted.snapshots):
             expected = np.exp(-1j * 200.0 * a.t / eps) * a.values
             scale = np.max(np.abs(a.values))
             assert np.max(np.abs(b.values - expected)) <= 1e-12 * scale
-
-    def test_snapshot_validation(self):
-        with pytest.raises(ValueError):
-            PropagatorConfig(dt=1e-3, t_final=0.5, snapshot_times=(0.0005,))
-        with pytest.raises(ValueError):
-            PropagatorConfig(dt=1e-3, t_final=0.5, snapshot_times=(0.7,))
 
 
 class TestFiberBasis:
@@ -370,13 +373,13 @@ class TestPropagateStrang(SolverContract):
         grid = Grid(length=4, epsilon=eps, ppw=32)
         V = make_cosine(4.0)
         psi0, exact = bloch_eigenstate(grid, V, r=5)
-        snaps = tuple(np.arange(1, 11) * 0.01)
         inner0 = np.sum(np.conj(psi0.values) * psi0.values) * grid.dx
 
-        def rate(dt):
-            cfg = PropagatorConfig(dt=dt, t_final=0.1, snapshot_times=snaps,
+        def rate(n):
+            # n steps between snapshots 0.01 apart
+            res = propagate_strang(psi0, V, None, 0.1 / (10 * n),
+                                   [n * k for k in range(1, 11)],
                                    check_collar=False)
-            res = propagate_strang(psi0, V, None, cfg)
             phases = [np.angle(np.sum(np.conj(psi0.values) * s.values)
                                * grid.dx / inner0) for s in res.snapshots]
             theta = np.unwrap(phases)
@@ -385,7 +388,7 @@ class TestPropagateStrang(SolverContract):
 
         # the splitting shifts the eigenphase rate by O(dt^2); the shift must
         # shrink accordingly and the dt-extrapolated rate must match E_n(p)
-        e1, e2 = rate(1e-4), rate(5e-5)
+        e1, e2 = rate(100), rate(200)
         assert abs(e2 - exact) < abs(e1 - exact) / 3.5
         e_extr = (4 * e2 - e1) / 3
         assert abs(e_extr - exact) < 1e-6 * abs(exact)
@@ -395,9 +398,8 @@ class TestPropagateStrang(SolverContract):
         grid = Grid(length=8, epsilon=eps, ppw=32)
         state = free_gaussian_state(grid, q=4.0)
         V = make_cosine(4.0)
-        cfg = PropagatorConfig(dt=0.1, t_final=0.5)
         with pytest.raises(StabilityViolation):
-            propagate_strang(state, V, None, cfg)
+            propagate_strang(state, V, None, 0.1, [5])
 
 
 class TestL2Error:

@@ -187,18 +187,21 @@ class TestSnap:
            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_snapped_times_are_step_multiples(self, t_run, dt, fracs):
+        # every label gets a whole step count in [0, n_total], and the latest
+        # label, the run's end, sits at n_total
         times = {f"t{j}": f * t_run for j, f in enumerate(fracs)}
-        dt_eff, snapped = _snap(times, dt, t_run)
-        n_total = round(t_run / dt_eff)
+        times["end"] = t_run
+        dt_eff, steps = _snap(times, dt, t_run)
+        n_total = steps["end"]
         assert abs(n_total * dt_eff - t_run) < 1e-12 * max(1.0, t_run)
-        for t in snapped.values():
-            k = t / dt_eff
-            assert abs(k - round(k)) < 1e-6
-            assert -1e-12 <= t <= t_run + 1e-12
+        for n in steps.values():
+            assert isinstance(n, int)
+            assert 0 <= n <= n_total
 
     def test_snap_respects_run_end(self):
-        dt_eff, snapped = _snap({"end": 0.5}, 1e-3, 0.5)
-        assert abs(snapped["end"] - 0.5) < 1e-12
+        dt_eff, steps = _snap({"end": 0.5}, 1e-3, 0.5)
+        assert steps == {"end": 500}
+        assert abs(500 * dt_eff - 0.5) < 1e-12
 
 
 class TestWorkerCount:
@@ -424,9 +427,9 @@ class TestSolverOverlap:
             seen.append(threading.get_ident())
             return real(*args, **kwargs)
 
-        def recording_run(psi0, V, W, cfg):
-            runs.append((cfg.dt, threading.get_ident()))
-            return real_run(psi0, V, W, cfg)
+        def recording_run(psi0, V, W, dt, steps):
+            runs.append((dt, threading.get_ident()))
+            return real_run(psi0, V, W, dt, steps)
 
         monkeypatch.setattr(harness, "propagate_richardson", recording)
         monkeypatch.setattr(harness, "propagate", recording_run)
@@ -447,10 +450,10 @@ class TestSolverOverlap:
         error = GridOverflow("raised in the early fine run")
         real = harness.propagate
 
-        def failing_fine(psi0, V, W, cfg):
-            if cfg.dt < 0.75 * planned.dt:
+        def failing_fine(psi0, V, W, dt, steps):
+            if dt < 0.75 * planned.dt:
                 raise error
-            return real(psi0, V, W, cfg)
+            return real(psi0, V, W, dt, steps)
 
         monkeypatch.setattr(harness, "propagate", failing_fine)
         with pytest.raises(GridOverflow) as caught:
@@ -551,46 +554,81 @@ class TestEpsilonParsing:
 
 
 class TestStepDoubling:
+    @pytest.fixture(autouse=True)
+    def collar_guard_off(self, monkeypatch):
+        # the packet of _problem fills its 4-unit box, collar included
+        real = harness.propagate
+        monkeypatch.setattr(
+            harness, "propagate",
+            lambda psi0, V, W, dt, steps: real(psi0, V, W, dt, steps,
+                                               check_collar=False))
+
     @staticmethod
     def _problem():
         from bandcross.ansatz import Grid, GridState
-        from bandcross.direct import PropagatorConfig
         from bandcross.potential import cosine_external, make_cosine
         grid = Grid(length=4, epsilon=1.0 / 8, ppw=16)
         y = (grid.x - 2.0) / np.sqrt(grid.epsilon)
         psi0 = GridState(grid, np.exp(-y ** 2 / 2 + 0.7j * grid.x
                                       / grid.epsilon))
-        cfg = PropagatorConfig(dt=1e-2, t_final=0.1, check_collar=False)
-        return psi0, make_cosine(4.0), cosine_external(0.5, 0.7), cfg
+        return psi0, make_cosine(4.0), cosine_external(0.5, 0.7), 1e-2, [10]
 
     def test_unreachable_budget_raises(self):
-        psi0, V, W, cfg = self._problem()
+        psi0, V, W, dt, steps = self._problem()
         with pytest.raises(SolverBudgetExceeded, match="after 3 halvings"):
-            harness.propagate_richardson(psi0, V, W, cfg, target=1e-300)
+            harness.propagate_richardson(psi0, V, W, dt, steps,
+                                         target=1e-300)
 
     def test_collar_mass_is_the_peak_of_both_runs(self):
-        psi0, V, W, cfg = self._problem()
-        result, _ = harness.propagate_richardson(psi0, V, W, cfg,
+        psi0, V, W, dt, steps = self._problem()
+        result, _ = harness.propagate_richardson(psi0, V, W, dt, steps,
                                                  target=math.inf)
-        runs = [harness.propagate(psi0, V, W, c)
-                for c in (cfg, replace(cfg, dt=cfg.dt / 2))]
+        runs = [harness.propagate(psi0, V, W, dt, steps),
+                harness.propagate(psi0, V, W, dt / 2, [2 * n for n in steps])]
         assert result.collar_mass == max(r.collar_mass for r in runs)
         assert result.collar_mass > 0.0
+
+    def test_coarse_and_fine_snapshots_share_their_times(self):
+        # the fine run takes twice the steps of half the step, so each of its
+        # snapshots falls on the coarse one's time exactly, through every
+        # halving; the extrapolated snapshots keep those times
+        psi0, V, W, dt, _ = self._problem()
+        steps = [0, 3, 7, 10]
+        runs = []
+        real = harness.propagate
+
+        def recording(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "propagate", recording)
+            with pytest.raises(SolverBudgetExceeded):
+                harness.propagate_richardson(psi0, V, W, dt, steps, 1e-300)
+        assert len(runs) == 5
+        for j, run in enumerate(runs):
+            assert [s.t for s in run.snapshots] == [n * dt for n in steps]
+            assert run.n_steps == steps[-1] << j
+        result, _ = harness.propagate_richardson(psi0, V, W, dt, steps,
+                                                 math.inf)
+        assert [s.t for s in result.snapshots] == [n * dt for n in steps]
 
     @pytest.mark.parametrize("halvings", [0, 1])
     def test_overlapped_pair_equals_the_sequential_pair(self, halvings):
         # the first fine run started on another thread gives the same result
         # bit for bit, with and without a halving after it
-        psi0, V, W, cfg = self._problem()
-        _, first = harness.propagate_richardson(psi0, V, W, cfg, math.inf)
+        psi0, V, W, dt, steps = self._problem()
+        _, first = harness.propagate_richardson(psi0, V, W, dt, steps,
+                                                math.inf)
         target = math.inf if halvings == 0 else 0.5 * first
-        seq, seq_est = harness.propagate_richardson(psi0, V, W, cfg, target)
+        seq, seq_est = harness.propagate_richardson(psi0, V, W, dt, steps,
+                                                    target)
         with ThreadPoolExecutor(max_workers=1) as pool:
-            fine_run = pool.submit(harness.propagate, psi0, V, W,
-                                   replace(cfg, dt=cfg.dt / 2))
-            par, par_est = harness.propagate_richardson(psi0, V, W, cfg,
+            fine_run = pool.submit(harness.propagate, psi0, V, W, dt / 2,
+                                   [2 * n for n in steps])
+            par, par_est = harness.propagate_richardson(psi0, V, W, dt, steps,
                                                         target, fine_run)
-        assert seq.dt == pytest.approx(cfg.dt / 2 ** halvings, rel=1e-15)
+        assert seq.dt == pytest.approx(dt / 2 ** halvings, rel=1e-15)
         assert par_est == seq_est
         assert (par.n_steps, par.dt, par.collar_mass, par.norm_drift_rate) \
             == (seq.n_steps, seq.dt, seq.collar_mass, seq.norm_drift_rate)
@@ -673,15 +711,18 @@ class TestPlanSolver:
         V = build_potential(cfg.potential)
         plans = [harness.plan_solver(cfg, 1 / 128, 1.0, V,
                                      build_external({**cfg.external,
-                                                     "q_ref": q_ref}), 0.6)
+                                                     "q_ref": q_ref}),
+                                     {"end": 0.6})
                  for q_ref in (6.0, 16.0)]
         w = direct.periodize_external(build_external(cfg.external),
                                       plans[0].grid)
         half_range = 0.5 * (w.max() - w.min())
         assert plans[0].dt < (1 / 128) / 10    # the phase rule binds
+        # the planned step is the phase rule's, rounded to whole steps
+        dt, steps = _snap({"end": 0.6}, 0.45 / 128 / half_range, 0.6)
         for plan in plans:
-            assert plan.dt == pytest.approx(0.45 / 128 / half_range,
-                                            rel=1e-12)
+            assert plan.dt == pytest.approx(dt, rel=1e-12)
+            assert plan.steps == steps
 
 
 class TestClearCaches:
