@@ -17,14 +17,11 @@ from .potential import (
     ExternalPotential,
     PeriodicPotential,
     cosine_external,
-    eisenstein_invariants,
     evaluate_periodic,
     linear_ramp,
     make_cosine,
     make_m_gap,
     potential_from_coeffs,
-    weierstrass_p,
-    weierstrass_p_prime,
     zero_external,
 )
 
@@ -34,14 +31,11 @@ __all__ = [
     "ExternalPotential",
     "PeriodicPotential",
     "cosine_external",
-    "eisenstein_invariants",
     "evaluate_periodic",
     "linear_ramp",
     "make_cosine",
     "make_m_gap",
     "potential_from_coeffs",
-    "weierstrass_p",
-    "weierstrass_p_prime",
     "zero_external",
     "__version__",
 ]

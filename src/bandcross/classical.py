@@ -2,9 +2,11 @@
 
 The flow q' = dE/dp, p' = -dW/dq is integrated with a fixed-step RK4 scheme
 (reproducible event times), the action S' = p dE/dp - E - W accumulated
-alongside, and crossing times located by root-finding on a Hermite
-interpolant of p(t).  Each trajectory keeps the band spline it was
-integrated on and builds its (q, p, S) interpolant once, on first use.
+alongside, and crossing times located as roots of the trajectory's own
+cubic spline of p(t).  Each trajectory keeps the band spline it was
+integrated on and builds its (q, p, S) splines once, on first use, so the
+crossing point (q*, p*, S*) is read from the same splines as every other
+off-grid state.
 Through a crossing each smooth branch is integrated once, forward: the plus
 branch from the initial data straight through the crossing, the minus
 branch from the crossing point (q*, p*, S*) at t* on the opposite-slope
@@ -17,8 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
-from scipy.optimize import brentq
+from scipy.interpolate import CubicSpline
 
 from .bloch import BandPath, SmoothBandPair
 from .errors import (
@@ -65,8 +66,9 @@ class SplineBand:
 
     def _guard(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p < self.p_min - 1e-12) or np.any(p > self.p_max + 1e-12):
-            raise self._outside(float(np.atleast_1d(p)[0]))
+        out = (p < self.p_min - 1e-12) | (p > self.p_max + 1e-12)
+        if np.any(out):
+            raise self._outside(float(p[out].flat[0]))
         return p
 
     def energy(self, p):
@@ -174,45 +176,36 @@ def integrate_flow(band, W: ExternalPotential, q0: float, p0: float,
     return Trajectory(t, q, p, S, band, energy_drift=drift)
 
 
-def detect_crossing_time(traj: Trajectory, p_star: float, W: ExternalPotential,
+def detect_crossing_time(traj: Trajectory, p_star: float,
                          slope_threshold: float = 1e-6) -> tuple[float, float]:
-    """First time p(t) reaches p_star (mod 2 pi), root-found to ~1e-13.
+    """First time p(t) reaches p_star (mod 2 pi), and q there.
 
-    p(t) between samples is reconstructed by a cubic Hermite interpolant
-    using the exact slopes p' = -dW/dq; the bracketing step is then solved
-    by Brent's method.  A crossing with |p'(t*)| below slope_threshold is
-    rejected as tangential.
+    The roots are those of the trajectory's own p spline, over every image
+    of p_star that p visits, and q* is read from its q spline, so (q*, p*)
+    is exactly ``traj.state_at(t*)``.  A crossing with |p'(t*)| below
+    slope_threshold is rejected as tangential.
     """
-    t, p, q = traj.t_grid, traj.p, traj.q
-    pdot = -np.asarray(W.dw(q), dtype=float)
+    q_spline, p_spline, _ = traj.splines
+    p = traj.p
     # candidate images of p_star within the visited range
     k_lo = int(np.floor((p.min() - p_star) / TWO_PI))
     k_hi = int(np.ceil((p.max() - p_star) / TWO_PI))
-    targets = [p_star + TWO_PI * k for k in range(k_lo, k_hi + 1)]
-
-    p_spline = CubicHermiteSpline(t, p, pdot)
     best = None
-    for target in targets:
-        f = p - target
-        hits = np.nonzero((f[:-1] * f[1:] <= 0) & (f[:-1] != 0))[0]
-        for i in hits:
-            t_hit = brentq(lambda x: float(p_spline(x)) - target,
-                           t[i], t[i + 1], xtol=1e-13)
-            if best is None or t_hit < best[0]:
-                best = (float(t_hit), target)
+    for k in range(k_lo, k_hi + 1):
+        roots = p_spline.solve(p_star + TWO_PI * k, extrapolate=False)
+        roots = roots[np.isfinite(roots)]
+        if roots.size and (best is None or roots.min() < best):
+            best = float(roots.min())
     if best is None:
         raise NoCrossing(
             f"p(t) never reaches p_star={p_star} (mod 2 pi) on the span"
         )
-    t_star, target = best
-    pdot_star = float(p_spline.derivative()(t_star))
+    pdot_star = float(p_spline.derivative()(best))
     if abs(pdot_star) < slope_threshold:
         raise TangentialApproach(
             f"|p'(t*)| = {abs(pdot_star):.2e} below {slope_threshold:.1e}"
         )
-    qdot = np.gradient(q, t, edge_order=2)
-    q_spline = CubicHermiteSpline(t, q, qdot)
-    return t_star, float(q_spline(t_star))
+    return best, float(q_spline(best))
 
 
 def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
@@ -228,7 +221,7 @@ def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
     """
     plus = integrate_flow(SplineBand(pair.plus), W, q0, p0, (0.0, T), dt,
                           s0=s0)
-    t_star, q_star = detect_crossing_time(plus, pair.p_star, W)
+    t_star, q_star = detect_crossing_time(plus, pair.p_star)
     _, p_at_star, s_star = plus.state_at(t_star)
     if np.max(np.abs(plus.p - pair.p_star)) >= TWO_PI - 1e-9:
         raise SecondCrossing(

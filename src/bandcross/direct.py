@@ -58,6 +58,7 @@ TWO_PI = 2.0 * np.pi
 HALF_STEP_PHASE_LIMIT = 0.5   # rad of split-off potential phase per half-step
 COLLAR = 1.0                  # width of the blend that periodizes W
 COLLAR_MASS_TOL = 1e-8
+DEGENERATE_GAP = 1e-9         # relative fiber-energy gap read as a touching
 
 
 def _smoothstep(s: np.ndarray) -> np.ndarray:
@@ -392,6 +393,13 @@ def band_mass(psi: GridState, V: PeriodicPotential, n_bands: int = 4,
     does not leak between bands through a mismatch of the two operators.
     q is unitary, so Parseval holds exactly on the grid: the band masses and
     ``rest`` (bands above n_bands) sum to the windowed norm.
+
+    Where two adjacent energies of a fiber lie within DEGENERATE_GAP
+    max(1, |E|) of each other (bands that touch, such as bands 2 and 3 of
+    the one-gap Lame potential at p = 0), eigh may return any basis of
+    their eigenspace, so the pair's mass is split equally between its two
+    bands; the pair's total, and with it Parseval, does not depend on the
+    basis.
     """
     grid = psi.grid
     mask = _window_mask(grid, window)
@@ -399,11 +407,15 @@ def band_mass(psi: GridState, V: PeriodicPotential, n_bands: int = 4,
     total = float(np.sum(np.abs(vals) ** 2) * grid.dx)
     if window is not None and total < 1e-28:
         raise WindowEmpty("windowed state carries no mass")
-    _, q = _fiber_basis(V, grid)
+    energies, q = _fiber_basis(V, grid)
     lk = grid.length * grid.k_inv
     phi = np.fft.fft(vals.reshape(lk, grid.ppw), axis=0)
     amps = np.matmul(np.conj(q.transpose(0, 2, 1)), phi[:, :, None])[:, :, 0]
-    per_band = np.sum(np.abs(amps) ** 2, axis=0) * grid.dx / lk
+    dens = np.abs(amps) ** 2
+    r, n = np.nonzero(np.diff(energies, axis=1) <= DEGENERATE_GAP
+                      * np.maximum(1.0, np.abs(energies[:, 1:])))
+    dens[r, n] = dens[r, n + 1] = 0.5 * (dens[r, n] + dens[r, n + 1])
+    per_band = np.sum(dens, axis=0) * grid.dx / lk
     masses = {n + 1: float(m) for n, m in enumerate(per_band[:n_bands])}
     rest = float(per_band[n_bands:].sum())
     return BandMassTable(masses=masses, rest=rest, total=total)

@@ -9,12 +9,6 @@ class BandcrossError(Exception):
     """Base class for all package errors."""
 
 
-# -- potentials ---------------------------------------------------------------
-
-class PoleProximity(BandcrossError):
-    """Evaluation point too close to a lattice pole of an elliptic function."""
-
-
 # -- Bloch eigenproblem -------------------------------------------------------
 
 class TruncationTooSmall(BandcrossError):

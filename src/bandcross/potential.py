@@ -5,20 +5,18 @@ Fourier series V(z) = sum_m vhat_m e^{2 pi i m z} with vhat_{-m} = conj(vhat_m).
 Families provided:
 
   * cosine potentials  amp * cos(2 pi h z),
-  * finite-gap potentials  V(z) = (m(m+1)/2) * wp(z + i w'),  built from the
-    Weierstrass elliptic function wp with half-periods (1/2, i w').
+  * finite-gap (Lame) potentials  V(z) = (m(m+1)/2) * wp(z + i w'), with wp
+    the Weierstrass elliptic function of half-periods (1/2, i w'), whose
+    Fourier coefficients have a closed q-series.
 
 The external potential W is a smooth function of the macroscopic coordinate,
 carried together with closed-form derivatives up to third order.
 """
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import PoleProximity
 
 __all__ = [
     "PeriodicPotential",
@@ -28,9 +26,6 @@ __all__ = [
     "make_m_gap",
     "potential_from_coeffs",
     "evaluate_periodic",
-    "weierstrass_p",
-    "weierstrass_p_prime",
-    "eisenstein_invariants",
     "linear_ramp",
     "cosine_external",
     "zero_external",
@@ -117,14 +112,7 @@ def make_cosine(amplitude: float, harmonics: int = 1) -> PeriodicPotential:
     return PeriodicPotential(c)
 
 
-# -- Weierstrass elliptic function --------------------------------------------
-#
-# Lattice 2*omega1*Z + 2*omega3*Z with omega1 = 1/2, omega3 = i*w', so
-# Omega = m + 2 i n w'.  Summing each horizontal row of the defining lattice
-# sum in closed form (sum_m 1/(w-m)^2 = pi^2/sin^2(pi w)) leaves a sum over
-# rows that converges like e^{-4 pi w' |n|}.
-
-_OMEGA1 = 0.5
+# -- finite-gap (Lame) potentials -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -140,129 +128,30 @@ class EllipticParams:
         if not self.omega_prime > 0:
             raise ValueError("omega_prime must be positive")
 
-    @property
-    def invariants(self) -> tuple[float, float]:
-        return eisenstein_invariants(self.omega_prime)
 
+def make_m_gap(params: EllipticParams, m_max: int = 64) -> PeriodicPotential:
+    """Finite-gap potential V(z) = g wp(z + i w') with g = m(m+1)/2.
 
-def _check_poles(z: np.ndarray, omega_prime: float, pole_tol: float) -> None:
-    """Raise PoleProximity naming the first z within pole_tol of the lattice.
+    wp has half-periods (1/2, i w'), and with q = e^{-2 pi w'} its Fourier
+    series on the line Im z = w' is closed (the q-series of DLMF 23.8):
 
-    The lattice is {m + 2 i n w'}; each z is compared with the four lattice
-    points at the corners of its cell.
-    """
-    flat = np.atleast_1d(z).ravel()
-    x, y = flat.real, flat.imag
-    dy = 2.0 * omega_prime
-    dist = np.full(flat.shape, np.inf)
-    for mm in (np.floor(x), np.ceil(x)):
-        for nn in (np.floor(y / dy), np.ceil(y / dy)):
-            dist = np.minimum(dist, np.hypot(x - mm, y - nn * dy))
-    close = np.flatnonzero(dist < pole_tol)
-    if close.size:
-        raise PoleProximity(f"z = {flat[close[0]]} is within {pole_tol} of a pole")
+        vhat_{+-k} = -4 pi^2 g k q^k / (1 - q^{2k}),   k >= 1,
+        vhat_0 = g (-pi^2/3 + 8 pi^2 sum_n n q^{2n} / (1 - q^{2n})),
 
-
-def _row_sum(z, omega_prime: float, term, tol: float = 1e-16, max_rows: int = 400):
-    """Accumulate term(n, z) over lattice rows n = 0, +-1, ... until converged."""
-    acc = term(0, z)
-    for n in range(1, max_rows + 1):
-        t = term(n, z) + term(-n, z)
-        acc = acc + t
-        if np.max(np.abs(t)) < tol * max(np.max(np.abs(acc)), 1.0):
-            # one extra row to confirm the geometric tail has truly died
-            t2 = term(n + 1, z) + term(-n - 1, z)
-            acc = acc + t2
-            if np.max(np.abs(t2)) < tol * max(np.max(np.abs(acc)), 1.0):
-                return acc
-    raise RuntimeError("row sum did not converge")
-
-
-def weierstrass_p(z, params: EllipticParams, pole_tol: float = 1e-6):
-    """Weierstrass wp(z) for the lattice {m + 2 i n omega_prime}.
-
-    Accepts scalar or array z (real or complex).  Raises PoleProximity if any
-    evaluation point is within pole_tol of a lattice point.
-    """
-    w = params.omega_prime
-    zz = np.asarray(z, dtype=complex)
-    _check_poles(zz, w, pole_tol)
-
-    pi = np.pi
-
-    def term(n, zv):
-        shifted = pi * (zv - 2j * n * w)
-        row = pi**2 / np.sin(shifted) ** 2
-        if n == 0:
-            return row - pi**2 / 3.0
-        const = pi**2 / np.sin(pi * 2j * n * w) ** 2
-        return row - const
-
-    out = _row_sum(zz, w, term)
-    if np.isscalar(z) or np.asarray(z).shape == ():
-        return complex(out)
-    return out
-
-
-def weierstrass_p_prime(z, params: EllipticParams, pole_tol: float = 1e-6):
-    """Derivative wp'(z) = -2 sum_Omega 1/(z-Omega)^3 by the same row summation."""
-    w = params.omega_prime
-    zz = np.asarray(z, dtype=complex)
-    _check_poles(zz, w, pole_tol)
-
-    pi = np.pi
-
-    def term(n, zv):
-        shifted = pi * (zv - 2j * n * w)
-        return -2.0 * pi**3 * np.cos(shifted) / np.sin(shifted) ** 3
-
-    out = _row_sum(zz, w, term)
-    if np.isscalar(z) or np.asarray(z).shape == ():
-        return complex(out)
-    return out
-
-
-@lru_cache(maxsize=None)
-def eisenstein_invariants(omega_prime: float) -> tuple[float, float]:
-    """Invariants (g2, g3) = (60 S4, 140 S6) over the lattice {m + 2 i n w'}.
-
-    Row sums use sum_m 1/(m+c)^4 = pi^4 (3 - 2 sin^2(pi c)) / (3 sin^4(pi c))
-    and sum_m 1/(m+c)^6 = pi^6 (2 sin^4 - 15 sin^2 + 15) / (15 sin^6(pi c))
-    at c = 2 i n w', where sin^2(pi c) = -sinh^2(2 pi n w').
-    """
-    pi = np.pi
-    s4 = pi**4 / 45.0
-    s6 = 2.0 * pi**6 / 945.0
-    for n in range(1, 400):
-        sh2 = np.sinh(2.0 * pi * n * omega_prime) ** 2
-        row4 = pi**4 * (3.0 + 2.0 * sh2) / (3.0 * sh2**2)
-        row6 = -(pi**6) * (2.0 * sh2**2 + 15.0 * sh2 + 15.0) / (15.0 * sh2**3)
-        s4 += 2.0 * row4
-        s6 += 2.0 * row6
-        if max(abs(row4), abs(row6)) < 1e-18 * max(abs(s4), abs(s6)):
-            break
-    return 60.0 * s4, 140.0 * s6
-
-
-def make_m_gap(params: EllipticParams, m_max: int = 64,
-               n_samples: int = 4096) -> PeriodicPotential:
-    """Finite-gap potential V(z) = (m(m+1)/2) wp(z + i w') as a Fourier series.
-
-    wp is real and smooth on the sampling line Im z = w', so the coefficients
-    come from a single FFT of equispaced samples; decay is e^{-2 pi w' |m|}.
+    the constant summed until q^{2n} < 1e-17.  Written with exponentials,
+    not 1/sinh^2, so a large k or n underflows to zero instead of
+    overflowing.  The coefficients decay like e^{-2 pi w' k}.
     """
     m = params.gap_count
-    z = np.arange(n_samples) / n_samples + 1j * params.omega_prime
-    vals = weierstrass_p(z, params) * (m * (m + 1) / 2.0)
-    if np.abs(vals.imag).max() > 1e-9 * max(np.abs(vals.real).max(), 1.0):
-        raise ValueError("wp is not real on the sampling line")
-    spec = np.fft.fft(vals.real) / n_samples
-    c = np.zeros(2 * m_max + 1, dtype=complex)
-    c[m_max] = spec[0]
-    for k in range(1, m_max + 1):
-        c[m_max + k] = spec[k]
-        c[m_max - k] = spec[-k]
-    return PeriodicPotential(c)
+    g = m * (m + 1) / 2.0
+    a = 2.0 * np.pi * params.omega_prime      # q = e^{-a}
+    k = np.arange(1, m_max + 1)
+    vk = -4.0 * np.pi**2 * g * k * np.exp(-a * k) / -np.expm1(-2.0 * a * k)
+    n = np.arange(1, int(np.ceil(np.log(1e17) / (2.0 * a))) + 1)
+    q2n = np.exp(-2.0 * a * n)
+    v0 = g * (-np.pi**2 / 3.0
+              + 8.0 * np.pi**2 * np.sum(n * q2n / -np.expm1(-2.0 * a * n)))
+    return PeriodicPotential(np.concatenate([vk[::-1], [v0], vk]))
 
 
 # -- external potential --------------------------------------------------------

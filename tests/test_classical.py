@@ -209,6 +209,15 @@ class TestEnergySlope:
             with pytest.raises(LeftBrillouinWindow):
                 band.energy_slope(p)
 
+    def test_guard_names_the_momentum_outside_the_window(self, cosine_path):
+        band = SplineBand(cosine_path)
+        with pytest.raises(LeftBrillouinWindow, match=r"p=5\.000000 outside"):
+            band.energy([1.0, 5.0])
+        with pytest.raises(LeftBrillouinWindow, match=r"p=0\.500000 outside"):
+            band.slope(np.array([[1.0, 1.5], [0.5, 3.0]]))
+        with pytest.raises(LeftBrillouinWindow, match=r"p=2\.500000 outside"):
+            band.energy(2.5)
+
     def test_parabolic_band_closed_form(self):
         band = ParabolicBand(center=0.4)
         for p in (-1.3, 0.4, 2.75):
@@ -252,16 +261,6 @@ class TestVectorisedExternalCalls:
         scale = max(1.0, abs(H0))
         assert abs(a.energy_drift - b.energy_drift) <= 1e-14 * scale
 
-    @pytest.mark.parametrize("W", [linear_ramp(1.0),
-                                   cosine_external(2.0, 0.5)])
-    def test_crossing_time(self, W):
-        tr = integrate_flow(ParabolicBand(), W, 1.5, np.pi - 0.5, (0, 1.0),
-                            1e-3)
-        t_a, q_a = detect_crossing_time(tr, np.pi, W)
-        t_b, q_b = detect_crossing_time(tr, np.pi, pointwise(W))
-        assert t_a == pytest.approx(t_b, rel=1e-14, abs=0.0)
-        assert q_a == pytest.approx(q_b, rel=1e-14, abs=0.0)
-
     @pytest.mark.parametrize("W", [linear_ramp(0.25),
                                    cosine_external(0.3, 0.9)])
     def test_oscillator_coefficients(self, W, cosine_path):
@@ -279,7 +278,7 @@ class TestDetectCrossing:
         band = ParabolicBand()
         W = linear_ramp(1.0)
         tr = integrate_flow(band, W, 0.0, np.pi - 0.5, (0, 1.0), 1e-3)
-        t_star, q_star = detect_crossing_time(tr, np.pi, W)
+        t_star, q_star = detect_crossing_time(tr, np.pi)
         assert abs(t_star - 0.5) < 1e-12
         q_ref = (np.pi - 0.5) * 0.5 + 0.5 ** 3 / 6 + 0.5 * 0.5 ** 2 / 2
         # q(t) = q0 + p0 t + t^2/2 integrated of p = p0 + t
@@ -291,13 +290,13 @@ class TestDetectCrossing:
         W = linear_ramp(1.0)
         tr = integrate_flow(band, W, 0.0, np.pi + 0.1, (0, 1.0), 1e-3)
         with pytest.raises(NoCrossing):
-            detect_crossing_time(tr, np.pi, W)
+            detect_crossing_time(tr, np.pi)
 
     def test_wrapped_target_found(self):
         band = ParabolicBand()
         W = linear_ramp(2.0)
         tr = integrate_flow(band, W, 0.0, TWO_PI - 0.8, (0, 1.0), 1e-3)
-        t_star, _ = detect_crossing_time(tr, 0.0, W)
+        t_star, _ = detect_crossing_time(tr, 0.0)
         assert abs(t_star - 0.4) < 1e-12
 
     def test_slow_crossing_flagged_tangential(self):
@@ -305,7 +304,7 @@ class TestDetectCrossing:
         W = linear_ramp(0.3)
         tr = integrate_flow(band, W, 0.0, np.pi - 0.15, (0, 1.0), 1e-3)
         with pytest.raises(TangentialApproach):
-            detect_crossing_time(tr, np.pi, W, slope_threshold=0.5)
+            detect_crossing_time(tr, np.pi, slope_threshold=0.5)
 
     def test_event_time_stable_under_dt_halving(self):
         band = ParabolicBand()
@@ -313,7 +312,7 @@ class TestDetectCrossing:
         times = []
         for dt in (1e-3, 5e-4):
             tr = integrate_flow(band, W, 0.0, np.pi - 0.4, (0, 1.2), dt)
-            times.append(detect_crossing_time(tr, np.pi, W)[0])
+            times.append(detect_crossing_time(tr, np.pi)[0])
         assert abs(times[0] - times[1]) < 1e-10
 
 
@@ -364,6 +363,17 @@ class TestExtendThroughCrossing:
         assert abs(q - ext.q_star) < 1e-12
         assert abs(p - p_star) < 1e-12
         assert abs(S - s_star) < 1e-12
+
+    def test_crossing_point_is_the_plus_state_at_t_star(self, free_pair):
+        # q*, p* and S* all come from the plus branch's splines at t*, and
+        # the minus branch starts from exactly that point; a cosine drive
+        # makes q(t) no polynomial, so a second interpolant of q would read
+        # a different q*
+        ext = extend_through_crossing(free_pair, cosine_external(1.0, 1.0),
+                                      1.0, np.pi - 0.3, 0.0, T=0.6, dt=1e-3)
+        state = ext.plus.state_at(ext.t_star)
+        assert ext.q_star == state[0]
+        assert (ext.minus.q[0], ext.minus.p[0], ext.minus.S[0]) == state
 
     def test_one_forward_flow_per_branch(self, free_pair, monkeypatch):
         import bandcross.classical as classical

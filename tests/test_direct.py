@@ -37,6 +37,7 @@ from bandcross.errors import (
 )
 from bandcross.harness import branch_packet
 from bandcross.potential import (
+    PeriodicPotential,
     cosine_external,
     linear_ramp,
     make_cosine,
@@ -568,6 +569,32 @@ class TestBandMass:
         for n in (2, 3):
             assert tabs[0].masses[n] == pytest.approx(tabs[1].masses[n],
                                                       rel=1e-3)
+
+    def test_degenerate_fiber_split_does_not_depend_on_eigh(self,
+                                                             crossing_setup):
+        # bands 2 and 3 touch at p = 0, so fiber r = 0 is degenerate to
+        # round-off and eigh may return any basis of that pair: with the
+        # split left to that basis, a one-ulp move of V moved band 2 by
+        # 9e-7 at ppw 24.  The pair's mass is split equally, so the masses
+        # agree across ppw and do not move with V's last bit.
+        V, pair, W, ext = crossing_setup
+        c = V.coeffs.copy()
+        c[V.m_max + 1] = c[V.m_max - 1] = np.nextafter(c[V.m_max + 1].real,
+                                                       np.inf)
+        moved = PeriodicPotential(c)
+        assert not np.array_equal(moved.coeffs, V.coeffs)
+        a0p = gaussian_envelope(sigma=1.0)
+        a0m_raw = gaussian_envelope(sigma=0.8)
+        a0m = Envelope(a0m_raw.y, 0.7 * a0m_raw.values)
+        tabs = []
+        for ppw in (24, 32):
+            state = two_branch_state(
+                ext, Grid(length=8, epsilon=1.0 / 64, ppw=ppw), 0.33, a0p, a0m)
+            tabs += [band_mass(state, U, n_bands=4) for U in (V, moved)]
+        for n in (2, 3):
+            for tab in tabs[1:]:
+                assert tab.masses[n] == pytest.approx(tabs[0].masses[n],
+                                                      rel=1e-12, abs=0.0)
 
     def test_window_empty(self):
         grid = Grid(length=4, epsilon=1.0 / 8, ppw=32)

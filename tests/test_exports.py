@@ -1,9 +1,14 @@
-"""Every name a bandcross module exports in __all__ exists in it.
+"""Every name a bandcross module exports in __all__ exists in it, and every
+module-level import of a bandcross module is used.
 
-A stale export otherwise fails only on ``from bandcross.<module> import *``.
+A stale export otherwise fails only on ``from bandcross.<module> import *``;
+an unused import, left behind when the code that read it is deleted, fails
+nothing at all.
 """
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import bandcross
 
@@ -16,3 +21,35 @@ def test_every_all_entry_exists():
                for name in getattr(m, "__all__", ())
                if not hasattr(m, name)]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imports of a source file never read as a name.
+
+    A name listed in the module's __all__ counts as used (a re-export);
+    ``from __future__`` imports are compiler directives and are skipped.
+    """
+    tree = ast.parse(path.read_text())
+    imported, exported = {}, set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in used and name not in exported]
+
+
+def test_no_unused_imports():
+    sources = sorted(Path(bandcross.__file__).parent.glob("*.py"))
+    assert sources
+    unused = [entry for path in sources for entry in _unused_imports(path)]
+    assert unused == []

@@ -1,46 +1,44 @@
-"""Potential families: Fourier representations and elliptic evaluation.
+"""Potential families: Fourier representations and the finite-gap series.
 
-The Weierstrass ODE invariant (wp')^2 = 4 wp^3 - g2 wp - g3 is the primary
-oracle; the raw (tail-corrected) lattice sum cross-checks the row-summed
-evaluator against the defining series.
+The finite-gap coefficients come from the closed q-series of the
+Weierstrass function; their oracle is wp's ODE (wp')^2 = 4 wp^3 - g2 wp - g3,
+read off the series itself as "(u')^2 - 4 u^3 is affine in u", together with
+the spectrum it must produce (one open gap) and pinned values.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandcross.errors import PoleProximity
+from bandcross.bloch import eigensolve
 from bandcross.potential import (
     EllipticParams,
+    PeriodicPotential,
     cosine_external,
-    eisenstein_invariants,
     evaluate_periodic,
     linear_ramp,
     make_cosine,
     make_m_gap,
     potential_from_coeffs,
-    weierstrass_p,
-    weierstrass_p_prime,
     zero_external,
 )
 
 
-def lattice_sum_wp(z, omega_prime, R=110):
-    """Literal truncated lattice sum with quadratic/quartic tail correction.
+def ode_residual(V: PeriodicPotential, g: float) -> float:
+    """Least-squares residual of (u')^2 - 4 u^3 against a line in u = V/g.
 
-    Beyond the symmetric truncation box the summand expands as
-    3 z^2 / Omega^4 + 5 z^4 / Omega^6 + odd terms that cancel pairwise, so the
-    tail is recovered from full-minus-truncated Eisenstein sums.
+    The line is fitted on 64 points of the period; u' comes from the series
+    (coefficients times 2 pi i m); the residual is relative to
+    max |(u')^2 - 4 u^3|.
     """
-    m = np.arange(-R, R + 1)
-    M, N = np.meshgrid(m, m, indexing="ij")
-    Om = (M + 2j * N * omega_prime)[(M != 0) | (N != 0)]
-    raw = 1.0 / z**2 + np.sum(1.0 / (z - Om) ** 2 - 1.0 / Om**2)
-    s4_trunc = np.sum(1.0 / Om**4)
-    s6_trunc = np.sum(1.0 / Om**6)
-    g2, g3 = eisenstein_invariants(omega_prime)
-    s4_full, s6_full = g2 / 60.0, g3 / 140.0
-    return raw + 3.0 * z**2 * (s4_full - s4_trunc) + 5.0 * z**4 * (s6_full - s6_trunc)
+    m = np.arange(-V.m_max, V.m_max + 1)
+    x = np.arange(64) / 64
+    u = evaluate_periodic(V, x) / g
+    du = evaluate_periodic(PeriodicPotential(2j * np.pi * m * V.coeffs), x) / g
+    lhs = du**2 - 4.0 * u**3
+    A = np.column_stack([u, np.ones_like(u)])
+    fit, *_ = np.linalg.lstsq(A, lhs, rcond=None)
+    return float(np.abs(lhs - A @ fit).max() / np.abs(lhs).max())
 
 
 class TestCosine:
@@ -95,64 +93,29 @@ class TestPeriodicRepresentation:
         )
 
 
-class TestWeierstrass:
-    @pytest.mark.parametrize("omega_prime", [0.3, 0.5, 0.8])
-    def test_ode_invariant(self, omega_prime):
-        par = EllipticParams(1, omega_prime)
-        g2, g3 = par.invariants
-        x = np.linspace(0.0, 1.0, 23)
-        z = x + 1j * omega_prime
-        p = weierstrass_p(z, par)
-        pp = weierstrass_p_prime(z, par)
-        residual = np.abs(pp**2 - (4 * p**3 - g2 * p - g3))
-        assert residual.max() < 1e-10
-
-    def test_matches_lattice_definition(self):
-        par = EllipticParams(1, 0.4)
-        for z in (0.23 + 0.4j, 0.41 + 0.17j, -0.32 + 0.55j):
-            assert abs(weierstrass_p(z, par) - lattice_sum_wp(z, 0.4)) < 1e-8
-
-    def test_double_periodicity_and_evenness(self):
-        par = EllipticParams(1, 0.35)
-        z = 0.27 + 0.22j
-        p0 = weierstrass_p(z, par)
-        assert abs(weierstrass_p(z + 1.0, par) - p0) < 1e-12
-        assert abs(weierstrass_p(z + 0.7j, par) - p0) < 1e-12
-        assert abs(weierstrass_p(-z, par) - p0) < 1e-12
-
-    def test_real_on_evaluation_line(self):
-        par = EllipticParams(1, 0.3)
-        vals = weierstrass_p(np.linspace(0, 1, 31) + 0.3j, par)
-        assert np.abs(vals.imag).max() < 1e-12 * np.abs(vals.real).max()
-
-    def test_pole_proximity(self):
-        par = EllipticParams(1, 0.5)
-        with pytest.raises(PoleProximity):
-            weierstrass_p(1e-9 + 0j, par)
-        with pytest.raises(PoleProximity):
-            weierstrass_p(1.0 + 1.0000000001j, par)  # lattice point 1 + 2i w'
-
-    def test_pole_proximity_names_the_first_point_of_an_array(self):
-        par = EllipticParams(1, 0.5)
-        z = np.array([[0.3 + 0.1j, 2.0 + 1e-8j],
-                      [1.0 + 1.0000000001j, 0.5j]])
-        for f in (weierstrass_p, weierstrass_p_prime):
-            with pytest.raises(PoleProximity, match=r"z = \(2\+1e-08j\) "):
-                f(z, par)
-
-    def test_lemniscatic_g3_vanishes(self):
-        # square lattice (w' = 1/2): g3 = 0 by symmetry
-        g2, g3 = eisenstein_invariants(0.5)
-        assert abs(g3) < 1e-10 * abs(g2)
-
-
 class TestMGap:
-    def test_reconstruction(self):
-        par = EllipticParams(1, 0.8)
-        V = make_m_gap(par)
-        z = np.linspace(0, 1, 64, endpoint=False)
-        direct = weierstrass_p(z + 0.8j, par).real
-        np.testing.assert_allclose(evaluate_periodic(V, z), direct, atol=1e-8)
+    @pytest.mark.parametrize("omega_prime", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("gaps", [1, 2])
+    def test_ode_invariant(self, omega_prime, gaps):
+        V = make_m_gap(EllipticParams(gaps, omega_prime))
+        assert ode_residual(V, gaps * (gaps + 1) / 2.0) < 1e-12
+
+    def test_one_open_gap(self):
+        # the one-gap Lame potential: bands 1 and 2 are split at p = pi,
+        # every higher gap is closed (bands 2-3 touch at 0, 3-4 at pi, 4-5
+        # at 0)
+        V = make_m_gap(EllipticParams(1, 0.3), m_max=15)
+        e0, _ = eigensolve(V, 0.0, 5, m_cut=40)
+        epi, _ = eigensolve(V, np.pi, 5, m_cut=40)
+        assert epi[1] - epi[0] > 1.0
+        for gap in (e0[2] - e0[1], epi[3] - epi[2], e0[4] - e0[3]):
+            assert gap < 1e-9
+
+    def test_pinned_coefficients(self):
+        V = make_m_gap(EllipticParams(1, 0.3), m_max=15)
+        assert V.coeff(0) == pytest.approx(-1.339664510743031, rel=1e-14)
+        for k in (1, -1):
+            assert V.coeff(k) == pytest.approx(-6.13569007651669, rel=1e-14)
 
     def test_gap_count_scaling(self):
         par = EllipticParams(2, 0.5)
