@@ -7,7 +7,24 @@ the slow envelopes, assemble semiclassical wavepackets, and compare against a
 direct split-step solution of
 
     i eps dpsi/dt = -(eps^2/2) d^2psi/dx^2 + V(x/eps) psi + W(x) psi.
+
+Importing the package sets OPENBLAS_NUM_THREADS=1 unless the environment
+already holds a non-empty value.  OpenBLAS reads the variable once, when
+numpy or scipy loads it, so the setting takes effect only if bandcross is
+imported before numpy; in a process that has already loaded numpy it
+changes nothing there.  Child processes inherit it.
 """
+
+import os
+
+# Every BLAS/LAPACK operand here is at most 64 x 64, or a stack of such
+# matrices (31-mode Bloch fibers, ppw x ppw solver fibers), where an OpenBLAS
+# worker thread only spins.  The package's own threads are its parallelism:
+# the case pool plus each crossing case's two solver threads, so a BLAS
+# worker beside each of a crossing case's three threads only oversubscribes
+# the cores.  An empty value counts as unset, as it does for OpenBLAS.
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
 

@@ -343,9 +343,11 @@ def evaluate_envelope(e: Envelope, points) -> np.ndarray:
     dy = e.dy / refine
     y_fine = e.y[0] + dy * np.arange(m)
     pts = np.asarray(points, dtype=float)
-    re = CubicSpline(y_fine, fine.real)
-    im = CubicSpline(y_fine, fine.imag)
+    # one spline whose two columns are the real and imaginary parts, viewed
+    # in place: a complex-valued spline would solve in complex arithmetic
+    # and move the values by an ulp
+    spline = CubicSpline(y_fine, fine.view(float).reshape(-1, 2))
     inside = (pts >= y_fine[0]) & (pts <= y_fine[-1])
     out = np.zeros(pts.shape, dtype=complex)
-    out[inside] = re(pts[inside]) + 1j * im(pts[inside])
+    out[inside] = spline(pts[inside]).view(complex)[:, 0]
     return out

@@ -21,7 +21,11 @@ own: one runs the step-doubling solve and the other the first fine run
 beside its coarse run, while the case's thread builds the semiclassical
 prediction.  So a crossing case runs up to three threads, and a crossing
 study up to three times the pool size.  Isolated cases run on their pool
-thread alone, coarse run then fine run.
+thread alone, coarse run then fine run.  BLAS runs one thread
+(OPENBLAS_NUM_THREADS=1, set when bandcross is imported before numpy):
+every matrix it sees is at most 64 x 64, or a stack of such, so a BLAS
+worker beside each of these threads would only spin and oversubscribe the
+cores.
 """
 from __future__ import annotations
 
@@ -80,7 +84,9 @@ def worker_count(n_jobs: int) -> int:
     """Case-pool size: BCL_THREADS caps it, defaults to the machine's cores.
 
     Each crossing case also runs its direct solve on two solver threads of
-    its own, on top of this pool: up to three threads per case.
+    its own, on top of this pool: up to three threads per case.  These are
+    the only threads: BLAS runs one, since its operands are at most 64 x 64
+    and its workers would only compete with these for the cores.
     """
     cap = os.environ.get("BCL_THREADS", "")
     limit = int(cap) if cap.strip() else (os.cpu_count() or 1)

@@ -202,24 +202,46 @@ class SolverContract:
         with pytest.raises(GridOverflow):
             self.solve(state, FLAT, None, 1e-3, list(range(100, 1501, 100)))
 
-    def test_collar_mass_peak_recorded(self):
-        # the packet of test_collar_guard_trips with the guard off, run
-        # until it has crossed the collar: the recorded peak is the largest
-        # collar fraction over the snapshots
-        eps = 1.0 / 4
-        grid = Grid(length=8, epsilon=eps, ppw=32)
-        params = WavepacketParams(S=0.0, q=5.0, p=1.0,
+    @staticmethod
+    def collar_crossing_packet() -> GridState:
+        # a narrow packet at q = 5 moving at speed 4: it fills the collar
+        # [7, 8) around t = 0.6 and has left it by t = 1.3, while its collar
+        # fraction reads below 1e-13 at t = 0.1 and at t = 1.3
+        eps = 1.0 / 16
+        grid = Grid(length=8, epsilon=eps, ppw=16)
+        params = WavepacketParams(S=0.0, q=5.0, p=4.0,
                                   a0=gaussian_envelope(sigma=1.0),
                                   epsilon=eps, chi=flat_chi())
-        state = assemble_wp0(params, grid)
-        res = self.solve(state, FLAT, None, 1e-3, list(range(250, 4001, 250)),
-                         check_collar=False)
+        return assemble_wp0(params, grid)
+
+    def test_collar_guard_reads_between_snapshots(self):
+        state = self.collar_crossing_packet()
+        with pytest.raises(GridOverflow):
+            self.solve(state, FLAT, None, 1e-2, [10, 130])
+
+    def test_collar_mass_peak_recorded(self):
+        # the recorded peak is the largest collar fraction over every step,
+        # not only over the snapshots: a run with a snapshot after each step
+        # shows the same peak
+        state = self.collar_crossing_packet()
+        grid = state.grid
+        sparse = self.solve(state, FLAT, None, 1e-2, [10, 130],
+                            check_collar=False)
+        dense = self.solve(state, FLAT, None, 1e-2, list(range(1, 131)),
+                           check_collar=False)
         collar = grid.x >= grid.length - COLLAR
-        fracs = [np.sum(np.abs(s.values[collar]) ** 2) / np.sum(
-            np.abs(s.values) ** 2) for s in res.snapshots if s.t > 0]
-        assert np.argmax(fracs) < len(fracs) - 1
-        assert res.collar_mass == pytest.approx(max(fracs), rel=1e-12)
-        assert res.collar_mass > COLLAR_MASS_TOL
+
+        def fracs(res):
+            return [np.sum(np.abs(s.values[collar]) ** 2)
+                    / np.sum(np.abs(s.values) ** 2) for s in res.snapshots]
+
+        assert max(fracs(sparse)) < 1e-13
+        assert 0 < np.argmax(fracs(dense)) < 129
+        assert sparse.collar_mass == pytest.approx(max(fracs(dense)),
+                                                   rel=1e-12)
+        assert dense.collar_mass == pytest.approx(sparse.collar_mass,
+                                                  rel=1e-12)
+        assert sparse.collar_mass > COLLAR_MASS_TOL
 
     @pytest.mark.parametrize("dt, steps", [
         (1e-3, []), (1e-3, [20, 20]), (1e-3, [30, 10]), (1e-3, [-5, 10]),
