@@ -2,11 +2,17 @@
 
 A zeroth-order packet is eps^{-1/4} e^{iS/eps} e^{ip(x-q)/eps}
 a0((x-q)/sqrt(eps)) chi(x/eps; p); the first-order packet adds
-sqrt(eps) [a1 chi + (-i d_y a0) d_p chi].  After a crossing the state is the
-first-order packet on the continued branch plus sqrt(eps) times a
-zeroth-order packet on the other branch, each riding its own classical
-trajectory; ``harness.branch_packet`` places either packet on the band path
-its trajectory was integrated on.
+sqrt(eps) [a1 chi + (-i d_y a0) d_p chi].  The assemblers take eps from the
+grid and the trajectory point (q, p, S) as it stands:
+assemble_wp0(grid, q, p, S, a0, chi) and
+assemble_wp1(grid, q, p, S, a0, a1, chi, dp_chi).  Both go through one
+helper, which builds WP1 in one pass (one y-grid, one evaluation of chi, one
+phase), so a1 = 0 with d_p chi = 0 gives WP0 bit for bit.
+
+After a crossing the state is the first-order packet on the continued branch
+plus sqrt(eps) times a zeroth-order packet on the other branch, each riding
+its own classical trajectory; ``harness.branch_packet`` places either packet
+on the band path its trajectory was integrated on.
 """
 from __future__ import annotations
 
@@ -86,27 +92,6 @@ class GridState:
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dx))
 
 
-@dataclass
-class WavepacketParams:
-    """Everything needed to place one Bloch wavepacket on the grid."""
-
-    S: float
-    q: float
-    p: float
-    a0: Envelope
-    epsilon: float
-    chi: np.ndarray
-    a1: Envelope | None = None
-    dp_chi: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.chi = np.asarray(self.chi, dtype=complex)
-        nrm = np.linalg.norm(self.chi)
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"chi must be normalized, got |chi| = {nrm:.3e}")
-        _reciprocal_integer(self.epsilon)
-
-
 def evaluate_bloch_mode(coeffs: np.ndarray, z) -> np.ndarray:
     """chi(z) = sum_m c_m e^{2 pi i m z} with index m = -m_cut .. m_cut.
 
@@ -134,49 +119,51 @@ def _clip_fraction(a: Envelope, q: float, epsilon: float, length: float) -> floa
     return outside / total
 
 
-def _packet(grid: Grid, S, q, p, env_vals, chi_vals, epsilon) -> np.ndarray:
-    x = grid.x
-    phase = np.exp(1j * (S + p * (x - q)) / epsilon)
-    return epsilon ** (-0.25) * phase * env_vals * chi_vals
+def _packet(grid: Grid, q, p, S, a0: Envelope, chi, a1: Envelope | None,
+            dp_chi) -> GridState:
+    """eps^{-1/4} e^{i(S + p(x-q))/eps} u(x) on the grid, y = (x-q)/sqrt(eps).
 
-
-def assemble_wp0(params: WavepacketParams, grid: Grid) -> GridState:
-    """Zeroth-order one-band wavepacket on the grid."""
-    if abs(params.epsilon - grid.epsilon) > 1e-12:
-        raise GridMismatch("params and grid disagree on epsilon")
-    clip = _clip_fraction(params.a0, params.q, params.epsilon, grid.length)
+    u = a0(y) chi(x/eps), plus sqrt(eps) [a1(y) chi + (-i d_y a0)(y) d_p chi]
+    when a1 is given: one y-grid, one evaluation of each mode, one phase.
+    """
+    eps = grid.epsilon
+    chi = np.asarray(chi, dtype=complex)
+    nrm = np.linalg.norm(chi)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"chi must be normalized, got |chi| = {nrm:.3e}")
+    clip = _clip_fraction(a0, q, eps, grid.length)
     if clip > CLIP_TOL:
         raise EnvelopeClipped(
             f"envelope mass fraction {clip:.2e} outside [0, {grid.length}]"
         )
     x = grid.x
-    y_x = (x - params.q) / np.sqrt(params.epsilon)
-    env = evaluate_envelope(params.a0, y_x)
-    chi = evaluate_bloch_mode(params.chi, x / params.epsilon)
-    vals = _packet(grid, params.S, params.q, params.p, env, chi, params.epsilon)
-    return GridState(grid, vals)
+    y_x = (x - q) / np.sqrt(eps)
+    z = x / eps
+    env = evaluate_envelope(a0, y_x)
+    chi_vals = evaluate_bloch_mode(chi, z)
+    if a1 is None:
+        amp = env * chi_vals
+    else:
+        da0 = Envelope(a0.y, np.fft.ifft(a0.k_grid() * np.fft.fft(a0.values)))
+        root = np.sqrt(eps)
+        amp = ((env + root * evaluate_envelope(a1, y_x)) * chi_vals
+               + root * evaluate_envelope(da0, y_x)
+               * evaluate_bloch_mode(dp_chi, z))
+    phase = np.exp(1j * (S + p * (x - q)) / eps)
+    return GridState(grid, eps ** (-0.25) * phase * amp)
 
 
-def assemble_wp1(params: WavepacketParams, grid: Grid) -> GridState:
+def assemble_wp0(grid: Grid, q: float, p: float, S: float, a0: Envelope,
+                 chi: np.ndarray) -> GridState:
+    """Zeroth-order one-band wavepacket on the grid."""
+    return _packet(grid, q, p, S, a0, chi, None, None)
+
+
+def assemble_wp1(grid: Grid, q: float, p: float, S: float, a0: Envelope,
+                 a1: Envelope, chi: np.ndarray,
+                 dp_chi: np.ndarray) -> GridState:
     """First-order packet: adds sqrt(eps) [a1 chi + (-i d_y a0) d_p chi]."""
-    if params.a1 is None or params.dp_chi is None:
-        raise ValueError("assemble_wp1 needs both a1 and dp_chi")
-    state = assemble_wp0(params, grid)
-    x = grid.x
-    y_x = (x - params.q) / np.sqrt(params.epsilon)
-    ky = params.a0.k_grid()
-    da0 = Envelope(params.a0.y,
-                   np.fft.ifft(ky * np.fft.fft(params.a0.values)))
-    a1_vals = evaluate_envelope(params.a1, y_x)
-    da0_vals = evaluate_envelope(da0, y_x)
-    chi = evaluate_bloch_mode(params.chi, x / params.epsilon)
-    dchi = evaluate_bloch_mode(params.dp_chi, x / params.epsilon)
-    corr = a1_vals * chi + da0_vals * dchi
-    state.values = state.values + np.sqrt(params.epsilon) * _packet(
-        grid, params.S, params.q, params.p, corr, np.ones_like(chi),
-        params.epsilon,
-    )
-    return state
+    return _packet(grid, q, p, S, a0, chi, a1, dp_chi)
 
 
 def path_dp_chi(path, p: float) -> np.ndarray:

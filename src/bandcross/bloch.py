@@ -169,7 +169,10 @@ class BandPath:
     """Gauge-fixed eigenvector path of one (branch of a) band over a p-window.
 
     Carries spectral derivative tables: dE by Hellmann-Feynman, d2E by
-    second-order perturbation sums, d3E by differencing d2E.
+    second-order perturbation sums, d3E by differencing d2E.  Off the
+    samples, chi and d_p chi both come from chi_spline, the cubic spline of
+    the gauge-fixed chi table, which reproduces the table at every sample
+    (the crossing fiber included).
     """
 
     potential: PeriodicPotential
@@ -180,7 +183,6 @@ class BandPath:
     d2E: np.ndarray
     d3E: np.ndarray
     m_cut: int
-    label: str = ""
 
     @property
     def p_min(self):
@@ -195,29 +197,9 @@ class BandPath:
         """Cubic spline of the chi table over p_samples, built on first use."""
         return CubicSpline(self.p_samples, self.chi, axis=0)
 
-    def nearest_index(self, p: float) -> int:
-        return int(np.argmin(np.abs(self.p_samples - p)))
-
     def chi_at(self, p: float) -> np.ndarray:
-        """Eigenvector at arbitrary p, phase-aligned to the stored path."""
-        i = self.nearest_index(p)
-        return _aligned_eigvec(self.potential, float(p), self.energies[i],
-                               self.chi[i], self.m_cut)
-
-
-def _aligned_eigvec(V, p, e_near, chi_ref, m_cut):
-    """Fresh fiber eigenvector closest to e_near, phased against chi_ref."""
-    H = assemble(V, p, m_cut)
-    evals, evecs = np.linalg.eigh(H)
-    # select by maximal overlap among the few energy-nearest candidates
-    near = np.argsort(np.abs(evals - e_near))[:4]
-    ovl = np.abs(evecs[:, near].conj().T @ chi_ref)
-    vec = evecs[:, near[int(np.argmax(ovl))]].copy()
-    phase = np.vdot(vec, chi_ref)
-    if abs(phase) < 0.5:
-        raise OverlapCollapse(f"cannot align eigenvector at p={p}")
-    vec *= phase / abs(phase)
-    return vec
+        """The path's eigenvector at p, read from chi_spline."""
+        return self.chi_spline(p)
 
 
 def _velocity(p, m_cut):
@@ -284,7 +266,7 @@ def band_path(V: PeriodicPotential, n: int, p_window, n_samples: int = 513,
     chi = fix_gauge(chi, anchor=n_samples // 2)
     dE = _hf_velocity(p, chi, m_cut)
     d3 = np.gradient(d2, p, edge_order=2)
-    return BandPath(V, p, energies, chi, dE, d2, d3, m_cut, label=f"n={n}")
+    return BandPath(V, p, energies, chi, dE, d2, d3, m_cut)
 
 
 @dataclass
@@ -434,11 +416,9 @@ def smooth_continuation(V: PeriodicPotential, n: int, p_star: float,
     )
 
     plus = BandPath(V, p, e_plus, chi_plus, dE_plus, d2_plus,
-                    np.gradient(d2_plus, p, edge_order=2), m_cut,
-                    label=f"pair({n},{n + 1})+")
+                    np.gradient(d2_plus, p, edge_order=2), m_cut)
     minus = BandPath(V, p, e_minus, chi_minus, dE_minus, d2_minus,
-                     np.gradient(d2_minus, p, edge_order=2), m_cut,
-                     label=f"pair({n},{n + 1})-")
+                     np.gradient(d2_minus, p, edge_order=2), m_cut)
     return SmoothBandPair(
         n=n, p_star=float(p_star), plus=plus, minus=minus,
         slope_plus=lam_plus, slope_minus=lam_minus,

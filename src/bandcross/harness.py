@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__, direct
-from .ansatz import (Grid, GridState, WavepacketParams, assemble_wp0,
-                     assemble_wp1, path_dp_chi, predict_excited_mass)
+from .ansatz import (Grid, GridState, assemble_wp0, assemble_wp1,
+                     path_dp_chi, predict_excited_mass)
 from .bloch import band_path, coupling_coefficient, smooth_continuation
 from .classical import SplineBand, extend_through_crossing, integrate_flow
 from .direct import (PropagationResult, band_mass, centred_external,
@@ -153,6 +153,8 @@ class RunConfig:
             if e < FINE_EPS_FLOOR - 1e-12 and not self.allow_fine:
                 raise ValueError(
                     f"epsilon {e} below 1/256 requires allow_fine=true")
+        if self.band < 1:
+            raise ValueError(f"band must be at least 1, got {self.band}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.envelope_points % 2 != 0:
@@ -755,21 +757,19 @@ def branch_packet(traj, grid: Grid, t: float, a0: Envelope,
                   a1: Envelope | None = None) -> GridState:
     """The packet riding traj on its band at time t.
 
-    WP1 when a1 is given, else WP0; the band path the flow was integrated on
-    (traj.band.path) supplies chi and, for WP1, d_p chi at the trajectory's
-    momentum.  The post-crossing state is the WP1 on the continued branch
+    WP1 when a1 is given, else WP0, placed at the trajectory's (q, p, S) at
+    t.  chi and, for WP1, d_p chi at p come from the spline of the band path
+    the flow was integrated on (traj.band.path.chi_spline), so both share
+    one gauge.  The post-crossing state is the WP1 on the continued branch
     plus sqrt(eps) times the WP0 on the other branch.
     """
     path = traj.band.path
     q, p, S = traj.state_at(t)
-    params = WavepacketParams(S=S, q=q, p=p, a0=a0, epsilon=grid.epsilon,
-                              chi=path.chi_at(p))
+    chi = path.chi_at(p)
     if a1 is None:
-        state = assemble_wp0(params, grid)
+        state = assemble_wp0(grid, q, p, S, a0, chi)
     else:
-        params.a1 = a1
-        params.dp_chi = path_dp_chi(path, p)
-        state = assemble_wp1(params, grid)
+        state = assemble_wp1(grid, q, p, S, a0, a1, chi, path_dp_chi(path, p))
     state.t = t
     return state
 
@@ -871,7 +871,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         # post-crossing residual against the predicted excited packet
         psi_obs = psi["crossing"]
         resid = psi_obs.values - wp1["crossing"].values
-        resid_norm = float(np.sqrt(np.sum(np.abs(resid) ** 2) * grid.dx))
+        resid_norm = errors["crossing"][0]
         pred_vals = np.sqrt(eps) * pred.values
         pred_norm = float(np.sqrt(np.sum(np.abs(pred_vals) ** 2) * grid.dx))
         inner_prod = abs(np.sum(np.conj(resid) * pred_vals) * grid.dx)

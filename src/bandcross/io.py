@@ -1,7 +1,9 @@
 """Deterministic CSV / JSON writers for the study reports.
 
 Floats are rendered with repr (shortest round-trip form) so identical inputs
-produce byte-identical files; no timestamps enter file bodies.
+produce byte-identical files; no timestamps enter file bodies.  CSV keeps
+nan and inf as Python spells them; JSON has no such values, so a non-finite
+float is written there as null and the file stays strict JSON.
 """
 
 import json
@@ -36,18 +38,19 @@ def _jsonable(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     return obj
 
 
 def write_json(path, payload):
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bandcross.ansatz import (
     Grid,
     GridState,
-    WavepacketParams,
     assemble_wp0,
     assemble_wp1,
     evaluate_bloch_mode,
@@ -19,7 +18,7 @@ from bandcross.envelope import (
     excited_envelope,
     gaussian_envelope,
 )
-from bandcross.errors import EnvelopeClipped, GridMismatch
+from bandcross.errors import EnvelopeClipped
 from bandcross.harness import branch_packet
 
 
@@ -81,9 +80,7 @@ class TestAssembleWp0:
         self.a0 = gaussian_envelope(sigma=1.0)
 
     def test_flat_chi_is_pure_dilation(self):
-        params = WavepacketParams(S=0.0, q=4.0, p=0.0, a0=self.a0,
-                                  epsilon=1.0 / 32, chi=flat_chi())
-        state = assemble_wp0(params, self.grid)
+        state = assemble_wp0(self.grid, 4.0, 0.0, 0.0, self.a0, flat_chi())
         x = self.grid.x
         eps = 1.0 / 32
         exact = eps ** (-0.25) * np.pi ** (-0.25) * np.exp(
@@ -99,9 +96,7 @@ class TestAssembleWp0:
         for eps in (1.0 / 16, 1.0 / 64, 1.0 / 256):
             _, vecs = eigensolve(V, 1.1, 2, m_cut=24)
             grid = Grid(length=8, epsilon=eps, ppw=32)
-            params = WavepacketParams(S=0.3, q=4.0, p=1.1, a0=self.a0,
-                                      epsilon=eps, chi=vecs[0])
-            state = assemble_wp0(params, grid)
+            state = assemble_wp0(grid, 4.0, 1.1, 0.3, self.a0, vecs[0])
             assert abs(state.norm() - 1.0) < np.sqrt(eps)
 
     def test_gauge_neutrality(self):
@@ -110,33 +105,20 @@ class TestAssembleWp0:
 
         V = make_cosine(4.0)
         _, vecs = eigensolve(V, 0.7, 1, m_cut=16)
-        base = WavepacketParams(S=0.1, q=4.0, p=0.7, a0=self.a0,
-                                epsilon=1.0 / 32, chi=vecs[0])
         theta = 1.234
-        turned = WavepacketParams(S=0.1, q=4.0, p=0.7, a0=self.a0,
-                                  epsilon=1.0 / 32,
-                                  chi=np.exp(1j * theta) * vecs[0])
-        s1 = assemble_wp0(base, self.grid)
-        s2 = assemble_wp0(turned, self.grid)
+        s1 = assemble_wp0(self.grid, 4.0, 0.7, 0.1, self.a0, vecs[0])
+        s2 = assemble_wp0(self.grid, 4.0, 0.7, 0.1, self.a0,
+                          np.exp(1j * theta) * vecs[0])
         assert abs(s1.norm() - s2.norm()) < 1e-12
         assert np.max(np.abs(s2.values - np.exp(1j * theta) * s1.values)) < 1e-9
 
     def test_envelope_clipped_near_boundary(self):
-        params = WavepacketParams(S=0.0, q=0.05, p=0.0, a0=self.a0,
-                                  epsilon=1.0 / 32, chi=flat_chi())
         with pytest.raises(EnvelopeClipped):
-            assemble_wp0(params, self.grid)
-
-    def test_epsilon_mismatch(self):
-        params = WavepacketParams(S=0.0, q=4.0, p=0.0, a0=self.a0,
-                                  epsilon=1.0 / 16, chi=flat_chi())
-        with pytest.raises(GridMismatch):
-            assemble_wp0(params, self.grid)
+            assemble_wp0(self.grid, 0.05, 0.0, 0.0, self.a0, flat_chi())
 
     def test_chi_normalization_enforced(self):
         with pytest.raises(ValueError):
-            WavepacketParams(S=0.0, q=4.0, p=0.0, a0=self.a0,
-                             epsilon=1.0 / 32, chi=2.0 * flat_chi())
+            assemble_wp0(self.grid, 4.0, 0.0, 0.0, self.a0, 2.0 * flat_chi())
 
     @settings(max_examples=20, deadline=None)
     @given(theta=st.floats(-np.pi, np.pi),
@@ -145,10 +127,8 @@ class TestAssembleWp0:
     def test_norm_invariant_under_phases(self, theta, p, S):
         grid = Grid(length=8, epsilon=1.0 / 16, ppw=32)
         a0 = gaussian_envelope(sigma=1.0)
-        params = WavepacketParams(
-            S=S, q=4.0, p=p, a0=a0, epsilon=1.0 / 16,
-            chi=np.exp(1j * theta) * mode_chi(1))
-        state = assemble_wp0(params, grid)
+        state = assemble_wp0(grid, 4.0, p, S, a0,
+                             np.exp(1j * theta) * mode_chi(1))
         assert abs(state.norm() - 1.0) < 1e-9
 
 
@@ -159,28 +139,18 @@ class TestAssembleWp1:
 
     def test_zero_correction_equals_wp0(self):
         zero = Envelope(self.a0.y, np.zeros_like(self.a0.values))
-        params = WavepacketParams(
-            S=0.2, q=4.0, p=0.9, a0=self.a0, a1=zero, epsilon=1.0 / 32,
-            chi=mode_chi(1), dp_chi=np.zeros_like(mode_chi(1)))
-        w0 = assemble_wp0(params, self.grid)
-        w1 = assemble_wp1(params, self.grid)
+        w0 = assemble_wp0(self.grid, 4.0, 0.9, 0.2, self.a0, mode_chi(1))
+        w1 = assemble_wp1(self.grid, 4.0, 0.9, 0.2, self.a0, zero,
+                          mode_chi(1), np.zeros_like(mode_chi(1)))
         assert np.array_equal(w0.values, w1.values)
-
-    def test_missing_pieces_rejected(self):
-        params = WavepacketParams(S=0.0, q=4.0, p=0.0, a0=self.a0,
-                                  epsilon=1.0 / 32, chi=flat_chi())
-        with pytest.raises(ValueError):
-            assemble_wp1(params, self.grid)
 
     def test_single_mode_correction_norm(self):
         # chi a pure plane-wave mode, dp_chi = 0: correction is
         # sqrt(eps) a1 chi, so ||WP1 - WP0|| = sqrt(eps) ||a1||
         a1 = gaussian_envelope(sigma=0.7)
-        params = WavepacketParams(
-            S=0.2, q=4.0, p=0.9, a0=self.a0, a1=a1, epsilon=1.0 / 32,
-            chi=mode_chi(1), dp_chi=np.zeros_like(mode_chi(1)))
-        w0 = assemble_wp0(params, self.grid)
-        w1 = assemble_wp1(params, self.grid)
+        w0 = assemble_wp0(self.grid, 4.0, 0.9, 0.2, self.a0, mode_chi(1))
+        w1 = assemble_wp1(self.grid, 4.0, 0.9, 0.2, self.a0, a1, mode_chi(1),
+                          np.zeros_like(mode_chi(1)))
         diff = np.sqrt(np.sum(np.abs(w1.values - w0.values) ** 2)
                        * self.grid.dx)
         assert abs(diff - np.sqrt(1.0 / 32)) < 1e-6
@@ -190,11 +160,9 @@ class TestAssembleWp1:
         # sqrt(eps) sqrt(||a1||^2 + ||d_y a0||^2) when modes are orthogonal
         a1 = gaussian_envelope(sigma=0.7)
         dpc = mode_chi(3).astype(complex)
-        params = WavepacketParams(
-            S=0.0, q=4.0, p=0.4, a0=self.a0, a1=a1, epsilon=1.0 / 32,
-            chi=mode_chi(1), dp_chi=dpc)
-        w0 = assemble_wp0(params, self.grid)
-        w1 = assemble_wp1(params, self.grid)
+        w0 = assemble_wp0(self.grid, 4.0, 0.4, 0.0, self.a0, mode_chi(1))
+        w1 = assemble_wp1(self.grid, 4.0, 0.4, 0.0, self.a0, a1, mode_chi(1),
+                          dpc)
         diff2 = np.sum(np.abs(w1.values - w0.values) ** 2) * self.grid.dx
         ky = self.a0.k_grid()
         da0 = np.fft.ifft(ky * np.fft.fft(self.a0.values))
@@ -236,12 +204,9 @@ class TestTwoBandAnsatz:
         t = 0.3
         state = two_branch_state(ext, grid, t, a0p, zero)
         qp, pp, Sp = ext.plus.state_at(t)
-        params = WavepacketParams(
-            S=Sp, q=qp, p=pp, a0=a0p,
-            a1=Envelope(a0p.y, np.zeros_like(a0p.values)),
-            chi=pair.plus.chi_at(pp), dp_chi=path_dp_chi(pair.plus, pp),
-            epsilon=1.0 / 32)
-        direct = assemble_wp1(params, grid)
+        direct = assemble_wp1(grid, qp, pp, Sp, a0p,
+                              Envelope(a0p.y, np.zeros_like(a0p.values)),
+                              pair.plus.chi_at(pp), path_dp_chi(pair.plus, pp))
         assert np.array_equal(state.values, direct.values)
         assert branch_packet(ext.plus, grid, t, a0p).t == t
 

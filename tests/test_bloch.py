@@ -327,6 +327,20 @@ class TestDpChi:
         assert errs[1] < errs[0] / 3.0
 
 
+class TestChiAt:
+    def test_crossing_fiber_and_norm_from_the_spline(self, one_gap_pair):
+        # a fresh eigh at p_star returns an arbitrary basis of the degenerate
+        # eigenspace; the spline returns the velocity-split branch state
+        i = one_gap_pair.i_star
+        p = np.linspace(one_gap_pair.plus.p_min, one_gap_pair.plus.p_max,
+                        2001)
+        for branch in (one_gap_pair.plus, one_gap_pair.minus):
+            at_star = branch.chi_at(one_gap_pair.p_star)
+            assert np.max(np.abs(at_star - branch.chi[i])) < 1e-14
+            norms = [np.linalg.norm(branch.chi_at(pk)) for pk in p]
+            assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-12
+
+
 class TestSmoothContinuation:
     def test_free_pair_slopes_exact(self):
         pair = smooth_continuation(free_potential(), 1, np.pi,

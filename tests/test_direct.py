@@ -9,7 +9,6 @@ from bandcross import direct
 from bandcross.ansatz import (
     Grid,
     GridState,
-    WavepacketParams,
     assemble_wp0,
 )
 from bandcross.direct import (
@@ -55,9 +54,7 @@ def flat_chi(m_cut: int = 8) -> np.ndarray:
 
 def free_gaussian_state(grid: Grid, q: float, sigma: float = 1.0) -> GridState:
     a0 = gaussian_envelope(sigma=sigma)
-    params = WavepacketParams(S=0.0, q=q, p=0.0, a0=a0,
-                              epsilon=grid.epsilon, chi=flat_chi())
-    return assemble_wp0(params, grid)
+    return assemble_wp0(grid, q, 0.0, 0.0, a0, flat_chi())
 
 
 class TestPeriodizeExternal:
@@ -119,10 +116,8 @@ def bloch_eigenstate(grid: Grid, V, r: int):
 def bloch_packet(grid: Grid) -> GridState:
     from bandcross.bloch import eigensolve
     _, vecs = eigensolve(make_cosine(4.0), 0.7, 1, m_cut=12)
-    params = WavepacketParams(S=0.0, q=4.0, p=0.7,
-                              a0=gaussian_envelope(sigma=1.0),
-                              epsilon=grid.epsilon, chi=vecs[0])
-    return assemble_wp0(params, grid)
+    return assemble_wp0(grid, 4.0, 0.7, 0.0, gaussian_envelope(sigma=1.0),
+                        vecs[0])
 
 
 class SolverContract:
@@ -156,9 +151,7 @@ class SolverContract:
         V = make_cosine(4.0)
         _, vecs = eigensolve(V, 0.7, 1, m_cut=12)
         a0 = gaussian_envelope(sigma=1.0)
-        params = WavepacketParams(S=0.0, q=8.0, p=0.7, a0=a0,
-                                  epsilon=eps, chi=vecs[0])
-        state = assemble_wp0(params, grid)
+        state = assemble_wp0(grid, 8.0, 0.7, 0.0, a0, vecs[0])
         W = cosine_external(0.5, 0.7)
         res = self.solve(state, V, W, 1.25e-4, [1000, 2000, 3000, 4000])
         assert res.norm_drift_rate < 1e-10
@@ -196,9 +189,7 @@ class SolverContract:
         eps = 1.0 / 4
         grid = Grid(length=8, epsilon=eps, ppw=32)
         a0 = gaussian_envelope(sigma=1.0)
-        params = WavepacketParams(S=0.0, q=5.0, p=1.0, a0=a0,
-                                  epsilon=eps, chi=flat_chi())
-        state = assemble_wp0(params, grid)
+        state = assemble_wp0(grid, 5.0, 1.0, 0.0, a0, flat_chi())
         with pytest.raises(GridOverflow):
             self.solve(state, FLAT, None, 1e-3, list(range(100, 1501, 100)))
 
@@ -209,10 +200,8 @@ class SolverContract:
         # fraction reads below 1e-13 at t = 0.1 and at t = 1.3
         eps = 1.0 / 16
         grid = Grid(length=8, epsilon=eps, ppw=16)
-        params = WavepacketParams(S=0.0, q=5.0, p=4.0,
-                                  a0=gaussian_envelope(sigma=1.0),
-                                  epsilon=eps, chi=flat_chi())
-        return assemble_wp0(params, grid)
+        return assemble_wp0(grid, 5.0, 4.0, 0.0,
+                            gaussian_envelope(sigma=1.0), flat_chi())
 
     def test_collar_guard_reads_between_snapshots(self):
         state = self.collar_crossing_packet()
@@ -497,9 +486,7 @@ class TestBandMass:
         a0 = gaussian_envelope(sigma=1.0)
         for eps, floor in ((1.0 / 16, 0.999), (1.0 / 64, 0.9997)):
             grid = Grid(length=8, epsilon=eps, ppw=32)
-            params = WavepacketParams(S=0.0, q=4.0, p=0.7, a0=a0,
-                                      epsilon=eps, chi=vecs[0])
-            state = assemble_wp0(params, grid)
+            state = assemble_wp0(grid, 4.0, 0.7, 0.0, a0, vecs[0])
             tab = band_mass(state, V, n_bands=3)
             assert tab.masses[1] > floor
             assert abs(sum(tab.masses.values()) + tab.rest - tab.total) < 1e-12

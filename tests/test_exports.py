@@ -1,9 +1,10 @@
-"""Every name a bandcross module exports in __all__ exists in it, and every
-module-level import of a bandcross module is used.
+"""Every name a bandcross module exports in __all__ exists in it, every
+module-level import of a bandcross module is used, and every module-level
+private name is referenced somewhere in the package.
 
 A stale export otherwise fails only on ``from bandcross.<module> import *``;
-an unused import, left behind when the code that read it is deleted, fails
-nothing at all.
+an unused import or private helper, left behind when the code that read it
+is deleted, fails nothing at all.
 """
 import ast
 import importlib
@@ -53,3 +54,45 @@ def test_no_unused_imports():
     assert sources
     unused = [entry for path in sources for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``def _x``, ``class _X`` and ``_X = ...`` by line."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                found[name] = node.lineno
+    return found
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads, reads as attributes, or imports from a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_private_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text()) for path in
+             sorted(Path(bandcross.__file__).parent.glob("*.py"))}
+    referenced = set().union(*map(_references, trees.values()))
+    defined = [(name, f"{module}:{line} {name}")
+               for module, tree in trees.items()
+               for name, line in _private_definitions(tree).items()]
+    assert defined
+    assert [entry for name, entry in defined if name not in referenced] == []

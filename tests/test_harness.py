@@ -135,6 +135,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown solver keys"):
             RunConfig(solver={"dt_cap": 1e-3})
 
+    def test_band_below_one_rejected(self):
+        # bands are 1-based; 0 and -1 used to fail deep inside bloch
+        for band in (0, -1):
+            with pytest.raises(ValueError, match="band"):
+                RunConfig(band=band)
+
     def test_measurements_validated(self):
         with pytest.raises(ValueError):
             RunConfig(measurements=("breakdown", "spectral"))
@@ -278,6 +284,20 @@ class TestFreeParticleIsolated:
         # plane waves are exact on any grid, so the derived ppw is the floor
         (derived,) = run_isolated_band(replace(self.CFG, ppw=None)).rows
         assert derived["ppw"] == 16
+
+    def test_degenerate_fit_summary_is_strict_json(self, tmp_path):
+        # two epsilons cannot be fitted: each slope gate records a NaN value,
+        # which the summary must write as null, not as the non-JSON NaN
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        rep = run_isolated_band(replace(self.CFG, epsilons=(1 / 16, 1 / 32)))
+        rep.write(str(tmp_path))
+        summary = json.loads((tmp_path / "isolated_summary.json").read_text(),
+                             parse_constant=reject)
+        slopes = [g for g in summary["gates"] if g["name"].startswith("slope")]
+        assert len(slopes) == 2
+        assert all(g["value"] is None and not g["passed"] for g in slopes)
 
 
 @pytest.fixture(scope="module")
