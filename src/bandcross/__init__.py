@@ -8,11 +8,12 @@ direct split-step solution of
 
     i eps dpsi/dt = -(eps^2/2) d^2psi/dx^2 + V(x/eps) psi + W(x) psi.
 
-Importing the package sets OPENBLAS_NUM_THREADS=1 unless the environment
-already holds a non-empty value.  OpenBLAS reads the variable once, when
-numpy or scipy loads it, so the setting takes effect only if bandcross is
-imported before numpy; in a process that has already loaded numpy it
-changes nothing there.  Child processes inherit it.
+The package needs numpy alone.  Importing it sets OPENBLAS_NUM_THREADS=1
+unless the environment already holds a non-empty value.  OpenBLAS reads the
+variable once, when numpy loads it, so the setting takes effect only if
+bandcross is imported before numpy; in a process that has already loaded
+numpy it changes nothing there.  Child processes inherit it, and so does
+any library with its own OpenBLAS that the process loads later.
 """
 
 import os

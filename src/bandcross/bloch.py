@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConvergenceFailure,
@@ -28,6 +27,7 @@ from .errors import (
     SingularResolvent,
     TruncationTooSmall,
 )
+from .numerics import UniformHermite
 from .potential import PeriodicPotential
 
 __all__ = [
@@ -170,9 +170,10 @@ class BandPath:
 
     Carries spectral derivative tables: dE by Hellmann-Feynman, d2E by
     second-order perturbation sums, d3E by differencing d2E.  Off the
-    samples, chi and d_p chi both come from chi_spline, the cubic spline of
-    the gauge-fixed chi table, which reproduces the table at every sample
-    (the crossing fiber included).
+    samples, chi and d_p chi both come from chi_spline, the cubic Hermite
+    interpolant of the gauge-fixed chi table, which reproduces the table at
+    every sample (the crossing fiber included) and reads only the six
+    samples around the momentum it is asked for.
     """
 
     potential: PeriodicPotential
@@ -193,9 +194,9 @@ class BandPath:
         return float(self.p_samples[-1])
 
     @cached_property
-    def chi_spline(self) -> CubicSpline:
-        """Cubic spline of the chi table over p_samples, built on first use."""
-        return CubicSpline(self.p_samples, self.chi, axis=0)
+    def chi_spline(self) -> UniformHermite:
+        """Cubic Hermite interpolant of the chi table over p_samples."""
+        return UniformHermite(self.p_samples, self.chi)
 
     def chi_at(self, p: float) -> np.ndarray:
         """The path's eigenvector at p, read from chi_spline."""

@@ -3,10 +3,10 @@
 The flow q' = dE/dp, p' = -dW/dq is integrated with a fixed-step RK4 scheme
 (reproducible event times), the action S' = p dE/dp - E - W accumulated
 alongside, and crossing times located as roots of the trajectory's own
-cubic spline of p(t).  Each trajectory keeps the band spline it was
-integrated on and builds its (q, p, S) splines once, on first use, so the
-crossing point (q*, p*, S*) is read from the same splines as every other
-off-grid state.
+cubic Hermite spline of p(t) (numerics.UniformHermite, as are all the
+splines here).  Each trajectory keeps the band spline it was integrated on
+and builds its (q, p, S) splines once, on first use, so the crossing point
+(q*, p*, S*) is read from the same splines as every other off-grid state.
 Through a crossing each smooth branch is integrated once, forward: the plus
 branch from the initial data straight through the crossing, the minus
 branch from the crossing point (q*, p*, S*) at t* on the opposite-slope
@@ -14,12 +14,10 @@ branch.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .bloch import BandPath, SmoothBandPair
 from .errors import (
@@ -29,6 +27,7 @@ from .errors import (
     SecondCrossing,
     TangentialApproach,
 )
+from .numerics import UniformHermite
 from .potential import ExternalPotential
 
 TWO_PI = 2.0 * np.pi
@@ -36,7 +35,7 @@ ENERGY_TOL = 1e-9   # E(p) + W(q) drift allowed, relative to its scale
 
 
 class SplineBand:
-    """Cubic-spline interpolant of a sampled band path.
+    """Cubic Hermite spline of a sampled band path.
 
     The spline derivative is cross-checked against the path's spectral
     (Hellmann-Feynman) velocity table; the largest discrepancy is stored as
@@ -47,16 +46,10 @@ class SplineBand:
         self.path = path
         self.p_min = path.p_min
         self.p_max = path.p_max
-        self._spline = CubicSpline(path.p_samples, path.energies)
-        self._slope = self._spline.derivative()
+        self._spline = UniformHermite(path.p_samples, path.energies)
         self.slope_check = float(
-            np.max(np.abs(self._slope(path.p_samples) - path.dE))
+            np.max(np.abs(self._spline(path.p_samples, 1) - path.dE))
         )
-        # the same piecewise polynomials as Python lists, for energy_slope:
-        # one row per interval, highest power first
-        self._knots = self._spline.x.tolist()
-        self._e_coef = self._spline.c.T.tolist()
-        self._d_coef = self._slope.c.T.tolist()
 
     def _outside(self, p: float) -> LeftBrillouinWindow:
         return LeftBrillouinWindow(
@@ -75,24 +68,13 @@ class SplineBand:
         return self._spline(self._guard(p))
 
     def slope(self, p):
-        return self._slope(self._guard(p))
+        return self._spline(self._guard(p), 1)
 
     def energy_slope(self, p: float) -> tuple[float, float]:
-        """(E(p), E'(p)) at one momentum, bit-identical to energy and slope.
-
-        The interval is found as scipy's PPoly finds it, and the sum runs in
-        its order, c[-1] + c[-2] s + c[-3] s^2 + ... with the power built
-        up by repeated multiplication.
-        """
+        """(E(p), E'(p)) at one momentum, bit-identical to energy and slope."""
         if p < self.p_min - 1e-12 or p > self.p_max + 1e-12:
             raise self._outside(p)
-        x = self._knots
-        i = min(max(bisect_right(x, p) - 1, 0), len(x) - 2)
-        s = p - x[i]
-        s2 = s * s
-        c0, c1, c2, c3 = self._e_coef[i]
-        d0, d1, d2 = self._d_coef[i]
-        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s), d2 + d1 * s + d0 * s2
+        return self._spline.value_slope(p)
 
 
 @dataclass
@@ -107,9 +89,9 @@ class Trajectory:
     energy_drift: float = 0.0
 
     @cached_property
-    def splines(self) -> tuple[CubicSpline, CubicSpline, CubicSpline]:
-        """Cubic splines of q, p and S over t_grid, built on first use."""
-        return tuple(CubicSpline(self.t_grid, y)
+    def splines(self) -> tuple[UniformHermite, UniformHermite, UniformHermite]:
+        """Cubic Hermite splines of q, p and S over t_grid, built once."""
+        return tuple(UniformHermite(self.t_grid, y)
                      for y in (self.q, self.p, self.S))
 
     def state_at(self, t: float) -> tuple[float, float, float]:
@@ -190,17 +172,15 @@ def detect_crossing_time(traj: Trajectory, p_star: float,
     # candidate images of p_star within the visited range
     k_lo = int(np.floor((p.min() - p_star) / TWO_PI))
     k_hi = int(np.ceil((p.max() - p_star) / TWO_PI))
-    best = None
-    for k in range(k_lo, k_hi + 1):
-        roots = p_spline.solve(p_star + TWO_PI * k, extrapolate=False)
-        roots = roots[np.isfinite(roots)]
-        if roots.size and (best is None or roots.min() < best):
-            best = float(roots.min())
-    if best is None:
+    roots = [p_spline.first_root(p_star + TWO_PI * k)
+             for k in range(k_lo, k_hi + 1)]
+    roots = [r for r in roots if r is not None]
+    if not roots:
         raise NoCrossing(
             f"p(t) never reaches p_star={p_star} (mod 2 pi) on the span"
         )
-    pdot_star = float(p_spline.derivative()(best))
+    best = min(roots)
+    pdot_star = float(p_spline(best, 1))
     if abs(pdot_star) < slope_threshold:
         raise TangentialApproach(
             f"|p'(t*)| = {abs(pdot_star):.2e} below {slope_threshold:.1e}"

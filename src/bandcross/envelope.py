@@ -2,34 +2,35 @@
 
 a0 rides a time-dependent harmonic oscillator i da0/dt = H(t) a0 with
 H = 1/2 d2E k^2 + 1/2 d2W y^2, integrated by midpoint Strang splitting
-(kinetic part exact in frequency space).  a1 obeys the same flow with the
-cubic-correction source I(t) a0, I = 1/6 d3E k^3 + 1/6 d3W y^3; the two
-march together, a0 taking two half steps per a1 step so that each a1 step
-reads a0 at its midpoint, and only the current states are kept.  Both
-marches take their step as an argument; the harness derives it by step
-doubling against the case's error target (harness.march_envelopes), since
-the coefficients vary on the O(1) time scale and the step owes nothing to
-eps.  The Berry connection A = i <chi|d_p chi> would add dW/dq A to H and
-dW/dq d_pA k + d2W A y to I, but the eigenvectors are parallel-transported
-along p, so A = 0 and those terms vanish identically.  The envelope
-excited at a band crossing is a chirp convolution of the incident envelope,
-computed in closed form per frequency; its partial buildup in the fast time
-s is evaluated per frequency with Fresnel integrals, which also supply the
-exact lower-tail seed.
+(kinetic part exact in frequency space, by numpy.fft).  a1 obeys the same
+flow with the cubic-correction source I(t) a0,
+I = 1/6 d3E k^3 + 1/6 d3W y^3; the two march together, a0 taking two half
+steps per a1 step so that each a1 step reads a0 at its midpoint, and only
+the current states are kept.  Both marches take their step as an
+argument; the harness derives it by step doubling against the case's
+error target (harness.march_envelopes), since the coefficients vary on the
+O(1) time scale and the step owes nothing to eps.  The Berry connection
+A = i <chi|d_p chi> would add dW/dq A to H and dW/dq d_pA k + d2W A y to
+I, but the eigenvectors are parallel-transported along p, so A = 0 and
+those terms vanish identically.  The envelope excited at a band crossing
+is a chirp convolution of the incident envelope, computed in closed form
+per frequency; its partial buildup in the fast time s is evaluated per
+frequency with Fresnel integrals (numerics.fresnel), which also supply the
+exact lower-tail seed.  The coefficient series and the refined envelopes
+are read through numerics.UniformHermite.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.interpolate import CubicSpline
-from scipy.special import fresnel
 
 from .errors import DegenerateSlopes, GridMismatch, GridOverflow
+from .numerics import UniformHermite, fresnel
 
 BOUNDARY_FRACTION = 0.05
 BOUNDARY_TOL = 1e-8
+_EVAL_CHUNK = 4096      # points per spline call in evaluate_envelope
 
 
 @dataclass
@@ -106,11 +107,13 @@ class OscillatorCoefficients:
 
     def _sp(self, name):
         if name not in self._splines:
-            self._splines[name] = CubicSpline(self.t_grid, getattr(self, name))
+            self._splines[name] = UniformHermite(self.t_grid,
+                                                 getattr(self, name))
         return self._splines[name]
 
     def sample(self, t, name: str) -> np.ndarray:
-        """The named series at every time in t, by one spline call."""
+        """The named series at every time in t, by one call of its cubic
+        Hermite spline over t_grid."""
         t = np.asarray(t, dtype=float)
         lo, hi = self.t_grid[0], self.t_grid[-1]
         bad = (t < lo - 1e-9) | (t > hi + 1e-9)
@@ -136,20 +139,23 @@ def coefficients_from_trajectory(traj, W) -> OscillatorCoefficients:
     t = traj.t_grid
     p, q = traj.p, traj.q
     path = traj.band.path
-    d2_sp = CubicSpline(path.p_samples, path.d2E)
-    d3_sp = CubicSpline(path.p_samples, path.d3E)
     return OscillatorCoefficients(
         t_grid=t.copy(),
-        d2E=d2_sp(p),
+        d2E=UniformHermite(path.p_samples, path.d2E)(p),
         d2W=np.array(W.d2w(q), dtype=float),
-        d3E=d3_sp(p),
+        d3E=UniformHermite(path.p_samples, path.d3E)(p),
         d3W=np.array(W.d3w(q), dtype=float),
     )
 
 
-def _check_overflow(values: np.ndarray, n_edge: int) -> float:
-    """Fraction of the mass in the n_edge cells at each end of the grid."""
-    total = np.vdot(values, values).real
+def _check_overflow(values: np.ndarray, n_edge: int,
+                    packet_mass: float = 0.0) -> float:
+    """Fraction of the mass in the n_edge cells at each end of the grid.
+
+    The fraction is of the larger of the values' own mass and packet_mass:
+    a1 is measured against the packet a0, since a1 alone can be roundoff.
+    """
+    total = max(np.vdot(values, values).real, packet_mass)
     if total == 0:
         return 0.0
     edge = (np.vdot(values[:n_edge], values[:n_edge]).real
@@ -182,10 +188,10 @@ def _edge_cells(y):
 def _apply_h_strang(values, k2, y2, dt, d2E, d2W):
     """One midpoint Strang step of exp(-i dt H); k2 = k^2, y2 = y^2."""
     half_kin = np.exp(-0.25j * dt * d2E * k2)
-    v = sfft.ifft(half_kin * sfft.fft(values))
+    v = np.fft.ifft(half_kin * np.fft.fft(values))
     if d2W != 0.0:
         v *= np.exp(-1j * dt * (0.5 * d2W * y2))
-    return sfft.ifft(half_kin * sfft.fft(v))
+    return np.fft.ifft(half_kin * np.fft.fft(v))
 
 
 def _a0_steps(coeffs, a0_init: Envelope, t0, h, n_steps):
@@ -218,7 +224,7 @@ def _apply_source(a_vals, d3E, d3W, k3, y3):
     """I(t) a with I = 1/6 d3E k^3 + 1/6 d3W y^3; k3 = k^3, y3 = y^3."""
     out = np.zeros_like(a_vals)
     if d3E != 0.0:
-        out += sfft.ifft(d3E / 6.0 * k3 * sfft.fft(a_vals))
+        out += np.fft.ifft(d3E / 6.0 * k3 * np.fft.fft(a_vals))
     if d3W != 0.0:
         out += d3W / 6.0 * y3 * a_vals
     return out
@@ -230,7 +236,8 @@ def evolve_a1(coeffs: OscillatorCoefficients, a0_init: Envelope,
 
     a0 takes two half steps per a1 step; the state after the first is the
     midpoint a0 of that step's source.  Returns (a0, a1) at t_span[1] and
-    the peak boundary-mass fraction of both marches.
+    the peak boundary-mass fraction of both marches, a1's taken against the
+    larger of its own mass and a0's.
     """
     t0, t1, n_steps, h = _steps(t_span, dt)
     y, k = a1_init.y, a1_init.k_grid()
@@ -241,6 +248,7 @@ def evolve_a1(coeffs: OscillatorCoefficients, a0_init: Envelope,
     d2E, d2W, d3E, d3W = _midpoints(coeffs, t0, h, n_steps,
                                     "d2E", "d2W", "d3E", "d3W")
     a0_steps = _a0_steps(coeffs, a0_init, t0, h / 2.0, 2 * n_steps)
+    a0_mass = np.vdot(a0_init.values, a0_init.values).real
     vals = a1_init.values
     peak = 0.0
     for j in range(n_steps):
@@ -251,7 +259,8 @@ def evolve_a1(coeffs: OscillatorCoefficients, a0_init: Envelope,
         # transport the midpoint source through the remaining half step
         src = _apply_h_strang(src, k2, y2, h / 2.0, d2E[j], d2W[j])
         vals = vals - 1j * h * src
-        peak = max(peak, mid_mass, end_mass, _check_overflow(vals, n_edge))
+        peak = max(peak, mid_mass, end_mass,
+                   _check_overflow(vals, n_edge, a0_mass))
     return Envelope(y, a0_vals, t=t1), Envelope(y, vals, t=t1), peak
 
 
@@ -335,7 +344,8 @@ def evaluate_envelope(e: Envelope, points) -> np.ndarray:
     """Band-limited values of the envelope at arbitrary points.
 
     Spectral refinement onto a 16 times finer periodic grid followed by cubic
-    interpolation; points outside the grid evaluate to 0 (Schwartz decay).
+    Hermite interpolation; points outside the grid evaluate to 0 (Schwartz
+    decay).
     """
     refine = 16
     fine = _spectral_refine(e.values, refine)
@@ -344,10 +354,13 @@ def evaluate_envelope(e: Envelope, points) -> np.ndarray:
     y_fine = e.y[0] + dy * np.arange(m)
     pts = np.asarray(points, dtype=float)
     # one spline whose two columns are the real and imaginary parts, viewed
-    # in place: a complex-valued spline would solve in complex arithmetic
-    # and move the values by an ulp
-    spline = CubicSpline(y_fine, fine.view(float).reshape(-1, 2))
-    inside = (pts >= y_fine[0]) & (pts <= y_fine[-1])
+    # in place, so that its arithmetic is real
+    spline = UniformHermite(y_fine, fine.view(float).reshape(-1, 2))
+    inside = np.flatnonzero((pts >= y_fine[0]) & (pts <= y_fine[-1]))
     out = np.zeros(pts.shape, dtype=complex)
-    out[inside] = spline(pts[inside]).view(complex)[:, 0]
+    # in chunks, so that the spline's working arrays stay small beside a
+    # solve running on other threads
+    for lo in range(0, inside.size, _EVAL_CHUNK):
+        part = inside[lo:lo + _EVAL_CHUNK]
+        out.flat[part] = spline(pts.flat[part]).view(complex)[:, 0]
     return out

@@ -431,22 +431,22 @@ class TestExtendThroughCrossing:
 class TestTrajectoryInterpolant:
     def test_splines_built_once_and_exact(self, cosine_path, monkeypatch):
         import bandcross.classical as classical
-        from scipy.interpolate import CubicSpline
+        from bandcross.numerics import UniformHermite
         traj = integrate_flow(SplineBand(cosine_path), linear_ramp(0.25),
                               3.5, 1.3, (0.0, 0.5), 1e-3, s0=0.2)
         built = []
 
         def counting(*args, **kwargs):
             built.append(args)
-            return CubicSpline(*args, **kwargs)
+            return UniformHermite(*args, **kwargs)
 
-        monkeypatch.setattr(classical, "CubicSpline", counting)
+        monkeypatch.setattr(classical, "UniformHermite", counting)
         times = (0.01234, 0.25, 0.4999, 0.1)
         states = [traj.state_at(t) for t in times]
         assert len(built) == 3
         states += [traj.state_at(t) for t in times]
         assert len(built) == 3
         for t, state in zip(times * 2, states):
-            fresh = tuple(float(CubicSpline(traj.t_grid, y)(t))
+            fresh = tuple(float(UniformHermite(traj.t_grid, y)(t))
                           for y in (traj.q, traj.p, traj.S))
             assert state == fresh

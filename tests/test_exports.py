@@ -1,6 +1,7 @@
 """Every name a bandcross module exports in __all__ exists in it, every
-module-level import of a bandcross module is used, and every module-level
-private name is referenced somewhere in the package.
+module-level import of a bandcross module is used, every module-level
+private name is referenced somewhere in the package, and the package loads
+no scipy.
 
 A stale export otherwise fails only on ``from bandcross.<module> import *``;
 an unused import or private helper, left behind when the code that read it
@@ -8,7 +9,10 @@ is deleted, fails nothing at all.
 """
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import bandcross
@@ -96,3 +100,18 @@ def test_every_private_name_is_referenced():
                for name, line in _private_definitions(tree).items()]
     assert defined
     assert [entry for name, entry in defined if name not in referenced] == []
+
+
+def test_package_and_entry_points_load_no_scipy():
+    # a fresh interpreter, since the test oracles load scipy into this one;
+    # scipy's import costs each bcl run and benchmark unit about 0.4 s and
+    # 50 MB, and numpy does everything the package needs
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = str(Path(bandcross.__file__).parents[1])
+    script = ("import sys, bandcross, bandcross.harness, bandcross.cli; "
+              "print(sorted(m for m in sys.modules "
+              "if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

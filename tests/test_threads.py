@@ -1,8 +1,10 @@
 """Importing bandcross first leaves BLAS on one thread.
 
 Each check runs in a fresh interpreter: OpenBLAS reads
-OPENBLAS_NUM_THREADS once, when numpy or scipy loads it, and this test
-process has loaded numpy long before.
+OPENBLAS_NUM_THREADS once, when the library that bundles it loads, and this
+test process has loaded numpy long before.  The package loads numpy's
+OpenBLAS only; the check also loads scipy's, as a program that imports
+bandcross and then scipy would.
 """
 import json
 import os
