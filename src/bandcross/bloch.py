@@ -5,12 +5,17 @@ where H(p) has entries (p + 2 pi m)^2/2 on the diagonal and vhat_{m-k} off it.
 Sampled band tables (band_path, smooth_continuation) assemble and diagonalize
 their fibers in blocks of _BLOCK momenta, one stacked assembly (_fibers) and
 one batched eigh per block, and take their derivative tables as array
-expressions over the block; assemble is one row of _fibers.
+expressions over the block.  An even V (V.even: every vhat_m real) makes
+every fiber real symmetric, so its stacks are float64 and eigh runs the real
+solver; an odd part makes them complex Hermitian.  Either way the tables are
+complex eigenvectors in the same transported gauge (fix_gauge: one pass of
+neighbour overlaps, whose phases are chained outward from an anchor).
 Bands are ordered E_1 <= E_2 <= ...; degeneracies of adjacent bands occur only
 at p in {0, pi} mod 2 pi and are linear.  Around a crossing the module builds
 smoothly continued branches E_+/E_- with transported eigenvectors, and the
-coupling coefficient <chi_-|d_p chi_+> at the crossing, which controls the
-size of the transmitted-to-excited transition.
+coupling coefficient <chi_-|d_p chi_+> at the crossing, a sum over the
+crossing fiber's other eigenpairs, which controls the size of the
+transmitted-to-excited transition.
 """
 
 from dataclasses import dataclass
@@ -19,12 +24,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     IsolationFailure,
     NoCrossing,
     NotLinearCrossing,
     OverlapCollapse,
-    SingularResolvent,
     TruncationTooSmall,
 )
 from .numerics import UniformHermite
@@ -33,20 +36,18 @@ from .potential import PeriodicPotential
 __all__ = [
     "BandPath",
     "SmoothBandPair",
-    "assemble",
-    "eigensolve",
     "band_path",
     "smooth_continuation",
     "fix_gauge",
-    "reduced_resolvent_apply",
     "coupling_coefficient",
 ]
 
 TWO_PI = 2.0 * np.pi
 DEFAULT_M_CUT = 64
 # fibers per batched assembly and eigh.  A block holds two (_BLOCK, dim, dim)
-# complex stacks; the two-worker isolated sweep peaked 2.5% above one fiber at
-# a time with 128, and 0.8% above with 64.
+# stacks, complex for a V with an odd part and real, half the bytes, for an
+# even V; the two-worker isolated sweep peaked 2.5% above one fiber at a time
+# with 128 complex fibers, and 0.8% above with 64.
 _BLOCK = 64
 
 
@@ -58,7 +59,8 @@ def _fibers(V: PeriodicPotential, p, m_cut: int) -> np.ndarray:
     """Stack of fiber matrices, shape (len(p), dim, dim), one per momentum.
 
     The vhat_{m-k} Toeplitz part is shared by every fiber; only the kinetic
-    diagonal (p + 2 pi m)^2 / 2 depends on p.
+    diagonal (p + 2 pi m)^2 / 2 depends on p.  The stack is float64 when V is
+    even and complex otherwise.
     """
     if m_cut < V.m_max:
         raise TruncationTooSmall(
@@ -66,35 +68,14 @@ def _fibers(V: PeriodicPotential, p, m_cut: int) -> np.ndarray:
         )
     m = _mode_numbers(m_cut)
     offset = m[:, None] - m[None, :]
+    vhat = V.coeffs.real if V.even else V.coeffs
     toeplitz = np.where(np.abs(offset) <= V.m_max,
-                        V.coeffs[np.clip(offset + V.m_max, 0, 2 * V.m_max)], 0)
+                        vhat[np.clip(offset + V.m_max, 0, 2 * V.m_max)], 0)
     p = np.asarray(p, dtype=float)
     H = np.repeat(toeplitz[None], p.size, axis=0)
     diag = np.arange(m.size)
     H[:, diag, diag] += 0.5 * (p[:, None] + TWO_PI * m) ** 2
     return H
-
-
-def assemble(V: PeriodicPotential, p: float, m_cut: int = DEFAULT_M_CUT) -> np.ndarray:
-    """Dense Hermitian fiber matrix in the plane-wave basis."""
-    return _fibers(V, [p], m_cut)[0]
-
-
-def eigensolve(V: PeriodicPotential, p: float, n_bands: int,
-               m_cut: int = DEFAULT_M_CUT):
-    """Lowest n_bands eigenpairs of the fiber at p.
-
-    Returns (energies, coeffs) with energies ascending and coeffs[k] the
-    orthonormal eigenvector of band k+1 (rows are bands).
-    """
-    H = assemble(V, p, m_cut)
-    if n_bands > H.shape[0]:
-        raise ValueError("n_bands exceeds matrix dimension")
-    try:
-        evals, evecs = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolve failed at p={p}") from exc
-    return evals[:n_bands].copy(), np.ascontiguousarray(evecs[:, :n_bands].T)
 
 
 # -- gauge transport -----------------------------------------------------------
@@ -104,61 +85,30 @@ def fix_gauge(coeffs: np.ndarray, anchor: int = 0) -> np.ndarray:
     """Transport phases along a path of eigenvectors, outward from anchor.
 
     Each successive overlap <chi_k|chi_{k+1}> is rotated to be real positive
-    (discrete parallel transport).  Raises OverlapCollapse when neighbours are
-    nearly orthogonal, which signals a missed band swap.
+    (discrete parallel transport): the neighbour overlaps are taken in one
+    pass, and each sample is turned by the cumulative product of their unit
+    phases from the anchor to it.  Raises OverlapCollapse when neighbours
+    are nearly orthogonal, which signals a missed band swap; the link named
+    is the first one met walking from the anchor to the end, then back to
+    the start.
     """
     out = np.array(coeffs, dtype=complex, copy=True)
-    n = out.shape[0]
-
-    def step(i_from, i_to):
-        ov = np.vdot(out[i_from], out[i_to])
-        if abs(ov) < 0.5:
-            raise OverlapCollapse(
-                f"|<chi_{i_from}|chi_{i_to}>| = {abs(ov):.3f} < 0.5"
-            )
-        out[i_to] *= np.conj(ov) / abs(ov)
-
-    for i in range(anchor, n - 1):
-        step(i, i + 1)
-    for i in range(anchor, 0, -1):
-        step(i, i - 1)
-    return out
-
-
-# -- reduced resolvent ---------------------------------------------------------
-
-
-def reduced_resolvent_apply(V: PeriodicPotential, p: float, e_sigma: float,
-                            exclude: np.ndarray, f: np.ndarray,
-                            m_cut: int = DEFAULT_M_CUT) -> np.ndarray:
-    """Solve (H(p) - e_sigma) u = P f with u, P f orthogonal to span(exclude).
-
-    Implemented as a bordered linear system; nonsingular whenever e_sigma is
-    separated from the spectrum outside the excluded span.
-    """
-    H = assemble(V, p, m_cut)
-    X = np.atleast_2d(np.asarray(exclude, dtype=complex))
-    dim, k = H.shape[0], X.shape[0]
-    f = np.asarray(f, dtype=complex)
-    f_perp = f - X.T @ (X.conj() @ f)  # f - sum <x_i|f> x_i
-    B = np.zeros((dim + k, dim + k), dtype=complex)
-    B[:dim, :dim] = H - e_sigma * np.eye(dim)
-    B[:dim, dim:] = X.T
-    B[dim:, :dim] = X.conj()
-    rhs = np.concatenate([f_perp, np.zeros(k, dtype=complex)])
-    try:
-        sol = np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolvent(f"bordered solve failed at p={p}") from exc
-    u = sol[:dim]
-    residual = np.linalg.norm((H - e_sigma * np.eye(dim)) @ u
-                              + X.T @ sol[dim:] - f_perp)
-    scale = max(np.linalg.norm(f), 1.0)
-    if residual > 1e-8 * scale or np.abs(X.conj() @ u).max() > 1e-8 * scale:
-        raise SingularResolvent(
-            f"reduced resolvent ill-conditioned at p={p}, e={e_sigma}"
+    ov = np.einsum("ij,ij->i", out[:-1].conj(), out[1:])
+    mag = np.abs(ov)
+    bad = np.flatnonzero(mag < 0.5)
+    if bad.size:
+        ahead = bad[bad >= anchor]
+        i = int(ahead[0]) if ahead.size else int(bad[-1])
+        i_from, i_to = (i, i + 1) if ahead.size else (i + 1, i)
+        raise OverlapCollapse(
+            f"|<chi_{i_from}|chi_{i_to}>| = {mag[i]:.3f} < 0.5"
         )
-    return u
+    unit = ov / mag
+    # link k turns sample k+1 by conj(unit[k]) walking forward, and sample k
+    # by unit[k] walking back
+    out[anchor + 1:] *= np.cumprod(np.conj(unit[anchor:]))[:, None]
+    out[:anchor] *= np.cumprod(unit[:anchor][::-1])[::-1, None]
+    return out
 
 
 # -- smooth continuation through a crossing -------------------------------------
@@ -432,18 +382,17 @@ def coupling_coefficient(pair: SmoothBandPair) -> complex:
     """kappa = <chi_-|d_p chi_+> at the crossing, from degenerate theory.
 
     Twice-differentiating the eigenequation and projecting on chi_- gives
-    kappa = <chi_-|velocity w> / (slope_+ - slope_-) with w the resolvent-
-    excluded part of d_p chi_+, regular because the resonant span is removed.
-    The modulus is gauge independent.
+    kappa = sum_k <chi_-|v|k><k|v|chi_+> / ((E* - E_k)(slope_+ - slope_-))
+    over the crossing fiber's eigenpairs k outside the degenerate pair, with
+    v = diag(p* + 2 pi m) the velocity.  The pair's own span drops out, so
+    every denominator is regular.  The modulus is gauge independent.
     """
-    V, m_cut = pair.plus.potential, pair.plus.m_cut
-    i = pair.i_star
-    chi_p = pair.plus.chi[i]
-    chi_m = pair.minus.chi[i]
-    p_star = pair.p_star
-    e_star = pair.plus.energies[i]
-    vel = _velocity([p_star], m_cut)[0]
-    rhs = -(vel - pair.slope_plus) * chi_p
-    w = reduced_resolvent_apply(V, p_star, e_star,
-                                np.vstack([chi_p, chi_m]), rhs, m_cut)
-    return complex(np.vdot(chi_m, vel * w) / pair.slope_gap)
+    V, m_cut, i = pair.plus.potential, pair.plus.m_cut, pair.i_star
+    evals, evecs = np.linalg.eigh(_fibers(V, [pair.p_star], m_cut)[0])
+    rest = np.delete(np.arange(evals.size), [pair.n - 1, pair.n])
+    vel = _velocity([pair.p_star], m_cut)[0]
+    k = evecs[:, rest]
+    left = (vel * pair.minus.chi[i]).conj() @ k      # <chi_-|v|k>
+    right = k.conj().T @ (vel * pair.plus.chi[i])    # <k|v|chi_+>
+    denom = (pair.plus.energies[i] - evals[rest]) * pair.slope_gap
+    return complex(np.sum(left * right / denom))

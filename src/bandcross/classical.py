@@ -2,11 +2,15 @@
 
 The flow q' = dE/dp, p' = -dW/dq is integrated with a fixed-step RK4 scheme
 (reproducible event times), the action S' = p dE/dp - E - W accumulated
-alongside, and crossing times located as roots of the trajectory's own
-cubic Hermite spline of p(t) (numerics.UniformHermite, as are all the
-splines here).  Each trajectory keeps the band spline it was integrated on
-and builds its (q, p, S) splines once, on first use, so the crossing point
-(q*, p*, S*) is read from the same splines as every other off-grid state.
+alongside.  integrate_flow takes its step as an argument; the harness
+derives that step by step doubling against the studies' error targets
+(harness.derived_flow), and extend_through_crossing takes the flow to run
+on each branch, so no step is hand-set.  Crossing times are located as
+roots of the trajectory's own cubic Hermite spline of p(t)
+(numerics.UniformHermite, as are all the splines here).  Each trajectory
+keeps the band spline it was integrated on and builds its (q, p, S) splines
+once, on first use, so the crossing point (q*, p*, S*) is read from the
+same splines as every other off-grid state.
 Through a crossing each smooth branch is integrated once, forward: the plus
 branch from the initial data straight through the crossing, the minus
 branch from the crossing point (q*, p*, S*) at t* on the opposite-slope
@@ -190,25 +194,26 @@ def detect_crossing_time(traj: Trajectory, p_star: float,
 
 def extend_through_crossing(pair: SmoothBandPair, W: ExternalPotential,
                             q0: float, p0: float, s0: float, T: float,
-                            dt: float) -> ExtendedTrajectory:
+                            flow) -> ExtendedTrajectory:
     """Integrate both smooth branches through the crossing, each once.
 
-    The plus branch flows from (q0, p0, S = s0) at t = 0 to T on the E_+
-    interpolant (identical to the raw band flow away from p_star), and t*
-    is where its p reaches p_star.  The minus branch, on E_-, starts from
+    flow(band, W, q0, p0, t_span, s0) integrates one branch and returns its
+    Trajectory: integrate_flow at a fixed step, or the harness's derived
+    step.  The plus branch flows from (q0, p0, S = s0) at t = 0 to T on the
+    E_+ interpolant (identical to the raw band flow away from p_star), and
+    t* is where its p reaches p_star.  The minus branch, on E_-, starts from
     the plus state (q*, p*, S*) at t* and runs forward to T.  Either branch
     reaching the next image of p_star before T raises SecondCrossing.
     """
-    plus = integrate_flow(SplineBand(pair.plus), W, q0, p0, (0.0, T), dt,
-                          s0=s0)
+    plus = flow(SplineBand(pair.plus), W, q0, p0, (0.0, T), s0)
     t_star, q_star = detect_crossing_time(plus, pair.p_star)
     _, p_at_star, s_star = plus.state_at(t_star)
     if np.max(np.abs(plus.p - pair.p_star)) >= TWO_PI - 1e-9:
         raise SecondCrossing(
             "plus branch reaches the next image of the crossing before T"
         )
-    minus = integrate_flow(SplineBand(pair.minus), W, q_star, p_at_star,
-                           (t_star, T), dt, s0=s_star)
+    minus = flow(SplineBand(pair.minus), W, q_star, p_at_star, (t_star, T),
+                 s_star)
     if np.max(np.abs(minus.p - pair.p_star)) >= TWO_PI - 1e-9:
         raise SecondCrossing(
             "minus branch reaches the next image of the crossing before T"

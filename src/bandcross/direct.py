@@ -6,10 +6,13 @@ external half-phase e^{-i dt W/(2 eps)}, then the exact propagator of
 H0 = -eps^2/2 d^2 + V(x/eps) in every commensurate Bloch fiber, then the
 other half-phase.  With grid index i = a + ppw c (a inside a period, c the
 period), one FFT over c puts fiber r in row r, and H0 acts there as a
-ppw x ppw matrix: the plane-wave kinetic diagonal plus the aliased
-coefficients fft(V(a/ppw))/ppw, which is the pseudo-spectral collocation of
-H0 exactly.  Only the slow W is split, so the step size is set by W alone,
-not by the O(eps^-2) commutator of the kinetic term with V(x/eps).
+ppw x ppw matrix: the plane-wave kinetic diagonal plus V's Fourier
+coefficients aliased mod ppw (the coefficients of the samples V(a/ppw)),
+which is the pseudo-spectral collocation of H0 exactly.  For an even V
+(V.even) these are real, so every fiber matrix is real symmetric and its
+eigh runs the real solver.  Only the slow W is split, so the step size is
+set by W alone, not by the O(eps^-2) commutator of the kinetic term with
+V(x/eps).
 
 ``propagate_strang`` is the plain Strang step that splits V + W against
 the kinetic term; it is kept as the test oracle.  The two solvers share the
@@ -199,10 +202,13 @@ def _collocation(V: PeriodicPotential, ppw: int, p: np.ndarray) -> np.ndarray:
 
     Mode m = 0 .. ppw-1 is the plane wave p + 2 pi m_s, where m_s = m (mod
     ppw) and m_s + p/(2 pi) lies in [-ppw/2, ppw/2), so its kinetic energy
-    eps^2 k^2/2 is (p + 2 pi m_s)^2/2.  V enters through its aliased
-    coefficients fft(V(a/ppw))/ppw.  Returns a (p.size, ppw, ppw) array.
+    eps^2 k^2/2 is (p + 2 pi m_s)^2/2.  V enters through its coefficients
+    aliased mod ppw, which equal fft(V(a/ppw))/ppw; they are real, and the
+    stack float64, when V is even.  Returns a (p.size, ppw, ppw) array.
     """
-    vhat = np.fft.fft(evaluate_periodic(V, np.arange(ppw) / ppw)) / ppw
+    coeffs = V.coeffs.real if V.even else V.coeffs
+    vhat = np.zeros(ppw, coeffs.dtype)
+    np.add.at(vhat, np.arange(-V.m_max, V.m_max + 1) % ppw, coeffs)
     m = np.arange(ppw)
     m_s = np.where(m[None, :] + p[:, None] / TWO_PI < ppw / 2, m, m - ppw)
     h = np.broadcast_to(vhat[(m[:, None] - m[None, :]) % ppw],
@@ -235,7 +241,10 @@ def _fiber_basis(V: PeriodicPotential, grid: Grid) -> tuple:
             a = np.arange(ppw)
             twist = np.exp(TWO_PI * 1j * np.arange(lk)[:, None, None]
                            * a[None, :, None] / grid.n)
-            q = twist * (np.sqrt(ppw) * np.fft.ifft(vecs, axis=1))
+            # in place into one complex array: two concurrent cases
+            # otherwise overlap their (LK, ppw, ppw) temporaries
+            q = np.fft.ifft(vecs, axis=1, out=np.empty(vecs.shape, complex))
+            q *= np.sqrt(ppw) * twist
             _FIBER_CACHE[key] = (energies, q)
         return _FIBER_CACHE[key]
 

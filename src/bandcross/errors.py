@@ -15,10 +15,6 @@ class TruncationTooSmall(BandcrossError):
     """Plane-wave cutoff does not cover the potential's Fourier support."""
 
 
-class ConvergenceFailure(BandcrossError):
-    """Dense Hermitian eigensolver failed to converge."""
-
-
 class NotLinearCrossing(BandcrossError):
     """Band touching with vanishing slope gap; outside the supported class."""
 
@@ -31,11 +27,11 @@ class OverlapCollapse(BandcrossError):
     """Successive eigenvectors nearly orthogonal; gauge transport undefined."""
 
 
-class SingularResolvent(BandcrossError):
-    """Reduced resolvent applied at an energy too close to retained spectrum."""
-
-
 # -- classical flow -----------------------------------------------------------
+
+class ConvergenceFailure(BandcrossError):
+    """A flow drifted off its conserved energy beyond the allowed tolerance."""
+
 
 class LeftBrillouinWindow(BandcrossError):
     """Trajectory momentum left the window where the band interpolant holds."""

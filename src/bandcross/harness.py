@@ -8,9 +8,12 @@ per config, then runs one case per epsilon; every case records the Case
 fields and its own readouts.  Both are cached, so the pre-crossing, post-
 crossing and inner-window studies share a single propagation.
 
-Every resolution is derived from the case's own solver error target: the
-direct solve's grid and dt by plan_solver and its after-run step doubling,
-and each envelope march's step by step doubling in march_envelopes.
+Every resolution is derived from the solver error targets: the direct
+solve's grid and dt by plan_solver and its after-run step doubling, each
+envelope march's step by step doubling in march_envelopes, and the step of
+the scenario's band flow by step doubling in derived_flow, against the
+smallest target of the config's epsilons.  Both step doublings accept by
+one rule (_step_doubling).
 plan_solver is the one place where a measurement time becomes a whole
 number of steps; the solver takes those counts, and each case reads its
 snapshots by step count, never by a float time.
@@ -33,6 +36,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -46,7 +50,8 @@ from .direct import (PropagationResult, band_mass, centred_external,
 from .envelope import (Envelope, coefficients_from_trajectory, evolve_a0,
                        evolve_a1, excited_buildup, excited_envelope,
                        gaussian_envelope)
-from .errors import DegenerateFit, IsolationFailure, SolverBudgetExceeded
+from .errors import (ConvergenceFailure, DegenerateFit, IsolationFailure,
+                     SolverBudgetExceeded)
 from .io import write_csv, write_json
 from .lz import simulate
 from .potential import (EllipticParams, ExternalPotential, PeriodicPotential,
@@ -56,14 +61,15 @@ from .potential import (EllipticParams, ExternalPotential, PeriodicPotential,
 XI_LOWER = 0.375          # window exponents live in (3/8, 1/2)
 XI_UPPER = 0.5
 FINE_EPS_FLOOR = 1.0 / 256.0   # finer sweeps are opt-in (runtime)
-TRAJECTORY_DT = 1e-4
 MAX_HALVINGS = 3          # dt halvings the step-doubling check may add
-# envelope marches (march_envelopes): the tolerance is ENVELOPE_SHARE of the
-# solver target, as for the ppw rule in plan_solver
+# envelope marches (march_envelopes) and the band flow (derived_flow): the
+# tolerance is ENVELOPE_SHARE of the solver target, as for the ppw rule in
+# plan_solver
 ENVELOPE_SHARE = 0.01
 ENVELOPE_START_STEPS = 16
 MAX_ENVELOPE_HALVINGS = 8
 ROUNDOFF_FLOOR = 1e-12    # packet norm; an exact march estimates ~1e-14
+ISOLATED_SIGNAL = 0.05    # scale of the O(eps) WP1 error signal
 RATIO_RANGE = (0.8, 1.2)  # gate on the crossing and inner mass ratios
 
 # Every direct solve is checked by step doubling (propagate_richardson), and
@@ -395,13 +401,9 @@ class CrossingScenario:
     coeffs_plus: object
     coeffs_minus: object
     kappa: complex
+    signal_scale: float  # |kappa|/slope_gap, the pre-crossing signal's scale
     dqw_star: float
     diagnostics: dict   # pair isolation margin and slope cross-checks
-
-    @property
-    def signal_scale(self) -> float:
-        """Prefactor of the pre-crossing eps^{1-xi} error signal."""
-        return max(abs(self.kappa) / self.pair.slope_gap, 1e-12)
 
 
 @dataclass
@@ -423,6 +425,59 @@ def clear_caches():
     _CASE_CACHE.clear()
     direct._FIBER_CACHE.clear()
     direct._PPW_LADDER.clear()
+
+
+def _signal(cfg: RunConfig, eps: float, scale: float, power: float) -> float:
+    """The error signal scale * eps^power that sets a case's solver target.
+
+    The solver's signal_prefactor, when set, takes the place of scale.
+    """
+    return float(cfg.solver["signal_prefactor"] or scale) * eps ** power
+
+
+def _flow_tolerance(cfg: RunConfig, scale: float, power: float) -> float:
+    """ENVELOPE_SHARE of min over cfg's eps of target(eps) * eps.
+
+    target(eps) = error_budget * _signal(...) is plan_solver's error target,
+    so a flow error dS in the action, a phase error dS/eps, stays within the
+    envelope share of every case's target.
+    """
+    return ENVELOPE_SHARE * min(
+        cfg.solver["error_budget"] * _signal(cfg, e, scale, power) * e
+        for e in cfg.epsilons)
+
+
+def derived_flow(band, W: ExternalPotential, q0: float, p0: float, t_span,
+                 s0: float = 0.0, *, tol: float):
+    """The band flow of integrate_flow at a step chosen by step doubling.
+
+    The first run takes ENVELOPE_START_STEPS steps over t_span, and each
+    further run halves the step.  The estimate of a run is the largest of
+    |fine - coarse| / 15 over the times the two share, the leading RK4 error
+    of the finer run, taken over q, p, S and the d2E and d3E series that
+    coefficients_from_trajectory samples along it.  A run whose energy
+    drifts past ENERGY_TOL (ConvergenceFailure) is too coarse to compare.
+    The finer run is accepted by march_envelopes' rule (_step_doubling);
+    every run goes through integrate_flow.
+    """
+    span = t_span[1] - t_span[0]
+
+    def run(j):
+        try:
+            traj = integrate_flow(band, W, q0, p0, t_span,
+                                  span / (ENVELOPE_START_STEPS << j), s0=s0)
+        except ConvergenceFailure:
+            return None
+        c = coefficients_from_trajectory(traj, W)
+        return traj, np.vstack([traj.q, traj.p, traj.S, c.d2E, c.d3E])
+
+    def estimate(coarse, fine):
+        if coarse is None or fine is None:
+            return np.inf
+        return float(np.max(np.abs(fine[1][:, ::2] - coarse[1]))) / 15.0
+
+    (traj, _), _, _ = _step_doubling(run, estimate, tol, "flow")
+    return traj
 
 
 def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
@@ -451,13 +506,15 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
         raise IsolationFailure(
             f"horizon t={horizon:.3f} drives p to {p_end:.3f}, outside the "
             f"sampled pair window (halfwidth {cfg.pair_halfwidth})")
+    scale = max(abs(kappa) / pair.slope_gap, 1e-12)
+    tol = _flow_tolerance(cfg, scale, 1.0 - cfg.xi_prime)
     ext = extend_through_crossing(pair, W, cfg.q0, cfg.p0, cfg.s0, horizon,
-                                  TRAJECTORY_DT)
+                                  partial(derived_flow, tol=tol))
     scenario = CrossingScenario(
         V=V, W=W, pair=pair, ext=ext,
         coeffs_plus=coefficients_from_trajectory(ext.plus, W),
         coeffs_minus=coefficients_from_trajectory(ext.minus, W),
-        kappa=kappa, dqw_star=float(W.dw(ext.q_star)),
+        kappa=kappa, signal_scale=scale, dqw_star=float(W.dw(ext.q_star)),
         diagnostics={
             "pair_margin": pair.margin,
             "slope_fd_mismatch": pair.slope_fd_mismatch,
@@ -478,9 +535,9 @@ def build_isolated_scenario(cfg: RunConfig) -> IsolatedScenario:
     W = build_external(cfg.external)
     path = band_path(V, cfg.band, cfg.band_window, n_samples=513,
                      m_cut=cfg.m_cut)
-    traj = integrate_flow(SplineBand(path), W, cfg.q0, cfg.p0,
-                          (0.0, cfg.t_final + cfg.horizon_pad), TRAJECTORY_DT,
-                          s0=cfg.s0)
+    traj = derived_flow(SplineBand(path), W, cfg.q0, cfg.p0,
+                        (0.0, cfg.t_final + cfg.horizon_pad), cfg.s0,
+                        tol=_flow_tolerance(cfg, ISOLATED_SIGNAL, 1.0))
     scenario = IsolatedScenario(V, W, traj,
                                 coefficients_from_trajectory(traj, W))
     _SCENARIO_CACHE[key] = scenario
@@ -620,6 +677,29 @@ def _march(coeffs, init: tuple, t0: float, stops, steps):
     return out, peak
 
 
+def _step_doubling(run, estimate, tol: float, what: str):
+    """Step doubling over run(0), run(1), ...: the accepted (fine, est, j).
+
+    run(j) takes 2^j times the steps of run(0), and estimate(coarse, fine)
+    is the leading error of the finer of two successive runs.  The finer run
+    is accepted once its estimate is <= tol and has fallen at least 2x since
+    the previous halving, so two coarse runs that agree by chance cannot
+    pass, or is below ROUNDOFF_FLOOR, where no fall can show.  An infinite
+    estimate (a pair that could not be compared) shows no fall either.
+    Raises SolverBudgetExceeded after MAX_ENVELOPE_HALVINGS halvings.
+    """
+    coarse, prev = run(0), 0.0   # no fall can show before the second estimate
+    for j in range(1, MAX_ENVELOPE_HALVINGS + 1):
+        fine = run(j)
+        est = estimate(coarse, fine)
+        if est <= tol and (est <= 0.5 * prev or est <= ROUNDOFF_FLOOR):
+            return fine, est, j
+        coarse, prev = fine, (est if np.isfinite(est) else 0.0)
+    raise SolverBudgetExceeded(
+        f"{what} step-doubling estimate {est:.3e} exceeds the tolerance "
+        f"{tol:.3e} after {MAX_ENVELOPE_HALVINGS} halvings of the step")
+
+
 def march_envelopes(coeffs, init: tuple, stops, weights: tuple,
                     tol: float) -> EnvelopeMarch:
     """March init through the sorted stops at a step chosen by step doubling.
@@ -629,12 +709,10 @@ def march_envelopes(coeffs, init: tuple, stops, weights: tuple,
     the span, each gap its share; every further march halves each gap's
     step.  The estimate of a march is max over stops of
     sum_i weights[i] ||fine_i - coarse_i|| / 3, the leading error of the
-    finer march in packet norm.  The finer march is accepted once its
-    estimate is <= tol and has fallen at least 2x since the previous
-    halving, so two coarse marches that agree by chance cannot pass, or is
-    below ROUNDOFF_FLOOR, where no fall can show.  The accepted states are
-    the fine march itself, not an extrapolation, so a0 stays exactly
-    unitary.  Raises SolverBudgetExceeded after MAX_ENVELOPE_HALVINGS.
+    finer march in packet norm, and _step_doubling accepts the finer march.
+    The accepted states are the fine march itself, not an extrapolation, so
+    a0 stays exactly unitary.  Raises SolverBudgetExceeded after
+    MAX_ENVELOPE_HALVINGS.
     """
     t0, dy = float(init[0].t), init[0].dy
     gaps = np.diff([t0, *stops])
@@ -643,23 +721,21 @@ def march_envelopes(coeffs, init: tuple, stops, weights: tuple,
     span = stops[-1] - t0
     base = [int(np.ceil(ENVELOPE_START_STEPS * g / span - 1e-9))
             if g > 1e-12 else 0 for g in gaps]
-    coarse, peak = _march(coeffs, init, t0, stops, base)
-    prev = 0.0    # no fall can show before the second estimate
-    for j in range(1, MAX_ENVELOPE_HALVINGS + 1):
-        steps = [n << j for n in base]
-        fine, mass = _march(coeffs, init, t0, stops, steps)
+    peak = 0.0
+
+    def run(j):
+        nonlocal peak
+        states, mass = _march(coeffs, init, t0, stops, [n << j for n in base])
         peak = max(peak, mass)
-        est = max(sum(w * np.linalg.norm(a.values - b.values)
-                      for w, a, b in zip(weights, sa, sb))
-                  for sa, sb in zip(coarse, fine)) * np.sqrt(dy) / 3.0
-        if est <= tol and (est <= 0.5 * prev or est <= ROUNDOFF_FLOOR):
-            break
-        coarse, prev = fine, est
-    else:
-        raise SolverBudgetExceeded(
-            f"envelope step-doubling estimate {est:.3e} exceeds the tolerance "
-            f"{tol:.3e} after {MAX_ENVELOPE_HALVINGS} halvings of the step")
-    dt = max((g / n for g, n in zip(gaps, steps) if n), default=0.0)
+        return states
+
+    def estimate(coarse, fine):
+        return max(sum(w * np.linalg.norm(a.values - b.values)
+                       for w, a, b in zip(weights, sa, sb))
+                   for sa, sb in zip(coarse, fine)) * np.sqrt(dy) / 3.0
+
+    fine, est, j = _step_doubling(run, estimate, tol, "envelope")
+    dt = max((g / (n << j) for g, n in zip(gaps, base) if n), default=0.0)
     return EnvelopeMarch(dict(zip(stops, fine)), float(dt), float(est), peak)
 
 
@@ -791,8 +867,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     scenario = build_crossing_scenario(cfg)
     t_star, q_star = scenario.ext.t_star, scenario.ext.q_star
     slope_gap = scenario.pair.slope_gap
-    signal = cfg.solver["signal_prefactor"] or scenario.signal_scale
-    signal = float(signal) * eps ** (1.0 - cfg.xi_prime)
+    signal = _signal(cfg, eps, scenario.signal_scale, 1.0 - cfg.xi_prime)
     plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W,
                        _crossing_times(cfg, scenario, eps))
     grid = plan.grid
@@ -1089,7 +1164,7 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
     traj = scenario.traj
     a0_init, a1_init = _initial_envelopes(cfg)
 
-    signal = float(cfg.solver["signal_prefactor"] or 0.05) * eps
+    signal = _signal(cfg, eps, ISOLATED_SIGNAL, 1.0)
     plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W,
                        {"final": cfg.t_final})
     grid = plan.grid

@@ -57,6 +57,11 @@ class PeriodicPotential:
         object.__setattr__(self, "coeffs", c)
 
     @property
+    def even(self) -> bool:
+        """V(-z) = V(z): every vhat_m is real, so every fiber is real symmetric."""
+        return not np.any(self.coeffs.imag)
+
+    @property
     def m_max(self) -> int:
         return (self.coeffs.size - 1) // 2
 

@@ -89,7 +89,7 @@ class TestAssembleWp0:
         assert abs(state.norm() - 1.0) < 1e-10
 
     def test_norm_factorization_rate(self):
-        from bandcross.bloch import eigensolve
+        from bloch_oracle import eigensolve
         from bandcross.potential import EllipticParams, make_m_gap
 
         V = make_m_gap(EllipticParams(1, 0.8), m_max=16)
@@ -100,7 +100,7 @@ class TestAssembleWp0:
             assert abs(state.norm() - 1.0) < np.sqrt(eps)
 
     def test_gauge_neutrality(self):
-        from bandcross.bloch import eigensolve
+        from bloch_oracle import eigensolve
         from bandcross.potential import make_cosine
 
         V = make_cosine(4.0)
@@ -174,15 +174,18 @@ class TestAssembleWp1:
 @pytest.fixture(scope="module")
 def crossing_setup():
     from bandcross.bloch import smooth_continuation
-    from bandcross.classical import extend_through_crossing
+    from bandcross.classical import extend_through_crossing, integrate_flow
     from bandcross.potential import EllipticParams, linear_ramp, make_m_gap
 
     V = make_m_gap(EllipticParams(1, 0.8), m_max=16)
     pair = smooth_continuation(V, 2, 0.0, halfwidth=0.5, n_samples=201,
                                m_cut=32)
     W = linear_ramp(-2.0)   # dW/dq = +2 so dp/dt = -2: approach from above
+    def rk4(band, W, q0, p0, t_span, s0):
+        return integrate_flow(band, W, q0, p0, t_span, 1e-3, s0=s0)
+
     ext = extend_through_crossing(pair, W, q0=4.0, p0=0.4, s0=0.0, T=0.35,
-                                  dt=1e-3)
+                                  flow=rk4)
     return V, pair, W, ext
 
 

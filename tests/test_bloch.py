@@ -9,6 +9,8 @@ down where the fiber eigenvalues touch; the perturbative coupling route is
 cross-checked against centered finite differences of the gauge-fixed
 eigenvector path.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +18,9 @@ from hypothesis import given, settings, strategies as st
 from bandcross import bloch
 from bandcross.ansatz import path_dp_chi
 from bandcross.bloch import (
-    assemble,
     band_path,
     coupling_coefficient,
-    eigensolve,
     fix_gauge,
-    reduced_resolvent_apply,
     smooth_continuation,
 )
 from bandcross.errors import (
@@ -29,7 +28,6 @@ from bandcross.errors import (
     NoCrossing,
     NotLinearCrossing,
     OverlapCollapse,
-    SingularResolvent,
     TruncationTooSmall,
 )
 from bandcross.potential import (
@@ -38,6 +36,7 @@ from bandcross.potential import (
     make_m_gap,
     potential_from_coeffs,
 )
+from bloch_oracle import assemble, eigensolve
 
 TWO_PI = 2.0 * np.pi
 
@@ -132,13 +131,15 @@ def _verify_symmetry_identity(pair):
 def resolvent_dp_chi(V, p, energy, chi, m_cut):
     """d_p chi in the gauge <chi|d_p chi> = 0 by first-order perturbation.
 
-    Solves (H - E) u = -(velocity - dE) chi off chi, where the velocity
-    operator p - i d/dz is diagonal with symbol p + 2 pi m.
+    sum_k |k><k|velocity|chi> / (E - E_k) over the fiber's eigenpairs k
+    other than chi's own, where the velocity operator p - i d/dz is diagonal
+    with symbol p + 2 pi m.
     """
     velocity = p + TWO_PI * np.arange(-m_cut, m_cut + 1)
-    dE = float(np.sum(velocity * np.abs(chi) ** 2))
-    return reduced_resolvent_apply(V, p, energy, chi[None, :],
-                                   -(velocity - dE) * chi, m_cut)
+    evals, vecs = eigensolve(V, p, velocity.size, m_cut)
+    rest = np.arange(evals.size) != np.argmax(np.abs(vecs.conj() @ chi))
+    amps = (vecs[rest].conj() @ (velocity * chi)) / (energy - evals[rest])
+    return vecs[rest].T @ amps
 
 
 class TestFreeBands:
@@ -262,40 +263,6 @@ class TestBerryConnection:
         # A picks up -d(theta)/dp under chi -> e^{i theta} chi
         expected = -0.3 * np.cos(p)
         assert np.max(np.abs(A[2:-2] - expected[2:-2])) < 1e-3
-
-
-class TestReducedResolvent:
-    def test_solution_properties(self, one_gap):
-        p = 0.45
-        evals, vecs = eigensolve(one_gap, p, 4, m_cut=32)
-        chi = vecs[1]
-        rng = np.random.default_rng(7)
-        f = rng.normal(size=chi.size) + 1j * rng.normal(size=chi.size)
-        u = reduced_resolvent_apply(one_gap, p, evals[1], chi[None, :], f,
-                                    m_cut=32)
-        assert abs(np.vdot(chi, u)) < 1e-9 * np.linalg.norm(f)
-        H = assemble(one_gap, p, m_cut=32)
-        lhs = (H - evals[1] * np.eye(H.shape[0])) @ u
-        f_perp = f - np.vdot(chi, f) * chi
-        assert np.linalg.norm(lhs - f_perp) < 1e-8 * np.linalg.norm(f)
-
-    def test_spectral_form_on_eigenvector_input(self, one_gap):
-        p = 0.45
-        evals, vecs = eigensolve(one_gap, p, 4, m_cut=32)
-        u = reduced_resolvent_apply(one_gap, p, evals[1], vecs[1][None, :],
-                                    vecs[3], m_cut=32)
-        expected = vecs[3] / (evals[3] - evals[1])
-        assert np.linalg.norm(u - expected) < 1e-9
-
-    def test_singular_when_resonance_not_excluded(self):
-        V = free_potential()
-        evals, vecs = eigensolve(V, np.pi, 2, m_cut=16)
-        rng = np.random.default_rng(3)
-        f = rng.normal(size=vecs.shape[1]) + 0j
-        # e sits on the degenerate pair but only one vector is excluded
-        with pytest.raises(SingularResolvent):
-            reduced_resolvent_apply(V, np.pi, evals[0], vecs[0][None, :], f,
-                                    m_cut=16)
 
 
 class TestDpChi:
@@ -575,3 +542,112 @@ class TestSymmetryIdentity:
     def test_rejects_zero_crossing(self, one_gap_pair):
         with pytest.raises(ValueError):
             _verify_symmetry_identity(one_gap_pair)
+
+
+def sequential_fix_gauge(coeffs, anchor=0):
+    """Reference transport: one neighbour overlap at a time from the anchor."""
+    out = np.array(coeffs, dtype=complex, copy=True)
+
+    def step(i_from, i_to):
+        ov = np.vdot(out[i_from], out[i_to])
+        if abs(ov) < 0.5:
+            raise OverlapCollapse(
+                f"|<chi_{i_from}|chi_{i_to}>| = {abs(ov):.3f} < 0.5")
+        out[i_to] *= np.conj(ov) / abs(ov)
+
+    for i in range(anchor, out.shape[0] - 1):
+        step(i, i + 1)
+    for i in range(anchor, 0, -1):
+        step(i, i - 1)
+    return out
+
+
+class TestOnePassGauge:
+    @staticmethod
+    def _random_path(seed, n=301, dim=9):
+        # a smooth unit-vector path, each sample with a random phase
+        rng = np.random.default_rng(seed)
+        s = np.linspace(0.0, 1.0, n)[:, None]
+        a, b = rng.normal(size=(2, dim)) + 1j * rng.normal(size=(2, dim))
+        path = np.cos(2.0 * s) * a + np.sin(3.0 * s) * b + 0.3j * s * a
+        path /= np.linalg.norm(path, axis=1)[:, None]
+        return path * np.exp(1j * rng.uniform(-np.pi, np.pi, n))[:, None]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    def test_equals_sequential_transport(self, seed, where):
+        path = self._random_path(seed)
+        anchor = {"start": 0, "middle": path.shape[0] // 2,
+                  "end": path.shape[0] - 1}[where]
+        ours = fix_gauge(path, anchor=anchor)
+        ref = sequential_fix_gauge(path, anchor=anchor)
+        assert np.max(np.abs(ours - ref)) < 1e-13
+
+    @pytest.mark.parametrize("anchor", [0, 150, 300])
+    @pytest.mark.parametrize("swap", [40, 220])
+    def test_swapped_pair_collapses_at_the_same_link(self, anchor, swap):
+        # the path follows one family up to sample swap and a second family,
+        # orthogonal to it sample by sample, after it: a missed band swap
+        first, second = self._random_path(5), self._random_path(6)
+        second -= first * np.einsum("ij,ij->i", first.conj(), second)[:, None]
+        second /= np.linalg.norm(second, axis=1)[:, None]
+        path = np.concatenate([first[:swap + 1], second[swap + 1:]])
+        with pytest.raises(OverlapCollapse) as ref:
+            sequential_fix_gauge(path, anchor=anchor)
+        with pytest.raises(OverlapCollapse) as ours:
+            fix_gauge(path, anchor=anchor)
+        assert str(ours.value) == str(ref.value)
+        link = sorted(int(k) for k in re.findall(r"chi_(\d+)", str(ref.value)))
+        assert link == [swap, swap + 1]
+
+
+def _complex_stacks(monkeypatch):
+    """Make bloch build every fiber stack as complex, whatever V is."""
+    real = bloch._fibers
+    monkeypatch.setattr(bloch, "_fibers",
+                        lambda V, p, m_cut: real(V, p, m_cut).astype(complex))
+
+
+def _assert_same_tables(ours, ref, anchor):
+    for name in ("energies", "dE", "d2E", "d3E"):
+        assert np.max(np.abs(getattr(ours, name) - getattr(ref, name))) \
+            < 1e-11, name
+    # the transported gauge agrees up to the phase of the anchor sample
+    rel = np.vdot(ours.chi[anchor], ref.chi[anchor])
+    assert np.max(np.abs(ours.chi * rel / abs(rel) - ref.chi)) < 1e-11
+
+
+class TestRealFiberStacks:
+    def test_even_potentials_give_real_stacks(self, one_gap):
+        assert one_gap.even and make_cosine(4.0).even
+        assert bloch._fibers(one_gap, [0.3, 1.1], 20).dtype == np.float64
+        odd = potential_from_coeffs({1: 1.0, 2: -0.5j})
+        assert not odd.even
+        assert bloch._fibers(odd, [0.3], 20).dtype == np.complex128
+
+    def test_band_path_equals_the_complex_stack_path(self, one_gap,
+                                                     monkeypatch):
+        path = band_path(one_gap, 1, (0.5, 2.5), n_samples=201, m_cut=32)
+        _complex_stacks(monkeypatch)
+        ref = band_path(one_gap, 1, (0.5, 2.5), n_samples=201, m_cut=32)
+        assert ref.chi.dtype == path.chi.dtype == np.complex128
+        _assert_same_tables(path, ref, 100)
+
+    def test_pair_equals_the_complex_stack_pair(self, one_gap_pair,
+                                                monkeypatch):
+        _complex_stacks(monkeypatch)
+        ref = smooth_continuation(one_gap_pair.plus.potential, 2, 0.0,
+                                  halfwidth=0.5, n_samples=201, m_cut=32)
+        i = one_gap_pair.i_star
+        _assert_same_tables(one_gap_pair.plus, ref.plus, i)
+        _assert_same_tables(one_gap_pair.minus, ref.minus, i)
+        assert abs(abs(coupling_coefficient(one_gap_pair))
+                   - abs(coupling_coefficient(ref))) < 1e-15
+
+    def test_odd_potential_builds_a_band_path(self):
+        # 2 cos(2 pi z) + sin(4 pi z): complex coefficients, complex stacks
+        from bandcross.classical import SplineBand
+        V = potential_from_coeffs({1: 1.0, 2: -0.5j})
+        path = band_path(V, 1, (0.7, 2.1), n_samples=513, m_cut=15)
+        assert path.chi.dtype == np.complex128
+        assert SplineBand(path).slope_check <= 1e-8

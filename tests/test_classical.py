@@ -8,6 +8,7 @@ closed-form plus/minus branches through the crossing.
 import numpy as np
 import pytest
 
+from bandcross import classical
 from bandcross.bloch import BandPath, band_path, smooth_continuation
 from bandcross.classical import (
     ExtendedTrajectory,
@@ -35,6 +36,17 @@ from bandcross.potential import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def rk4(dt):
+    """A branch flow for extend_through_crossing: integrate_flow at dt.
+
+    integrate_flow is looked up on the module at call time, so a test can
+    count its calls.
+    """
+    def flow(band, W, q0, p0, t_span, s0):
+        return classical.integrate_flow(band, W, q0, p0, t_span, dt, s0=s0)
+    return flow
 
 
 class ParabolicBand:
@@ -321,7 +333,7 @@ class TestExtendThroughCrossing:
         # free pair under a unit ramp: p = pi - 0.3 + t reaches pi at t* = 0.3
         W = W or linear_ramp(1.0)
         return extend_through_crossing(pair, W, 0.0, np.pi - 0.3, 0.0, T=T,
-                                       dt=1e-3)
+                                       flow=rk4(1e-3))
 
     def test_free_pair_branches_match_closed_form(self, free_pair):
         ext = self._extend(free_pair)
@@ -370,13 +382,13 @@ class TestExtendThroughCrossing:
         # makes q(t) no polynomial, so a second interpolant of q would read
         # a different q*
         ext = extend_through_crossing(free_pair, cosine_external(1.0, 1.0),
-                                      1.0, np.pi - 0.3, 0.0, T=0.6, dt=1e-3)
+                                      1.0, np.pi - 0.3, 0.0, T=0.6,
+                                      flow=rk4(1e-3))
         state = ext.plus.state_at(ext.t_star)
         assert ext.q_star == state[0]
         assert (ext.minus.q[0], ext.minus.p[0], ext.minus.S[0]) == state
 
     def test_one_forward_flow_per_branch(self, free_pair, monkeypatch):
-        import bandcross.classical as classical
         spans = []
 
         def counting(band, W, q0, p0, t_span, dt, s0=0.0):
@@ -425,12 +437,11 @@ class TestExtendThroughCrossing:
         W = linear_ramp(1.0)
         with pytest.raises(SecondCrossing):
             extend_through_crossing(pair_like, W, 0.0, np.pi - 0.5, 0.0,
-                                    T=6.8, dt=1e-3)
+                                    T=6.8, flow=rk4(1e-3))
 
 
 class TestTrajectoryInterpolant:
     def test_splines_built_once_and_exact(self, cosine_path, monkeypatch):
-        import bandcross.classical as classical
         from bandcross.numerics import UniformHermite
         traj = integrate_flow(SplineBand(cosine_path), linear_ramp(0.25),
                               3.5, 1.3, (0.0, 0.5), 1e-3, s0=0.2)

@@ -36,10 +36,13 @@ from bandcross.errors import (
 )
 from bandcross.harness import branch_packet
 from bandcross.potential import (
+    EllipticParams,
     PeriodicPotential,
     cosine_external,
+    evaluate_periodic,
     linear_ramp,
     make_cosine,
+    make_m_gap,
     potential_from_coeffs,
 )
 
@@ -103,7 +106,7 @@ class TestPeriodizeExternal:
 def bloch_eigenstate(grid: Grid, V, r: int):
     """Commensurate Bloch eigenstate of band 1 in fiber r, and its energy."""
     from bandcross.ansatz import evaluate_bloch_mode
-    from bandcross.bloch import eigensolve
+    from bloch_oracle import eigensolve
     lk = grid.length * grid.k_inv
     p_r = 2 * np.pi * r / lk
     energies, vecs = eigensolve(V, p_r, 1, m_cut=12)
@@ -114,7 +117,7 @@ def bloch_eigenstate(grid: Grid, V, r: int):
 
 
 def bloch_packet(grid: Grid) -> GridState:
-    from bandcross.bloch import eigensolve
+    from bloch_oracle import eigensolve
     _, vecs = eigensolve(make_cosine(4.0), 0.7, 1, m_cut=12)
     return assemble_wp0(grid, 4.0, 0.7, 0.0, gaussian_envelope(sigma=1.0),
                         vecs[0])
@@ -147,7 +150,7 @@ class SolverContract:
         # ~1e-4 tail of its own); the scheme must then stay unitary to
         # roundoff
         grid = Grid(length=16, epsilon=eps, ppw=32)
-        from bandcross.bloch import eigensolve
+        from bloch_oracle import eigensolve
         V = make_cosine(4.0)
         _, vecs = eigensolve(V, 0.7, 1, m_cut=12)
         a0 = gaussian_envelope(sigma=1.0)
@@ -450,15 +453,18 @@ class TestL2Error:
 @pytest.fixture(scope="module")
 def crossing_setup():
     from bandcross.bloch import smooth_continuation
-    from bandcross.classical import extend_through_crossing
+    from bandcross.classical import extend_through_crossing, integrate_flow
     from bandcross.potential import EllipticParams, make_m_gap
 
     V = make_m_gap(EllipticParams(1, 0.8), m_max=16)
     pair = smooth_continuation(V, 2, 0.0, halfwidth=0.5, n_samples=201,
                                m_cut=32)
     W = linear_ramp(-2.0)
+    def rk4(band, W, q0, p0, t_span, s0):
+        return integrate_flow(band, W, q0, p0, t_span, 1e-3, s0=s0)
+
     ext = extend_through_crossing(pair, W, q0=4.0, p0=0.4, s0=0.0, T=0.35,
-                                  dt=1e-3)
+                                  flow=rk4)
     return V, pair, W, ext
 
 
@@ -480,7 +486,7 @@ class TestBandMass:
         assert all(v == 0.0 for v in tab.masses.values())
 
     def test_single_band_packet_concentrates(self):
-        from bandcross.bloch import eigensolve
+        from bloch_oracle import eigensolve
         V = make_cosine(4.0)
         _, vecs = eigensolve(V, 0.7, 1, m_cut=12)
         a0 = gaussian_envelope(sigma=1.0)
@@ -514,7 +520,7 @@ class TestBandMass:
         from scipy.interpolate import CubicSpline
         e_minus = float(CubicSpline(pair.minus.p_samples,
                                     pair.minus.energies)(pm))
-        from bandcross.bloch import eigensolve
+        from bloch_oracle import eigensolve
         evals, _ = eigensolve(V, np.mod(pm, 2 * np.pi), 4, m_cut=32)
         n_minus = int(np.argmin(np.abs(evals - e_minus))) + 1
         pp = ext.plus.state_at(t)[1]
@@ -615,7 +621,31 @@ class TestBandMass:
         assert tab.total < 1e-10
 
 
+def fft_collocation(V, ppw, p):
+    """Reference fibers: the aliased coefficients as the FFT of V's samples."""
+    vhat = np.fft.fft(evaluate_periodic(V, np.arange(ppw) / ppw)) / ppw
+    m = np.arange(ppw)
+    m_s = np.where(m[None, :] + p[:, None] / (2 * np.pi) < ppw / 2, m, m - ppw)
+    h = np.broadcast_to(vhat[(m[:, None] - m[None, :]) % ppw],
+                        (p.size, ppw, ppw)).copy()
+    h[:, m, m] += (p[:, None] + 2 * np.pi * m_s) ** 2 / 2.0
+    return h
+
+
 class TestPointsPerPeriod:
+    @pytest.mark.parametrize("ppw", [16, 20])
+    @pytest.mark.parametrize("V", [
+        make_m_gap(EllipticParams(1, 0.3), m_max=15),
+        potential_from_coeffs({1: 1.0, 2: -0.5j, 9: 0.2 + 0.1j})])
+    def test_collocation_aliases_the_coefficients(self, V, ppw):
+        # harmonics beyond ppw/2 fold onto lower ones exactly as the samples'
+        # FFT folds them; an even V gives real fibers
+        p = 2 * np.pi * np.arange(8) / 8
+        h = direct._collocation(V, ppw, p)
+        assert h.dtype == (np.float64 if V.even else np.complex128)
+        ref = fft_collocation(V, ppw, p)
+        assert np.max(np.abs(h - ref)) < 1e-12 * np.max(np.abs(ref))
+
     def test_free_and_cosine_give_the_grid_floor(self):
         # plane waves are exact at any ppw, and a single harmonic leaves the
         # lowest bands converged to round-off at the floor

