@@ -1,15 +1,21 @@
 """Slow-envelope dynamics and the excited-envelope oscillatory integral.
 
 a0 rides a time-dependent harmonic oscillator i da0/dt = H(t) a0 with
-H = 1/2 d2E k^2 + 1/2 d2W y^2, integrated by midpoint Strang splitting
-(kinetic part exact in frequency space, by numpy.fft).  a1 obeys the same
-flow with the cubic-correction source I(t) a0,
-I = 1/6 d3E k^3 + 1/6 d3W y^3; the two march together, a0 taking two half
-steps per a1 step so that each a1 step reads a0 at its midpoint, and only
-the current states are kept.  Both marches take their step as an
-argument; the harness derives it by step doubling against the case's
-error target (harness.march_envelopes), since the coefficients vary on the
-O(1) time scale and the step owes nothing to eps.  The Berry connection
+H = 1/2 d2E k^2 + 1/2 d2W y^2, and a1 the same flow with the cubic-
+correction source I(t) a0, I = 1/6 d3E k^3 + 1/6 d3W y^3.  For a linear
+drive W (d2W = d3W = 0 at every sample, as for the electric field of every
+default study) H and I are diagonal in k and both equations are solved
+exactly in Fourier space, from the closed-form integrals of the d2E and
+d3E splines (the effective-mass form of Carles & Sparber).  A curved W
+takes a march of midpoint Strang steps (kinetic part exact in frequency
+space, by numpy.fft), a0 taking two half steps per a1 step so that each
+a1 step reads a0 at its midpoint, and only the current states are kept.
+Either way the boundary mass is read after every step of the step grid
+the caller's dt sets; the harness derives that step by step doubling
+against the case's error target (harness.march_envelopes), since the
+coefficients vary on the O(1) time scale and the step owes nothing to
+eps.  On a linear drive the first pair agrees to roundoff, so the doubling
+checks the exactness of every march.  The Berry connection
 A = i <chi|d_p chi> would add dW/dq A to H and dW/dq d_pA k + d2W A y to
 I, but the eigenvectors are parallel-transported along p, so A = 0 and
 those terms vanish identically.  The envelope excited at a band crossing
@@ -111,16 +117,30 @@ class OscillatorCoefficients:
                                                  getattr(self, name))
         return self._splines[name]
 
-    def sample(self, t, name: str) -> np.ndarray:
-        """The named series at every time in t, by one call of its cubic
-        Hermite spline over t_grid."""
+    def _in_span(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         lo, hi = self.t_grid[0], self.t_grid[-1]
         bad = (t < lo - 1e-9) | (t > hi + 1e-9)
         if np.any(bad):
             raise GridMismatch(f"t={t[bad][0]} outside coefficient span "
                                f"[{lo}, {hi}]")
-        return self._sp(name)(np.clip(t, lo, hi))
+        return np.clip(t, lo, hi)
+
+    def sample(self, t, name: str) -> np.ndarray:
+        """The named series at every time in t, by one call of its cubic
+        Hermite spline over t_grid."""
+        return self._sp(name)(self._in_span(t))
+
+    def integral(self, t0: float, t, name: str) -> np.ndarray:
+        """The named series' spline integrated from t0 to every time in t,
+        in closed form (UniformHermite.integral)."""
+        return self._sp(name).integral(self._in_span(t0), self._in_span(t))
+
+    @property
+    def linear_drive(self) -> bool:
+        """d2W and d3W vanish at every sample: W is linear along the flow,
+        so H and I are diagonal in k."""
+        return not (np.any(self.d2W) or np.any(self.d3W))
 
     @classmethod
     def constant(cls, t_span, d2E=0.0, d2W=0.0, d3E=0.0, d3W=0.0,
@@ -194,6 +214,40 @@ def _apply_h_strang(values, k2, y2, dt, d2E, d2W):
     return np.fft.ifft(half_kin * np.fft.fft(v))
 
 
+def _exact(coeffs, inits: tuple, t0, t1, n_steps):
+    """inits, (a0,) or (a0, a1), at t1 in closed form for a linear drive.
+
+    With d2W = d3W = 0, H and I are diagonal in k, so
+
+        a0^(t) = e^{-i k^2 Phi2(t)/2} a0^(t0)
+        a1^(t) = e^{-i k^2 Phi2(t)/2} (a1^(t0) - i (k^3/6) Phi3(t) a0^(t0))
+
+    with Phi2 and Phi3 the integrals of the d2E and d3E splines from t0.
+    The boundary mass is read at each of the n_steps step times, one
+    inverse FFT per envelope, a1's against a0's mass as in the march.
+    Returns ([states at t1], peak boundary-mass fraction).
+    """
+    y, k = inits[0].y, inits[0].k_grid()
+    half_k2 = 0.5 * k * k
+    n_edge = _edge_cells(y)
+    t = t0 + (t1 - t0) * np.arange(1, n_steps + 1) / n_steps
+    phi2 = coeffs.integral(t0, t, "d2E")
+    specs = [np.fft.fft(a.values) for a in inits]
+    packet = (0.0, np.vdot(inits[0].values, inits[0].values).real)
+    if len(inits) == 2:
+        phi3 = coeffs.integral(t0, t, "d3E")
+        source = (-1j / 6.0) * k ** 3 * specs[0]
+    peak = 0.0
+    for j in range(n_steps):
+        phase = np.exp(-1j * phi2[j] * half_k2)
+        states = [np.fft.ifft(phase * specs[0])]
+        if len(inits) == 2:
+            states.append(np.fft.ifft(phase * (specs[1] + phi3[j] * source)))
+        for vals, mass in zip(states, packet):
+            peak = max(peak, _check_overflow(vals, n_edge, mass))
+    return [Envelope(y, vals, t=t1) for vals in states], peak
+
+
 def _a0_steps(coeffs, a0_init: Envelope, t0, h, n_steps):
     """a0 after each of n_steps midpoint Strang steps of size h from t0,
     with its boundary-mass fraction (checked against BOUNDARY_TOL)."""
@@ -209,11 +263,16 @@ def _a0_steps(coeffs, a0_init: Envelope, t0, h, n_steps):
 
 def evolve_a0(coeffs: OscillatorCoefficients, a0_init: Envelope, t_span,
               dt: float):
-    """Propagate i da/dt = H(t) a by unitary midpoint Strang steps.
+    """Propagate i da/dt = H(t) a over t_span in steps of about dt.
 
-    Returns (a0 at t_span[1], peak boundary-mass fraction of the march).
+    Exact in Fourier space for a linear drive (_exact), else unitary
+    midpoint Strang steps.  Returns (a0 at t_span[1], peak boundary-mass
+    fraction over the step times).
     """
     t0, t1, n_steps, h = _steps(t_span, dt)
+    if coeffs.linear_drive:
+        (a0,), peak = _exact(coeffs, (a0_init,), t0, t1, n_steps)
+        return a0, peak
     peak = 0.0
     for vals, mass in _a0_steps(coeffs, a0_init, t0, h, n_steps):
         peak = max(peak, mass)
@@ -232,17 +291,22 @@ def _apply_source(a_vals, d3E, d3W, k3, y3):
 
 def evolve_a1(coeffs: OscillatorCoefficients, a0_init: Envelope,
               a1_init: Envelope, t_span, dt: float):
-    """March i da0/dt = H(t) a0 and (i d/dt - H(t)) a1 = I(t) a0 together.
+    """Solve i da0/dt = H(t) a0 and (i d/dt - H(t)) a1 = I(t) a0 together.
 
-    a0 takes two half steps per a1 step; the state after the first is the
-    midpoint a0 of that step's source.  Returns (a0, a1) at t_span[1] and
-    the peak boundary-mass fraction of both marches, a1's taken against the
+    Exact in Fourier space for a linear drive (_exact).  Otherwise a march
+    of midpoint Strang steps, in which a0 takes two half steps per a1 step
+    and the state after the first is the midpoint a0 of that step's
+    source.  Returns (a0, a1) at t_span[1] and the peak boundary-mass
+    fraction of both envelopes over the step times, a1's taken against the
     larger of its own mass and a0's.
     """
     t0, t1, n_steps, h = _steps(t_span, dt)
     y, k = a1_init.y, a1_init.k_grid()
     if a0_init.y.shape != y.shape or np.max(np.abs(a0_init.y - y)) > 1e-12:
         raise GridMismatch("a0 and a1 initial data use different grids")
+    if coeffs.linear_drive:
+        (a0, a1), peak = _exact(coeffs, (a0_init, a1_init), t0, t1, n_steps)
+        return a0, a1, peak
     k2, y2, k3, y3 = k ** 2, y ** 2, k ** 3, y ** 3
     n_edge = _edge_cells(y)
     d2E, d2W, d3E, d3W = _midpoints(coeffs, t0, h, n_steps,

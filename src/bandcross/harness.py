@@ -13,7 +13,9 @@ solve's grid and dt by plan_solver and its after-run step doubling, each
 envelope march's step by step doubling in march_envelopes, and the step of
 the scenario's band flow by step doubling in derived_flow, against the
 smallest target of the config's epsilons.  Both step doublings accept by
-one rule (_step_doubling).
+one rule (_step_doubling).  Every default drive is linear, so its envelope
+transport is exact in Fourier space and march_envelopes accepts its first
+pair of marches, which agree to roundoff.
 plan_solver is the one place where a measurement time becomes a whole
 number of steps; the solver takes those counts, and each case reads its
 snapshots by step count, never by a float time.
@@ -572,6 +574,17 @@ def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
     are.  Accuracy is checked after the run by step doubling.  The envelope
     marches get the same 1% share (ENVELOPE_SHARE * target), and
     march_envelopes derives their step from it.
+
+    The eps/10 cap stays although the step doubling checks every run,
+    because at larger steps the doubling is not a safe judge.  On the
+    isolated default at eps = 1/32, 38 coarse steps (dt/eps = 0.42) read
+    an estimate of 1.20e-4 where the error against a run at dt/8 is 5.27e-4,
+    above the 3.91e-4 target (at 1/128: 2.7e-5 against 1.7e-4, target
+    9.8e-5); at dt/eps = 0.38 the error is 0.82 times the estimate.
+    And some steps put mass in the collar that halving the step keeps, so
+    the doubled pair reads no difference: the breakdown default at
+    eps = 1/64 reads 1.16e-7 of collar mass at 123, 246 and 492 steps
+    (dt/eps = 0.110 at 492) but about 2e-10 at 400, 450, 520 and 700.
     """
     s = cfg.solver
     target = s["error_budget"] * signal
@@ -711,7 +724,10 @@ def march_envelopes(coeffs, init: tuple, stops, weights: tuple,
     sum_i weights[i] ||fine_i - coarse_i|| / 3, the leading error of the
     finer march in packet norm, and _step_doubling accepts the finer march.
     The accepted states are the fine march itself, not an extrapolation, so
-    a0 stays exactly unitary.  Raises SolverBudgetExceeded after
+    a0 stays exactly unitary.  On a linear drive evolve_a0 and evolve_a1
+    are exact whatever the step, so the first pair agrees to roundoff and
+    is accepted below ROUNDOFF_FLOOR; the step then only sets how often the
+    boundary mass is read.  Raises SolverBudgetExceeded after
     MAX_ENVELOPE_HALVINGS.
     """
     t0, dy = float(init[0].t), init[0].dy
@@ -757,7 +773,9 @@ class Case:
     collar_mass: float             # peak collar mass fraction of the solve
     energy_drift: float            # max over the case's trajectories
     envelope_dt: float             # finest accepted step of the marches
-    envelope_error: float          # their largest step-doubling estimate
+    # their largest step-doubling estimate: roundoff, at most
+    # ROUNDOFF_FLOOR, on a linear drive, whose transport is exact
+    envelope_error: float
     envelope_boundary_mass: float  # peak edge-mass fraction of the marches
 
 

@@ -5,8 +5,9 @@ energies and eigenvectors over p, trajectories and oscillator coefficients
 over t, refined envelopes over y): a piecewise cubic Hermite curve through
 the samples of a uniform grid, whose node slopes are fourth-order finite
 differences of the samples, worked out for the nodes a call needs, so it
-builds no coefficient table.  fresnel evaluates the Fresnel integrals S
-and C by their power series near 0 and a continued fraction beyond.
+builds no coefficient table; its integral is the curve's closed-form
+antiderivative.  fresnel evaluates the Fresnel integrals S and C by their
+power series near 0 and a continued fraction beyond.
 """
 from __future__ import annotations
 
@@ -126,6 +127,41 @@ class UniformHermite:
         c2 += m0
         c2 /= self.h
         return c2
+
+    @cached_property
+    def _node_integrals(self):
+        # the curve's integral from x_0 to each node; piece i adds
+        # h ((y_i + y_{i+1}) / 2 + (m_i - m_{i+1}) / 12), m the h-scaled
+        # node slopes
+        m = self._slopes(0, self.n)
+        piece = 0.5 * (self.y[:-1] + self.y[1:]) + (m[:-1] - m[1:]) / 12.0
+        out = np.zeros((self.n,) + piece.shape[1:], piece.dtype)
+        np.cumsum(piece, axis=0, out=out[1:])
+        out *= self.h
+        return out, m
+
+    def integral(self, a: float, b):
+        """Integral of the curve from a to each b, any shape, exactly.
+
+        The piecewise cubic's antiderivative in closed form: the whole
+        pieces' integrals summed from x_0 to the piece's left node, plus
+        h t (y_0 + t (m_0/2 + t (c2/3 + t c3/4))) within it.  Limits
+        outside [x_0, x_{n-1}] integrate the end piece's cubic, as __call__
+        evaluates it.  The result has shape b.shape + y.shape[1:].
+        """
+        nodes, m = self._node_integrals
+
+        def antiderivative(x):
+            i, t = self._locate(x)
+            t = t[(...,) + (None,) * (self.y.ndim - 1)]
+            y0, m0, m1 = self.y[i], m[i], m[i + 1]
+            d = self.y[i + 1] - y0
+            c2 = 3 * d - 2 * m0 - m1
+            c3 = m0 + m1 - 2 * d
+            return nodes[i] + self.h * t * (
+                y0 + t * (m0 / 2 + t * (c2 / 3 + t * c3 / 4)))
+
+        return antiderivative(b) - antiderivative(a)
 
     @cached_property
     def _lists(self):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bandcross import harness
 from bandcross.ansatz import predict_excited_mass
@@ -277,7 +278,32 @@ def _rows_close(a, b, rel):
     return bool(np.all(err <= rel * np.linalg.norm(b, axis=1)))
 
 
+def _closed_form(co, a0_init, a1_init, t_span):
+    """a0 and a1 at t_span[1] for a linear drive, in Fourier space:
+    a0^ = e^{-i k^2 Phi2/2} a0^(t0), a1^ = e^{-i k^2 Phi2/2} (a1^(t0) -
+    i (k^3/6) Phi3 a0^(t0)), Phi2 and Phi3 by quadrature of the d2E and d3E
+    splines, piece by piece."""
+    t0, t1 = t_span
+    cuts = [t0, *co.t_grid[(co.t_grid > t0) & (co.t_grid < t1)], t1]
+
+    def phi(name):
+        sp = UniformHermite(co.t_grid, getattr(co, name))
+        return sum(quad(lambda t: float(sp(t)), c0, c1)[0]
+                   for c0, c1 in zip(cuts[:-1], cuts[1:]))
+
+    k = a0_init.k_grid()
+    spec0 = np.fft.fft(a0_init.values)
+    phase = np.exp(-0.5j * k ** 2 * phi("d2E"))
+    a0 = np.fft.ifft(phase * spec0)
+    a1 = np.fft.ifft(phase * (np.fft.fft(a1_init.values)
+                              - 1j * k ** 3 / 6.0 * phi("d3E") * spec0))
+    return a0, a1
+
+
 class TestTransportMatchesStepLoop:
+    """A linear drive against the closed form, a curved one against the
+    midpoint Strang march written step by step."""
+
     @pytest.mark.parametrize("d2W_zero", [True, False])
     def test_a0_and_a1(self, d2W_zero):
         co = _drive(d2W_zero)
@@ -285,14 +311,75 @@ class TestTransportMatchesStepLoop:
                               half_width=24.0, n=768)
         a1_init = Envelope(g.y, 0.1 * g.values)
         span, dt = (0.05, 0.55), 2e-3
-        ref = _StepLoop(co)
-        a0_ref = ref.a0(g, span, dt / 2)
+        if d2W_zero:
+            a0_ref, a1_ref = (v[None] for v in _closed_form(co, g, a1_init,
+                                                            span))
+        else:
+            ref = _StepLoop(co)
+            a0_path = ref.a0(g, span, dt / 2)
+            a0_ref = a0_path[-1:]
+            a1_ref = ref.a1(a1_init, a0_path, span, dt)[-1:]
         a0, _ = evolve_a0(co, g, span, dt / 2)
-        assert _rows_close(a0.values[None], a0_ref[-1:], 1e-13)
+        assert _rows_close(a0.values[None], a0_ref, 1e-13)
         a0, a1, _ = evolve_a1(co, g, a1_init, span, dt)
-        assert _rows_close(a0.values[None], a0_ref[-1:], 1e-13)
-        a1_ref = ref.a1(a1_init, a0_ref, span, dt)
-        assert _rows_close(a1.values[None], a1_ref[-1:], 1e-13)
+        assert _rows_close(a0.values[None], a0_ref, 1e-13)
+        assert _rows_close(a1.values[None], a1_ref, 1e-13)
+
+
+class TestLinearDrive:
+    """The closed-form transport of a drive with d2W = d3W = 0."""
+
+    def test_refocused_overshoot_still_raises(self):
+        # d2E changes sign, so Phi2 rises and falls back to 0 by t1: the
+        # packet spreads past the grid edge mid-span and refocuses, and
+        # only the step-time checks can see it
+        t = np.linspace(0.0, 2.0, 201)
+        zero = np.zeros_like(t)
+        co = OscillatorCoefficients(t, 6.0 * np.cos(np.pi * t), zero, zero,
+                                    zero)
+        g = gaussian_envelope(sigma=0.5, half_width=4.0, n=128)
+        a1 = Envelope(g.y, np.zeros(g.y.size, dtype=complex))
+        assert co.linear_drive
+
+        def edge_fraction(vals):
+            n_edge = 3    # 5% of the half grid
+            return (np.sum(np.abs(vals[:n_edge]) ** 2
+                           + np.abs(vals[-n_edge:]) ** 2)
+                    / np.sum(np.abs(vals) ** 2))
+
+        final, _ = _closed_form(co, g, a1, (0.0, 2.0))
+        middle, _ = _closed_form(co, g, a1, (0.0, 0.5))
+        assert edge_fraction(final) < 1e-3 * BOUNDARY_TOL
+        assert edge_fraction(middle) > 1e3 * BOUNDARY_TOL
+        with pytest.raises(GridOverflow):
+            evolve_a0(co, g, (0.0, 2.0), dt=0.05)
+        with pytest.raises(GridOverflow):
+            evolve_a1(co, g, a1, (0.0, 2.0), dt=0.05)
+
+    def test_curved_path_agrees_within_its_estimate(self):
+        # d2W = 1e-12 sends the same d2E and d3E through the Strang march;
+        # its accepted states agree with the closed form within the march's
+        # own step-doubling estimate
+        eps, tol = 1.0 / 32.0, 1e-6
+        t = np.linspace(0.0, 0.6, 121)
+        d2E, d3E = 0.8 + 0.6 * np.sin(5.0 * t), 0.5 * np.cos(3.0 * t)
+        zero = np.zeros_like(t)
+        curved = OscillatorCoefficients(t, d2E, np.full_like(t, 1e-12), d3E,
+                                        zero)
+        linear = OscillatorCoefficients(t, d2E, zero, d3E, zero)
+        assert linear.linear_drive and not curved.linear_drive
+        g = gaussian_envelope(sigma=1.0, center=0.5, momentum=0.3,
+                              half_width=12.0, n=256)
+        a1 = Envelope(g.y, 0.1 * g.values)
+        weights = (1.0, np.sqrt(eps))
+        march = harness.march_envelopes(curved, (g, a1), [0.3, 0.6], weights,
+                                        tol)
+        assert harness.ROUNDOFF_FLOOR < march.error <= tol
+        for t1, states in march.states.items():
+            exact = evolve_a1(linear, g, a1, (0.0, t1), t1)[:2]
+            err = sum(w * l2_diff(a, b.values)
+                      for w, a, b in zip(weights, states, exact))
+            assert err <= march.error, t1
 
 
 class TestSample:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandcross import direct, harness
+from bandcross import direct, envelope, harness
 from bandcross.ansatz import Grid, GridState
 from bandcross.direct import collocation_error
 from bandcross.envelope import BOUNDARY_TOL
@@ -404,8 +404,9 @@ class TestTrivialCrossing:
             assert row["energy_drift"] == drift
             assert row["ppw"] == trivial_cfg.ppw
             assert 0.0 < row["envelope_boundary_mass"] <= BOUNDARY_TOL
-            assert 0.0 < row["envelope_error"] <= (harness.ENVELOPE_SHARE
-                                                   * row["solver_target"])
+            # the linear drive is transported exactly, so the two marches
+            # agree to roundoff
+            assert 0.0 <= row["envelope_error"] <= harness.ROUNDOFF_FLOOR
             # the accepted march halved the first step at least once
             assert 0.0 < row["envelope_dt"] <= row["breakdown_xi_time"] / 32
 
@@ -827,3 +828,25 @@ class TestRealFiberStacks:
         build_crossing_scenario(default_config("crossing"))
         build_isolated_scenario(default_config("isolated"))
         assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+class TestExactEnvelopeTransport:
+    def test_default_isolated_march_is_exact_at_the_first_pair(self,
+                                                               monkeypatch):
+        # the default drive is linear, so the 16- and 32-step marches agree
+        # to roundoff and the 32-step one is accepted; no Strang step runs
+        monkeypatch.setattr(harness, "_CASE_CACHE", {})
+        calls = []
+        real = envelope._apply_h_strang
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(envelope, "_apply_h_strang", counting)
+        cfg = default_config("isolated")
+        case = run_isolated_case(cfg, 1 / 32)
+        # one stop, at t_final: 2 x ENVELOPE_START_STEPS steps over it
+        assert case.envelope_dt == pytest.approx(cfg.t_final / 32, rel=1e-12)
+        assert case.envelope_error <= harness.ROUNDOFF_FLOOR
+        assert calls == []

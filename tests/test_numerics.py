@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import fresnel as scipy_fresnel
 
@@ -81,6 +82,45 @@ class TestUniformHermite:
         # a curve that dips below the level and back between two nodes
         g = UniformHermite(x, (x - 1.0005) ** 2)
         assert abs(g.first_root(1e-8) - (1.0005 - 1e-4)) < 1e-9
+
+    def test_integral_exact_on_cubics(self):
+        x = np.linspace(-0.4, 1.3, 41)
+
+        def antiderivative(t):
+            return t + t ** 2 / 2 - 2.0 * t ** 3 / 3 + t ** 4 / 8
+
+        f = UniformHermite(x, 1.0 + x - 2.0 * x ** 2 + 0.5 * x ** 3)
+        b = np.linspace(-0.4, 1.3, 997)
+        for a in (-0.4, 0.123, 1.3):
+            err = f.integral(a, b) - (antiderivative(b) - antiderivative(a))
+            assert np.max(np.abs(err)) < 1e-14, a
+
+    def test_integral_matches_quadrature_of_the_interpolant(self):
+        # limits on nodes, inside pieces and at both ends, in one call
+        x = np.linspace(0.2, 1.7, 61)
+        f = UniformHermite(x, np.sin(4.0 * x) * np.exp(x))
+        b = np.array([[0.2, 1.7, x[17], x[40]],
+                      [0.2 + 1e-3, x[5] + 0.3 * f.h, 1.0, 1.7 - 1e-9]])
+        for a in (0.2, x[23], 1.0 + 0.5 * f.h, 1.7):
+            got = f.integral(a, b)
+            assert got.shape == b.shape
+            for bi, gi in zip(b.flat, got.flat):
+                # piece by piece, where the interpolant is one cubic
+                lo, hi = sorted((a, bi))
+                cuts = [lo, *x[(x > lo) & (x < hi)], hi]
+                ref = sum(quad(lambda t: float(f(t)), c0, c1)[0]
+                          for c0, c1 in zip(cuts[:-1], cuts[1:]))
+                ref = ref if bi >= a else -ref
+                assert abs(gi - ref) < 1e-13, (a, bi)
+
+    def test_integral_of_columns(self):
+        x = np.linspace(0.0, 1.0, 65)
+        y = np.stack([np.cos(x), np.exp(x) + 1j * x], axis=1)
+        t = np.array([0.1, 0.45, 0.99])
+        got = UniformHermite(x, y).integral(0.3, t)
+        assert got.shape == (3, 2)
+        assert np.array_equal(got[:, 1],
+                              UniformHermite(x, y[:, 1]).integral(0.3, t))
 
     def test_grid_checked(self):
         with pytest.raises(ValueError):
