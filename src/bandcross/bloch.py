@@ -5,7 +5,11 @@ where H(p) has entries (p + 2 pi m)^2/2 on the diagonal and vhat_{m-k} off it.
 Sampled band tables (band_path, smooth_continuation) assemble and diagonalize
 their fibers in blocks of _BLOCK momenta, one stacked assembly (_fibers) and
 one batched eigh per block, and take their derivative tables as array
-expressions over the block.  An even V (V.even: every vhat_m real) makes
+expressions over the block.  V is real, so time reversal maps the fiber at
+p onto the fiber at -p: a sample whose negative is also a sample takes its
+partner's eigenpairs, mirrored, and a window symmetric about 0 (the p* = 0
+crossing) runs one eigh per pair of samples.  The blocks' eighs run on
+worker_count threads.  An even V (V.even: every vhat_m real) makes
 every fiber real symmetric, so its stacks are float64 and eigh runs the real
 solver; an odd part makes them complex Hermitian.  Either way the tables are
 complex eigenvectors in the same transported gauge (fix_gauge: one pass of
@@ -18,11 +22,14 @@ crossing fiber's other eigenpairs, which controls the size of the
 transmitted-to-excited transition.
 """
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import worker_count
 from .errors import (
     IsolationFailure,
     NoCrossing,
@@ -46,8 +53,10 @@ TWO_PI = 2.0 * np.pi
 DEFAULT_M_CUT = 64
 # fibers per batched assembly and eigh.  A block holds two (_BLOCK, dim, dim)
 # stacks, complex for a V with an odd part and real, half the bytes, for an
-# even V; the two-worker isolated sweep peaked 2.5% above one fiber at a time
-# with 128 complex fibers, and 0.8% above with 64.
+# even V, and its yield adds the mirrors of its paired samples; the two-worker
+# isolated sweep peaked 2.5% above one fiber at a time with 128 complex
+# fibers, and 0.8% above with 64.  With the eigh threads working ahead, the
+# working set is (workers + 1) blocks.
 _BLOCK = 64
 
 
@@ -180,17 +189,78 @@ def _d2e(p, evals, evecs, idx, m_cut, skip=None):
     return 1.0 + 2.0 * np.sum(np.abs(amps) ** 2 / denom, axis=1)
 
 
-def _blocks(V, p, m_cut):
-    """Yield (rows, evals, evecs) for consecutive blocks of _BLOCK samples.
+def _partners(p):
+    """partner[i] = j where p[j] = -p[i] to within four ulps, else -1.
 
-    rows indexes p; evals[b] and the columns of evecs[b] are the ascending
-    eigenpairs of the fiber at p[rows[b]].  One assembly and one batched eigh
-    per block keeps the working set at _BLOCK fibers.
+    p ascends.  np.linspace puts the samples of a window symmetric about 0
+    at opposite positions to within two ulps of the window's reach, so a
+    sample and its negative are found without rebuilding the grid.
     """
-    for start in range(0, p.size, _BLOCK):
-        rows = np.arange(start, min(start + _BLOCK, p.size))
-        evals, evecs = np.linalg.eigh(_fibers(V, p[rows], m_cut))
-        yield rows, evals, evecs
+    k = np.clip(np.searchsorted(p, -p), 1, p.size - 1)
+    j = np.where(np.abs(p[k - 1] + p) <= np.abs(p[k] + p), k - 1, k)
+    tol = 4.0 * np.finfo(float).eps * np.max(np.abs(p))
+    return np.where(np.abs(p[j] + p) <= tol, j, -1)
+
+
+def _blocks(V, p, m_cut):
+    """Yield (rows, evals, evecs) for the samples p, each exactly once.
+
+    rows indexes p and ascends; evals[b] and the columns of evecs[b] are the
+    ascending eigenpairs of the fiber at p[rows[b]].  Every V is real, so
+    time reversal gives E_n(-p) = E_n(p) and chi_n(-p) = P conj chi_n(p),
+    with P the reversal m -> -m of the modes (Kohn, Phys. Rev. 115, 809,
+    1959): a sample whose negative is also a sample (_partners) takes its
+    partner's energies and conj(evecs[:, ::-1, :]) instead of an eigh of
+    its own.  So each yield is one batched eigh of up to _BLOCK fibers plus
+    the mirrors of those, and the yields go in the order of the lower
+    sample of each pair.  A sample that an earlier yield holds above a
+    sample of a later one then pairs with a sample below both, whose
+    energies it shares, so a check that stops at its first failing sample
+    stops where it would in plain sample order.
+
+    The eighs run on worker_count threads (numpy's eigh releases the
+    interpreter lock), at most that many blocks ahead of the one being
+    consumed, so the working set is (workers + 1) x _BLOCK fibers and their
+    mirrors.  An exception from a worker reaches the caller unchanged, and
+    the threads are gone once the generator is exhausted or closed.
+    """
+    partner = _partners(p)
+    mirrored = (partner >= 0) & (p < p[partner])
+    solved = np.flatnonzero(~mirrored)
+    first = np.where(partner[solved] >= 0,
+                     np.minimum(solved, partner[solved]), solved)
+    solved = solved[np.argsort(first, kind="stable")]
+    units = [solved[i:i + _BLOCK] for i in range(0, solved.size, _BLOCK)]
+
+    def solve(own):
+        return np.linalg.eigh(_fibers(V, p[own], m_cut))
+
+    def with_mirrors(own, evals, evecs):
+        pair = partner[own]
+        has = (pair >= 0) & (pair != own)
+        rows = np.concatenate([own, pair[has]])
+        order = np.argsort(rows)
+        src = np.concatenate([np.arange(own.size), np.flatnonzero(has)])
+        src, flip = src[order], order >= own.size
+        evecs = evecs[src]
+        evecs[flip] = np.conj(evecs[flip][:, ::-1, :])
+        return rows[order], evals[src], evecs
+
+    workers = worker_count(len(units))
+    if workers == 1:
+        for own in units:
+            yield with_mirrors(own, *solve(own))
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        ahead = deque(pool.submit(solve, own) for own in units[:workers])
+        for k, own in enumerate(units):
+            result = ahead.popleft().result()
+            if k + workers < len(units):
+                ahead.append(pool.submit(solve, units[k + workers]))
+            yield with_mirrors(own, *result)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def band_path(V: PeriodicPotential, n: int, p_window, n_samples: int = 513,

@@ -253,8 +253,12 @@ def _fiber_propagators(V: PeriodicPotential, grid: Grid,
                        dt: float) -> np.ndarray:
     """e^{-i dt H0_r/eps} for every fiber r, as an (LK, ppw, ppw) array."""
     energies, q = _fiber_basis(V, grid)
-    rot = np.exp(-1j * dt * energies / grid.epsilon)
-    return np.matmul(q * rot[:, None, :], np.conj(q.transpose(0, 2, 1)))
+    # q diag(rot) q^H = conj(conj(q) diag(conj rot) q^T), built in place so
+    # that no conjugated copy of the cached q is made
+    u = np.conj(q)
+    u *= np.exp(1j * dt * energies / grid.epsilon)[:, None, :]
+    u = np.matmul(u, q.transpose(0, 2, 1))
+    return np.conj(u, out=u)
 
 
 # -- points per period --------------------------------------------------------
@@ -433,7 +437,9 @@ def band_mass(psi: GridState, V: PeriodicPotential, n_bands: int = 4,
     energies, q = _fiber_basis(V, grid)
     lk = grid.length * grid.k_inv
     phi = np.fft.fft(vals.reshape(lk, grid.ppw), axis=0)
-    amps = np.matmul(np.conj(q.transpose(0, 2, 1)), phi[:, :, None])[:, :, 0]
+    # conj(q^H phi) = conj(phi) q: the same moduli, and no conjugated copy
+    # of the cached q
+    amps = np.matmul(np.conj(phi)[:, None, :], q)[:, 0, :]
     dens = np.abs(amps) ** 2
     r, n = np.nonzero(np.diff(energies, axis=1) <= DEGENERATE_GAP
                       * np.maximum(1.0, np.abs(energies[:, 1:])))

@@ -10,6 +10,7 @@ cross-checked against centered finite differences of the gauge-fixed
 eigenvector path.
 """
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from bandcross.errors import (
 )
 from bandcross.potential import (
     EllipticParams,
+    PeriodicPotential,
     make_cosine,
     make_m_gap,
     potential_from_coeffs,
@@ -651,3 +653,123 @@ class TestRealFiberStacks:
         path = band_path(V, 1, (0.7, 2.1), n_samples=513, m_cut=15)
         assert path.chi.dtype == np.complex128
         assert SplineBand(path).slope_check <= 1e-8
+
+
+def shifted(V, z0):
+    """V(z - z0): a real V whose coefficients are complex, the same bands."""
+    m = np.arange(-V.m_max, V.m_max + 1)
+    return PeriodicPotential(V.coeffs * np.exp(-TWO_PI * 1j * m * z0))
+
+
+class TestTimeReversal:
+    """A sample at -p takes its partner's eigenpairs, mirrored, not an eigh."""
+
+    def test_pair_mirror_matches_direct_eigh(self, one_gap_pair):
+        p = one_gap_pair.plus.p_samples
+        rows = np.flatnonzero(p < 0)
+        assert rows.size == p.size // 2
+        assert_matches_reference(one_gap_pair.plus, rows, np.ones(rows.size,
+                                                                  int), 32)
+        assert_matches_reference(one_gap_pair.minus, rows,
+                                 np.full(rows.size, 2), 32)
+
+    def test_odd_part_mirror_matches_direct_eigh(self, one_gap):
+        # translating V keeps it real and its bands, and makes its
+        # coefficients complex, so the mirror's conj acts
+        V = shifted(one_gap, 0.13)
+        assert not V.even
+        pair = smooth_continuation(V, 2, 0.0, halfwidth=0.5, n_samples=201,
+                                   m_cut=32)
+        assert pair.plus.chi.dtype == np.complex128
+        rows = np.flatnonzero(pair.plus.p_samples < 0)
+        assert_matches_reference(pair.plus, rows, np.ones(rows.size, int), 32)
+        assert_matches_reference(pair.minus, rows, np.full(rows.size, 2), 32)
+
+    @pytest.mark.parametrize("z0", [0.0, 0.13], ids=["even", "odd"])
+    def test_symmetric_band_path_matches_direct_eigh(self, one_gap, z0):
+        V = shifted(one_gap, z0)
+        path = band_path(V, 1, (-1.0, 1.0), n_samples=201, m_cut=32)
+        rows = np.arange(path.p_samples.size)
+        assert_matches_reference(path, rows, np.zeros(rows.size, int), 32)
+        # the mirror holds E(-p) = E(p) exactly, sample by sample
+        assert np.array_equal(path.energies, path.energies[::-1])
+
+    def test_partners_come_from_the_samples(self):
+        p = np.linspace(-1.9, 1.9, 1789)
+        assert np.array_equal(bloch._partners(p), np.arange(p.size)[::-1])
+        assert np.all(bloch._partners(np.linspace(0.7, 2.1, 513)) == -1)
+        assert np.all(bloch._partners(np.pi + np.linspace(-0.3, 0.3, 121))
+                      == -1)
+        # a window reaching further on one side pairs only its middle
+        partner = bloch._partners(np.linspace(-0.3, 0.9, 121))
+        assert np.array_equal(partner[:61], np.arange(61)[::-1])
+        assert np.all(partner[61:] == -1)
+
+    @pytest.mark.parametrize("build, fibers", [
+        (lambda V: smooth_continuation(V, 2, 0.0, halfwidth=0.5,
+                                       n_samples=201, m_cut=32), 101),
+        (lambda V: band_path(V, 1, (-1.0, 1.0), n_samples=201, m_cut=32),
+         101),
+        (lambda V: band_path(V, 1, (0.7, 2.1), n_samples=513, m_cut=32), 513),
+        (lambda V: smooth_continuation(V, 3, np.pi, halfwidth=0.3,
+                                       n_samples=121, m_cut=32), 121),
+    ], ids=["pair_at_0", "path_about_0", "isolated_window", "pair_at_pi"])
+    def test_eigh_count(self, one_gap, monkeypatch, build, fibers):
+        seen = []
+        real = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                seen.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        build(one_gap)
+        assert sum(seen) == fibers
+
+
+class TestBlockThreads:
+    """The block eighs run on worker_count threads (BCL_THREADS caps it)."""
+
+    @pytest.mark.parametrize("cap", ["3", ""], ids=["three", "default"])
+    def test_tables_do_not_depend_on_the_threads(self, one_gap, monkeypatch,
+                                                 cap):
+        def build():
+            pair = smooth_continuation(one_gap, 2, 0.0, halfwidth=0.5,
+                                       n_samples=201, m_cut=32)
+            path = band_path(one_gap, 1, (0.7, 2.1), n_samples=201, m_cut=32)
+            return pair.plus, pair.minus, path
+
+        monkeypatch.setattr(bloch, "_BLOCK", 16)
+        monkeypatch.setenv("BCL_THREADS", "1")
+        ref = build()
+        monkeypatch.setenv("BCL_THREADS", cap)
+        for ours, theirs in zip(build(), ref):
+            for name in TABLES:
+                assert np.array_equal(getattr(ours, name),
+                                      getattr(theirs, name))
+
+    def test_worker_error_reaches_the_caller(self, one_gap, monkeypatch):
+        class EighFailed(Exception):
+            pass
+
+        err = EighFailed("fiber block 3")
+        calls = []
+        real = np.linalg.eigh
+
+        def failing(a, *args, **kwargs):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise err
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(bloch, "_BLOCK", 16)
+        monkeypatch.setenv("BCL_THREADS", "2")
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        before = threading.active_count()
+        with pytest.raises(EighFailed) as info:
+            smooth_continuation(one_gap, 2, 0.0, halfwidth=0.5,
+                                n_samples=201, m_cut=32)
+        assert info.value is err
+        assert threading.main_thread() not in calls
+        assert threading.active_count() == before

@@ -364,6 +364,32 @@ class TestFiberBasis:
         assert len(results) == n_threads
         assert all(r is results[0] for r in results)
 
+    @pytest.mark.parametrize("V", [make_cosine(4.0),
+                                   potential_from_coeffs({1: 1.0, 2: -0.5j})],
+                             ids=["even", "odd"])
+    def test_products_agree_with_the_conjugated_copy_formulas(self, V):
+        # the propagators and band_mass take q^H from conj(q) products; the
+        # formulas with an explicit conjugated copy of q are the reference
+        grid = Grid(length=6, epsilon=1.0 / 16, ppw=16)
+        energies, q = direct._fiber_basis(V, grid)
+        lk = grid.length * grid.k_inv
+        q_h = np.conj(q.transpose(0, 2, 1))
+        dt = 0.013
+        ref = np.matmul(q * np.exp(-1j * dt * energies / grid.epsilon)
+                        [:, None, :], q_h)
+        assert np.max(np.abs(direct._fiber_propagators(V, grid, dt) - ref)) \
+            < 1e-14
+        rng = np.random.default_rng(3)
+        state = GridState(grid, rng.standard_normal(grid.n)
+                          + 1j * rng.standard_normal(grid.n))
+        phi = np.fft.fft(state.values.reshape(lk, grid.ppw), axis=0)
+        amps = np.matmul(q_h, phi[:, :, None])[:, :, 0]
+        per_band = np.sum(np.abs(amps) ** 2, axis=0) * grid.dx / lk
+        tab = band_mass(state, V, n_bands=4)
+        masses = np.array([tab.band(n) for n in range(1, 5)] + [tab.rest])
+        expected = np.append(per_band[:4], per_band[4:].sum())
+        assert np.max(np.abs(masses - expected)) < 1e-14 * tab.total
+
 
 class TestCentredExternal:
     def test_midpoint_removed(self):
