@@ -21,27 +21,11 @@ import os
 # Every BLAS/LAPACK operand here is at most 64 x 64, or a stack of such
 # matrices (31-mode Bloch fibers, ppw x ppw solver fibers), where an OpenBLAS
 # worker thread only spins.  The package's own threads are its parallelism:
-# the case pool, each crossing case's two solver threads, and the eigh
-# threads of a Bloch band table (bloch._blocks), so a BLAS worker beside
-# each of them only oversubscribes the cores.  An empty value counts as
-# unset, as it does for OpenBLAS.
+# the case pool plus each crossing case's two solver threads, so a BLAS
+# worker beside each of a crossing case's three threads only oversubscribes
+# the cores.  An empty value counts as unset, as it does for OpenBLAS.
 if not os.environ.get("OPENBLAS_NUM_THREADS"):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-
-
-def worker_count(n_jobs: int) -> int:
-    """Thread count for n_jobs independent jobs: BCL_THREADS caps it, and
-    it defaults to the machine's cores.
-
-    Two pools take their size from it: a study's case pool, and the eigh
-    threads that build a Bloch band table's blocks.  Each crossing case
-    also runs its direct solve on two solver threads of its own, on top of
-    the case pool.  BLAS runs one thread, since its operands are at most
-    64 x 64 and its workers would only compete with these for the cores.
-    """
-    cap = os.environ.get("BCL_THREADS", "")
-    limit = int(cap) if cap.strip() else (os.cpu_count() or 1)
-    return max(1, min(limit, n_jobs))
 
 __version__ = "0.1.0"
 

@@ -8,12 +8,12 @@ one batched eigh per block, and take their derivative tables as array
 expressions over the block.  V is real, so time reversal maps the fiber at
 p onto the fiber at -p: a sample whose negative is also a sample takes its
 partner's eigenpairs, mirrored, and a window symmetric about 0 (the p* = 0
-crossing) runs one eigh per pair of samples.  The blocks' eighs run on
-worker_count threads.  An even V (V.even: every vhat_m real) makes
-every fiber real symmetric, so its stacks are float64 and eigh runs the real
-solver; an odd part makes them complex Hermitian.  Either way the tables are
-complex eigenvectors in the same transported gauge (fix_gauge: one pass of
-neighbour overlaps, whose phases are chained outward from an anchor).
+crossing) runs one eigh per pair of samples.  An even V (V.even: every
+vhat_m real) makes every fiber real symmetric, so its stacks are float64 and
+eigh runs the real solver; an odd part makes them complex Hermitian.  Either
+way the tables are complex eigenvectors in the same transported gauge
+(fix_gauge: one pass of neighbour overlaps, whose phases are chained outward
+from an anchor).
 Bands are ordered E_1 <= E_2 <= ...; degeneracies of adjacent bands occur only
 at p in {0, pi} mod 2 pi and are linear.  Around a crossing the module builds
 smoothly continued branches E_+/E_- with transported eigenvectors, and the
@@ -22,14 +22,11 @@ crossing fiber's other eigenpairs, which controls the size of the
 transmitted-to-excited transition.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import worker_count
 from .errors import (
     IsolationFailure,
     NoCrossing,
@@ -55,8 +52,7 @@ DEFAULT_M_CUT = 64
 # stacks, complex for a V with an odd part and real, half the bytes, for an
 # even V, and its yield adds the mirrors of its paired samples; the two-worker
 # isolated sweep peaked 2.5% above one fiber at a time with 128 complex
-# fibers, and 0.8% above with 64.  With the eigh threads working ahead, the
-# working set is (workers + 1) blocks.
+# fibers, and 0.8% above with 64.
 _BLOCK = 64
 
 
@@ -217,12 +213,6 @@ def _blocks(V, p, m_cut):
     sample of a later one then pairs with a sample below both, whose
     energies it shares, so a check that stops at its first failing sample
     stops where it would in plain sample order.
-
-    The eighs run on worker_count threads (numpy's eigh releases the
-    interpreter lock), at most that many blocks ahead of the one being
-    consumed, so the working set is (workers + 1) x _BLOCK fibers and their
-    mirrors.  An exception from a worker reaches the caller unchanged, and
-    the threads are gone once the generator is exhausted or closed.
     """
     partner = _partners(p)
     mirrored = (partner >= 0) & (p < p[partner])
@@ -230,37 +220,18 @@ def _blocks(V, p, m_cut):
     first = np.where(partner[solved] >= 0,
                      np.minimum(solved, partner[solved]), solved)
     solved = solved[np.argsort(first, kind="stable")]
-    units = [solved[i:i + _BLOCK] for i in range(0, solved.size, _BLOCK)]
-
-    def solve(own):
-        return np.linalg.eigh(_fibers(V, p[own], m_cut))
-
-    def with_mirrors(own, evals, evecs):
+    for start in range(0, solved.size, _BLOCK):
+        own = solved[start:start + _BLOCK]
         pair = partner[own]
         has = (pair >= 0) & (pair != own)
         rows = np.concatenate([own, pair[has]])
         order = np.argsort(rows)
         src = np.concatenate([np.arange(own.size), np.flatnonzero(has)])
         src, flip = src[order], order >= own.size
+        evals, evecs = np.linalg.eigh(_fibers(V, p[own], m_cut))
         evecs = evecs[src]
         evecs[flip] = np.conj(evecs[flip][:, ::-1, :])
-        return rows[order], evals[src], evecs
-
-    workers = worker_count(len(units))
-    if workers == 1:
-        for own in units:
-            yield with_mirrors(own, *solve(own))
-        return
-    pool = ThreadPoolExecutor(workers)
-    try:
-        ahead = deque(pool.submit(solve, own) for own in units[:workers])
-        for k, own in enumerate(units):
-            result = ahead.popleft().result()
-            if k + workers < len(units):
-                ahead.append(pool.submit(solve, units[k + workers]))
-            yield with_mirrors(own, *result)
-    finally:
-        pool.shutdown(cancel_futures=True)
+        yield rows[order], evals[src], evecs
 
 
 def band_path(V: PeriodicPotential, n: int, p_window, n_samples: int = 513,

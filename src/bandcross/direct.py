@@ -253,8 +253,9 @@ def _fiber_propagators(V: PeriodicPotential, grid: Grid,
                        dt: float) -> np.ndarray:
     """e^{-i dt H0_r/eps} for every fiber r, as an (LK, ppw, ppw) array."""
     energies, q = _fiber_basis(V, grid)
-    # q diag(rot) q^H = conj(conj(q) diag(conj rot) q^T), built in place so
-    # that no conjugated copy of the cached q is made
+    # q diag(rot) q^H = conj(conj(q) diag(conj rot) q^T): conj(q) doubles as
+    # the product buffer, one (LK, ppw, ppw) temporary fewer than
+    # q*rot @ q^H
     u = np.conj(q)
     u *= np.exp(1j * dt * energies / grid.epsilon)[:, None, :]
     u = np.matmul(u, q.transpose(0, 2, 1))

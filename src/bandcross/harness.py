@@ -26,13 +26,11 @@ own: one runs the step-doubling solve and the other the first fine run
 beside its coarse run, while the case's thread builds the semiclassical
 prediction.  So a crossing case runs up to three threads, and a crossing
 study up to three times the pool size.  Isolated cases run on their pool
-thread alone, coarse run then fine run.  The scenario build, before the
-pool starts, diagonalizes its band table's blocks on worker_count threads
-of their own (bloch._blocks), which are gone when the table is built.
-BLAS runs one thread (OPENBLAS_NUM_THREADS=1, set when bandcross is
-imported before numpy): every matrix it sees is at most 64 x 64, or a stack
-of such, so a BLAS worker beside each of these threads would only spin and
-oversubscribe the cores.
+thread alone, coarse run then fine run.  BLAS runs one thread
+(OPENBLAS_NUM_THREADS=1, set when bandcross is imported before numpy):
+every matrix it sees is at most 64 x 64, or a stack of such, so a BLAS
+worker beside each of these threads would only spin and oversubscribe the
+cores.
 """
 from __future__ import annotations
 
@@ -44,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from . import __version__, direct, worker_count
+from . import __version__, direct
 from .ansatz import (Grid, GridState, assemble_wp0, assemble_wp1,
                      path_dp_chi, predict_excited_mass)
 from .bloch import band_path, coupling_coefficient, smooth_continuation
@@ -88,6 +86,19 @@ _SOLVER_DEFAULTS = {
     "error_budget": 0.075,      # solver error target as a fraction of signal
     "signal_prefactor": None,   # override the per-study signal scale
 }
+
+
+def worker_count(n_jobs: int) -> int:
+    """Case-pool size: BCL_THREADS caps it, defaults to the machine's cores.
+
+    Each crossing case also runs its direct solve on two solver threads of
+    its own, on top of this pool: up to three threads per case.  These are
+    the only threads: BLAS runs one, since its operands are at most 64 x 64
+    and its workers would only compete with these for the cores.
+    """
+    cap = os.environ.get("BCL_THREADS", "")
+    limit = int(cap) if cap.strip() else (os.cpu_count() or 1)
+    return max(1, min(limit, n_jobs))
 
 
 # -- configuration ---------------------------------------------------------------

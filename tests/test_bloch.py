@@ -10,7 +10,6 @@ cross-checked against centered finite differences of the gauge-fixed
 eigenvector path.
 """
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -727,49 +726,3 @@ class TestTimeReversal:
         build(one_gap)
         assert sum(seen) == fibers
 
-
-class TestBlockThreads:
-    """The block eighs run on worker_count threads (BCL_THREADS caps it)."""
-
-    @pytest.mark.parametrize("cap", ["3", ""], ids=["three", "default"])
-    def test_tables_do_not_depend_on_the_threads(self, one_gap, monkeypatch,
-                                                 cap):
-        def build():
-            pair = smooth_continuation(one_gap, 2, 0.0, halfwidth=0.5,
-                                       n_samples=201, m_cut=32)
-            path = band_path(one_gap, 1, (0.7, 2.1), n_samples=201, m_cut=32)
-            return pair.plus, pair.minus, path
-
-        monkeypatch.setattr(bloch, "_BLOCK", 16)
-        monkeypatch.setenv("BCL_THREADS", "1")
-        ref = build()
-        monkeypatch.setenv("BCL_THREADS", cap)
-        for ours, theirs in zip(build(), ref):
-            for name in TABLES:
-                assert np.array_equal(getattr(ours, name),
-                                      getattr(theirs, name))
-
-    def test_worker_error_reaches_the_caller(self, one_gap, monkeypatch):
-        class EighFailed(Exception):
-            pass
-
-        err = EighFailed("fiber block 3")
-        calls = []
-        real = np.linalg.eigh
-
-        def failing(a, *args, **kwargs):
-            calls.append(threading.current_thread())
-            if len(calls) == 3:
-                raise err
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(bloch, "_BLOCK", 16)
-        monkeypatch.setenv("BCL_THREADS", "2")
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        before = threading.active_count()
-        with pytest.raises(EighFailed) as info:
-            smooth_continuation(one_gap, 2, 0.0, halfwidth=0.5,
-                                n_samples=201, m_cut=32)
-        assert info.value is err
-        assert threading.main_thread() not in calls
-        assert threading.active_count() == before

@@ -1,12 +1,10 @@
-"""Importing bandcross first leaves BLAS on one thread, and a band table's
-eigh threads are gone once it is built.
+"""Importing bandcross first leaves BLAS on one thread.
 
 Each check runs in a fresh interpreter: OpenBLAS reads
 OPENBLAS_NUM_THREADS once, when the library that bundles it loads, and this
 test process has loaded numpy long before.  The package loads numpy's
 OpenBLAS only; the check also loads scipy's, as a program that imports
-bandcross and then scipy would.  The interpreter builds a crossing pair on
-two eigh threads (BCL_THREADS=2) before it counts its native threads.
+bandcross and then scipy would.
 """
 import json
 import os
@@ -19,19 +17,15 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # bandcross before numpy, then one batched eigh through each of numpy's and
-# scipy's bundled OpenBLAS, then a crossing pair built on the eigh threads
+# scipy's bundled OpenBLAS
 SCRIPT = """
 import json, os
 import bandcross
 import numpy as np
 import scipy.linalg
-from bandcross.bloch import smooth_continuation
-from bandcross.potential import EllipticParams, make_m_gap
 a = np.random.default_rng(0).standard_normal((64, 31, 31))
 np.linalg.eigh(a + a.transpose(0, 2, 1))
 scipy.linalg.eigh(a[0] + a[0].T)
-smooth_continuation(make_m_gap(EllipticParams(1, 0.8), m_max=12), 2, 0.0,
-                    halfwidth=0.5, n_samples=401, m_cut=15)
 tasks = (len(os.listdir("/proc/self/task"))
          if os.path.isdir("/proc/self/task") else None)
 print(json.dumps({"blas": os.environ["OPENBLAS_NUM_THREADS"],
@@ -43,7 +37,6 @@ def run_fresh(exported):
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "PYTHONPATH")}
     env["PYTHONPATH"] = SRC
-    env["BCL_THREADS"] = "2"
     if exported is not None:
         env["OPENBLAS_NUM_THREADS"] = exported
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
