@@ -293,12 +293,13 @@ def collocation_error(V: PeriodicPotential, ppw: int, n_bands: int) -> float:
 
 
 def points_per_period(V: PeriodicPotential, n_bands: int, tol: float) -> int:
-    """Smallest even ppw >= PPW_MIN whose collocation error is at most tol.
+    """Smallest even ppw >= PPW_MIN, n_bands with collocation error <= tol.
 
-    An energy error dE turns into a phase error dE t/eps over a run of
-    length t, so a caller passes tol = (allowed phase error) eps / t.
+    ppw points per period hold ppw bands.  An energy error dE turns into a
+    phase error dE t/eps over a run of length t, so a caller passes
+    tol = (allowed phase error) eps / t.
     """
-    ladder = range(PPW_MIN, PPW_CAP + 1, 2)
+    ladder = range(max(PPW_MIN, n_bands + n_bands % 2), PPW_CAP + 1, 2)
     for ppw in ladder:
         if collocation_error(V, ppw, n_bands) <= tol:
             return ppw

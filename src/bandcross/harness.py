@@ -60,8 +60,11 @@ from .potential import (EllipticParams, ExternalPotential, PeriodicPotential,
                         cosine_external, linear_ramp, make_cosine, make_m_gap,
                         potential_from_coeffs, zero_external)
 
-XI_LOWER = 0.375          # window exponents live in (3/8, 1/2)
-XI_UPPER = 0.5
+XI = 0.45                 # breakdown-window exponents; see RunConfig
+XI_PRIME = 0.40
+HORIZON_PAD = 0.02
+M_CUT = 15
+N_INNER = 8
 FINE_EPS_FLOOR = 1.0 / 256.0   # finer sweeps are opt-in (runtime)
 MAX_HALVINGS = 3          # dt halvings the step-doubling check may add
 # envelope marches (march_envelopes) and the band flow (derived_flow): the
@@ -77,10 +80,8 @@ RATIO_RANGE = (0.8, 1.2)  # gate on the crossing and inner mass ratios
 # Every direct solve is checked by step doubling (propagate_richardson), and
 # its grid and dt come from plan_solver alone.
 _SOLVER_DEFAULTS = {
-    # The two a-priori error constants are no longer read: the step-doubling
-    # estimate is checked after each run instead.  They stay accepted
-    # because existing configs set them (perfbench/test_perfbench.py does)
-    # and unknown solver keys are rejected.
+    # Two a-priori error constants that nothing reads; configs that set them
+    # (perfbench/test_perfbench.py does) stay valid.
     "quartic_constant": 5.0e4,
     "strang_constant": 150.0,
     "error_budget": 0.075,      # solver error target as a fraction of signal
@@ -91,10 +92,10 @@ _SOLVER_DEFAULTS = {
 def worker_count(n_jobs: int) -> int:
     """Case-pool size: BCL_THREADS caps it, defaults to the machine's cores.
 
-    Each crossing case also runs its direct solve on two solver threads of
-    its own, on top of this pool: up to three threads per case.  These are
-    the only threads: BLAS runs one, since its operands are at most 64 x 64
-    and its workers would only compete with these for the cores.
+    The pool trades CPU time and memory for wall time.  Medians of five
+    alternating isolated_sweep benchmark units per side on a 2-vCPU VM, 2
+    workers against BCL_THREADS=1: solve_s 0.253 against 0.287 s, cpu_s
+    0.327 against 0.287 s, peak RSS 45.2 against 42.2 MB.
     """
     cap = os.environ.get("BCL_THREADS", "")
     limit = int(cap) if cap.strip() else (os.cpu_count() or 1)
@@ -116,7 +117,18 @@ def _as_epsilon(value) -> float:
 
 @dataclass
 class RunConfig:
-    """Resolved description of one study; every field JSON-serializable."""
+    """Resolved description of one study; every field JSON-serializable.
+
+    Values that every study shares are module constants, not fields.
+    XI = 0.45 and XI_PRIME = 0.40 are the window exponents, within the
+    paper's 3/8 < xi' < xi < 1/2, at which the studies read its claims.
+    The initial action is 0: it is a global phase of psi and of every
+    predicted packet.  Every band flow runs HORIZON_PAD = 0.02 past its
+    last readout, a margin for the crossing's constant-drive estimate of
+    t*.  The Bloch tables hold the plane waves |m| <= M_CUT = 15, enough
+    for the one-gap default's harmonics and for bands 1..band+2 when
+    band <= 2 M_CUT - 1.  N_INNER = 8 readouts span the inner window.
+    """
 
     study: str = "crossing"
     potential: dict = field(default_factory=lambda: {
@@ -127,13 +139,9 @@ class RunConfig:
     p_star: float = 0.0
     q0: float = 3.2
     p0: float = -1.0
-    s0: float = 0.0
     sigma: float = 3.5
     epsilons: tuple = (1.0 / 64.0, 1.0 / 128.0, 1.0 / 256.0)
-    xi: float = 0.45
-    xi_prime: float = 0.40
     t_final: float = 0.5           # isolated-study observation time
-    horizon_pad: float = 0.02
     domain_length: object = None   # int | {"64": int, ...} | None (auto)
     ppw: object = 32               # int pins it | None (derived per case)
     envelope_half_width: float = 40.0
@@ -141,28 +149,22 @@ class RunConfig:
     pair_halfwidth: float = 1.7
     pair_samples: int = 1601
     band_window: tuple = (0.7, 2.1)   # isolated-band sampling window
-    m_cut: int = 15
-    n_inner: int = 8
-    measurements: tuple = ("breakdown", "crossing", "inner")
+    measurements: tuple = ("crossing", "inner")
     solver: dict = field(default_factory=dict)
     allow_fine: bool = False
     out_dir: str = "out"
 
     def __post_init__(self):
-        if not (XI_LOWER < self.xi_prime < self.xi < XI_UPPER):
-            raise ValueError(
-                f"window exponents must satisfy 3/8 < xi'={self.xi_prime} "
-                f"< xi={self.xi} < 1/2")
         self.epsilons = tuple(sorted((_as_epsilon(e) for e in self.epsilons),
                                      reverse=True))
-        if len(set(self.epsilons)) != len(self.epsilons):
-            raise ValueError("epsilon list contains duplicates")
+        if not self.epsilons or len(set(self.epsilons)) != len(self.epsilons):
+            raise ValueError("epsilons must be non-empty and distinct")
         for e in self.epsilons:
             if e < FINE_EPS_FLOOR - 1e-12 and not self.allow_fine:
                 raise ValueError(
                     f"epsilon {e} below 1/256 requires allow_fine=true")
-        if self.band < 1:
-            raise ValueError(f"band must be at least 1, got {self.band}")
+        if not 1 <= self.band <= 2 * M_CUT - 1:
+            raise ValueError(f"band {self.band} is outside 1..{2 * M_CUT - 1}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.envelope_points % 2 != 0:
@@ -218,10 +220,8 @@ def default_config(study: str) -> RunConfig:
             epsilons=(1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0),
             # the corrector's neighbour-band component travels at that band's
             # group velocity, so the box must hold it for the whole run
-            t_final=0.5, domain_length=10, ppw=None,
-            envelope_half_width=24.0, envelope_points=768,
-            band_window=(0.7, 2.1), m_cut=15,
-            solver={"error_budget": 0.25, "signal_prefactor": 0.05},
+            domain_length=10, ppw=None, envelope_half_width=24.0,
+            envelope_points=768, solver={"error_budget": 0.25},
         )
     if study == "breakdown":
         # Gentle drive.  The pre-crossing error carries an O(eps * pdot)
@@ -490,7 +490,7 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
     W = build_external(cfg.external)
     pair = smooth_continuation(V, cfg.band, cfg.p_star,
                                halfwidth=cfg.pair_halfwidth,
-                               n_samples=cfg.pair_samples, m_cut=cfg.m_cut)
+                               n_samples=cfg.pair_samples, m_cut=M_CUT)
     kappa = coupling_coefficient(pair)
     # rough crossing time from the constant-drive estimate, refined by the
     # actual flow inside extend_through_crossing
@@ -500,17 +500,17 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
     t_star_rough = (cfg.p_star - cfg.p0) / pdot
     eps_max = max(cfg.epsilons)
     # pre-crossing measurements only need the trajectory to bracket t_star
-    post = 2.0 * eps_max ** cfg.xi if ({"crossing", "inner"}
-                                       & set(cfg.measurements)) else 0.0
-    horizon = t_star_rough + post + cfg.horizon_pad
+    post = 2.0 * eps_max ** XI if ({"crossing", "inner"}
+                                   & set(cfg.measurements)) else 0.0
+    horizon = t_star_rough + post + HORIZON_PAD
     p_end = cfg.p0 + pdot * horizon
     if abs(p_end - cfg.p_star) > cfg.pair_halfwidth - 0.05:
         raise IsolationFailure(
             f"horizon t={horizon:.3f} drives p to {p_end:.3f}, outside the "
             f"sampled pair window (halfwidth {cfg.pair_halfwidth})")
     scale = max(abs(kappa) / pair.slope_gap, 1e-12)
-    tol = _flow_tolerance(cfg, scale, 1.0 - cfg.xi_prime)
-    ext = extend_through_crossing(pair, W, cfg.q0, cfg.p0, cfg.s0, horizon,
+    tol = _flow_tolerance(cfg, scale, 1.0 - XI_PRIME)
+    ext = extend_through_crossing(pair, W, cfg.q0, cfg.p0, 0.0, horizon,
                                   partial(derived_flow, tol=tol))
     scenario = CrossingScenario(
         V=V, W=W, pair=pair, ext=ext,
@@ -535,10 +535,9 @@ def build_isolated_scenario(cfg: RunConfig) -> IsolatedScenario:
         return _SCENARIO_CACHE[key]
     V = build_potential(cfg.potential)
     W = build_external(cfg.external)
-    path = band_path(V, cfg.band, cfg.band_window, n_samples=513,
-                     m_cut=cfg.m_cut)
+    path = band_path(V, cfg.band, cfg.band_window, n_samples=513, m_cut=M_CUT)
     traj = derived_flow(SplineBand(path), W, cfg.q0, cfg.p0,
-                        (0.0, cfg.t_final + cfg.horizon_pad), cfg.s0,
+                        (0.0, cfg.t_final + HORIZON_PAD),
                         tol=_flow_tolerance(cfg, ISOLATED_SIGNAL, 1.0))
     scenario = IsolatedScenario(V, W, traj,
                                 coefficients_from_trajectory(traj, W))
@@ -831,13 +830,13 @@ def _crossing_times(cfg: RunConfig, scenario: CrossingScenario, eps: float):
     t_star = scenario.ext.t_star
     times = {}
     if "breakdown" in cfg.measurements:
-        times["breakdown_xi"] = t_star - eps ** cfg.xi
-        times["breakdown_xi_prime"] = t_star - eps ** cfg.xi_prime
+        times["breakdown_xi"] = t_star - eps ** XI
+        times["breakdown_xi_prime"] = t_star - eps ** XI_PRIME
     if "crossing" in cfg.measurements:
-        times["crossing"] = t_star + 2.0 * eps ** cfg.xi
+        times["crossing"] = t_star + 2.0 * eps ** XI
     if "inner" in cfg.measurements:
-        s_max = 0.98 * eps ** (cfg.xi_prime - 0.5)
-        for j, s in enumerate(np.linspace(-s_max, s_max, cfg.n_inner)):
+        s_max = 0.98 * eps ** (XI_PRIME - 0.5)
+        for j, s in enumerate(np.linspace(-s_max, s_max, N_INNER)):
             times[f"inner_{j}"] = t_star + np.sqrt(eps) * s
     for label, t in times.items():
         if t <= 0.0:
@@ -885,7 +884,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     scenario = build_crossing_scenario(cfg)
     t_star, q_star = scenario.ext.t_star, scenario.ext.q_star
     slope_gap = scenario.pair.slope_gap
-    signal = _signal(cfg, eps, scenario.signal_scale, 1.0 - cfg.xi_prime)
+    signal = _signal(cfg, eps, scenario.signal_scale, 1.0 - XI_PRIME)
     plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W,
                        _crossing_times(cfg, scenario, eps))
     grid = plan.grid
@@ -939,7 +938,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
         if "inner" in cfg.measurements:
             # window-mass buildup across t_star by the chirped-ramp model
             s_grid = np.array([(times[f"inner_{j}"] - t_star)
-                               / np.sqrt(eps) for j in range(cfg.n_inner)])
+                               / np.sqrt(eps) for j in range(N_INNER)])
             buildup = excited_buildup(a_star, scenario.dqw_star, slope_gap,
                                       scenario.kappa, s_grid)
             pred_masses = eps * np.array([e.norm() for e in buildup]) ** 2
@@ -982,7 +981,7 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
 
     if "inner" in cfg.measurements:
         case.inner_rows = []
-        for j in range(cfg.n_inner):
+        for j in range(N_INNER):
             t = times[f"inner_{j}"]
             n_band = cfg.band if t > t_star else cfg.band + 1
             wtab = band_mass(psi[f"inner_{j}"], scenario.V,
@@ -1044,8 +1043,7 @@ def run_breakdown_study(cfg: RunConfig) -> StudyReport:
     _require_measurement(cfg, "breakdown")
     cases = _cases_for(cfg, build_crossing_scenario, run_crossing_case)
     rows, fits, gates = [], [], []
-    for label, xi in (("breakdown_xi", cfg.xi),
-                      ("breakdown_xi_prime", cfg.xi_prime)):
+    for label, xi in (("breakdown_xi", XI), ("breakdown_xi_prime", XI_PRIME)):
         pairs = [(c.epsilon, c.errors[label][0]) for c in cases]
         _fit_gate(f"error_at_t_star_minus_eps^{xi}", pairs,
                   target=1.0 - xi, tolerance=0.15, fits=fits, gates=gates)

@@ -30,6 +30,20 @@ class TestLoadConfig:
             cli.main(["run", "isolated", "--config", path])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("key", ["s0", "xi", "xi_prime", "horizon_pad",
+                                     "m_cut", "n_inner"])
+    def test_removed_field_is_a_usage_error(self, tmp_path, key):
+        path = write_config(tmp_path, {key: 1})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "crossing", "--config", path])
+        assert exc.value.code == 2
+
+    def test_empty_epsilons_is_a_usage_error(self, tmp_path):
+        path = write_config(tmp_path, {"epsilons": []})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "crossing", "--config", path])
+        assert exc.value.code == 2
+
     def test_deleted_solver_key_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, {"solver": {"envelope_dt": 1e-3}})
         with pytest.raises(SystemExit) as exc:

@@ -678,6 +678,13 @@ class TestPointsPerPeriod:
         assert points_per_period(FLAT, 3, 1e-10) == 16
         assert points_per_period(make_cosine(4.0), 3, 1e-10) == 16
 
+    def test_ladder_starts_at_the_band_count(self):
+        # a grid of ppw points per period holds ppw bands, so 18 bands start
+        # the ladder at 18, not at PPW_MIN; 18 and 20 miss the tolerance
+        V = make_cosine(4.0)
+        assert points_per_period(V, 18, 1e-6) == 22
+        assert min(collocation_error(V, n, 18) for n in (18, 20)) > 1e-6
+
     def test_alias_of_a_low_harmonic_is_not_converged(self):
         # m = 30 aliases to m = -2 at both 16 and 32 points; the reference
         # resolves it, so only a grid that holds it passes

@@ -97,8 +97,10 @@ class TestRunConfig:
             RunConfig(epsilons=(0.013,))
 
     def test_duplicate_epsilons_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(epsilons=(64, 1 / 64, 128))
+        # an empty sweep is refused by the same check
+        for epsilons in ((64, 1 / 64, 128), ()):
+            with pytest.raises(ValueError, match="non-empty and distinct"):
+                RunConfig(epsilons=epsilons)
 
     def test_fine_epsilon_needs_flag(self):
         with pytest.raises(ValueError):
@@ -106,13 +108,14 @@ class TestRunConfig:
         cfg = RunConfig(epsilons=(512,), allow_fine=True)
         assert cfg.epsilons == (1 / 512,)
 
-    def test_window_exponent_ordering(self):
-        with pytest.raises(ValueError):
-            RunConfig(xi=0.40, xi_prime=0.45)
-        with pytest.raises(ValueError):
-            RunConfig(xi=0.55, xi_prime=0.40)
-        with pytest.raises(ValueError):
-            RunConfig(xi=0.45, xi_prime=0.37)
+    def test_removed_fields_rejected(self):
+        # the window exponents, initial action, flow pad, plane-wave cut and
+        # inner readout count are module constants, not config keys
+        for name, value in (("xi", 0.45), ("xi_prime", 0.40), ("s0", 0.0),
+                            ("horizon_pad", 0.02), ("m_cut", 15),
+                            ("n_inner", 8)):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                RunConfig.from_dict({name: value})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -136,10 +139,13 @@ class TestRunConfig:
             RunConfig(solver={"dt_cap": 1e-3})
 
     def test_band_below_one_rejected(self):
-        # bands are 1-based; 0 and -1 used to fail deep inside bloch
-        for band in (0, -1):
+        # bands are 1-based, and a study reads band + 2 of the 2 M_CUT + 1
+        # = 31 bands in the Bloch tables; each of these fails deep inside
+        # bloch unless the config refuses it
+        for band in (0, -1, 2 * harness.M_CUT, 40):
             with pytest.raises(ValueError, match="band"):
                 RunConfig(band=band)
+        assert RunConfig(band=2 * harness.M_CUT - 1).band == 29
 
     def test_measurements_validated(self):
         with pytest.raises(ValueError):
@@ -163,6 +169,28 @@ class TestRunConfig:
             default_config("inner").fingerprint()
         with pytest.raises(ValueError):
             default_config("bands")
+
+    def test_default_configs_restate_no_default(self, monkeypatch):
+        # a keyword that repeats RunConfig's own default is a second copy of
+        # it to keep in step; study names the config, so it is exempt
+        passed = []
+        real = harness.RunConfig
+
+        def recording(**kwargs):
+            passed.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(harness, "RunConfig", recording)
+        for study in ("isolated", "breakdown", "crossing", "inner"):
+            default_config(study)
+        base = real()
+        for kwargs in passed:
+            study = kwargs.pop("study")
+            solver = kwargs.pop("solver", {})
+            same = [k for k, v in kwargs.items() if v == getattr(base, k)]
+            same += [f"solver.{k}" for k, v in solver.items()
+                     if v == harness._SOLVER_DEFAULTS[k]]
+            assert not same, (study, same)
 
 
 class TestBuilders:

@@ -38,7 +38,7 @@ def _crossing_pair():
     cfg = harness.default_config("crossing")
     V = harness.build_crossing_scenario(cfg).V
     return cfg, V, smooth_continuation(V, cfg.band, cfg.p_star, halfwidth=1.9,
-                                       n_samples=1789, m_cut=cfg.m_cut)
+                                       n_samples=1789, m_cut=harness.M_CUT)
 
 
 class TestUniformHermite:
@@ -137,7 +137,7 @@ class TestUniformHermite:
         cfg, V, pair = _crossing_pair()
         p = pair.plus.p_samples
         mid = 0.5 * (p[:-1] + p[1:])
-        evals, evecs = np.linalg.eigh(_fibers(V, mid, cfg.m_cut))
+        evals, evecs = np.linalg.eigh(_fibers(V, mid, harness.M_CUT))
         rows = np.arange(mid.size)
         for branch, below in ((pair.plus, cfg.band - 1),
                               (pair.minus, cfg.band)):
