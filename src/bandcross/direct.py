@@ -36,10 +36,14 @@ Each BD step runs in place: the period-index FFTs and the fiber matvecs
 write into buffers allocated once per run (numpy's ``out=``), so the step
 allocates nothing.
 
-The fiber eigenbasis is computed once per (V, grid), by one batched eigh,
-and cached in ``_FIBER_CACHE``.  The BD step builds its propagator table
-from it for each dt, and ``band_mass`` projects onto it, so band masses are
-measured in the eigenbasis of the operator that the solver applies.
+The fiber eigenbasis is computed once per (V, grid) and cached in
+``_FIBER_CACHE``.  One batched eigh solves the fibers r = 0..LK//2; by
+time reversal (V is real), fiber LK-r is the complex conjugate of fiber r
+and takes its energies and conjugated eigenvectors, so half the zone is
+diagonalized.  The BD step builds its full (LK, ppw, ppw) propagator table
+from the basis for each dt, and ``band_mass`` projects onto it, so band
+masses are measured in the eigenbasis of the operator that the solver
+applies.
 
 ``points_per_period`` derives the grid's ppw from V: the smallest even
 ppw >= 16 whose collocated Bloch energies match those of a 2 ppw reference
@@ -230,21 +234,32 @@ def _fiber_basis(V: PeriodicPotential, grid: Grid) -> tuple:
     plane-wave eigenvectors taken through the unitary ppw-point inverse DFT
     and the twist diag(e^{2 pi i r a/N}).  Energies ascend along axis 1, so
     column n-1 is band n.  The solver and band_mass share this basis.
+
+    The batched eigh runs on fibers r = 0..LK//2 alone.  V is real, so H0
+    is real in x, and row LK-r of the FFT of conj(psi) is conj of row r of
+    the FFT of psi: H0_{LK-r} = conj(H0_r) in the a-basis, for an even or
+    an odd V.  So fiber LK-r takes the energies of fiber r and
+    q[LK-r] = conj(q[r]).
     """
     key = (V.coeffs.tobytes(), grid.length, grid.k_inv, grid.ppw)
     with _FIBER_LOCK:
         if key not in _FIBER_CACHE:
             ppw = grid.ppw
             lk = grid.length * grid.k_inv
-            energies, vecs = np.linalg.eigh(
-                _collocation(V, ppw, TWO_PI * np.arange(lk) / lk))
-            a = np.arange(ppw)
-            twist = np.exp(TWO_PI * 1j * np.arange(lk)[:, None, None]
-                           * a[None, :, None] / grid.n)
+            half = lk // 2 + 1          # fibers solved; the rest mirror them
+            r = np.arange(half)
+            evals, vecs = np.linalg.eigh(_collocation(V, ppw, TWO_PI * r / lk))
+            energies = np.empty((lk, ppw))
+            energies[:half] = evals
+            energies[half:] = evals[lk - half:0:-1]
+            twist = np.exp(TWO_PI * 1j * r[:, None, None]
+                           * np.arange(ppw)[None, :, None] / grid.n)
             # in place into one complex array: two concurrent cases
             # otherwise overlap their (LK, ppw, ppw) temporaries
-            q = np.fft.ifft(vecs, axis=1, out=np.empty(vecs.shape, complex))
-            q *= np.sqrt(ppw) * twist
+            q = np.empty((lk, ppw, ppw), complex)
+            np.fft.ifft(vecs, axis=1, out=q[:half])
+            q[:half] *= np.sqrt(ppw) * twist
+            np.conj(q[lk - half:0:-1], out=q[half:])
             _FIBER_CACHE[key] = (energies, q)
         return _FIBER_CACHE[key]
 

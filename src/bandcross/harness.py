@@ -21,16 +21,20 @@ number of steps; the solver takes those counts, and each case reads its
 snapshots by step count, never by a float time.
 
 Threads: a study runs its epsilons on a case pool of worker_count threads,
-capped by BCL_THREADS.  Each crossing case adds two solver threads of its
-own: one runs the step-doubling solve and the other the first fine run
-beside its coarse run, while the case's thread builds the semiclassical
-prediction.  So a crossing case runs up to three threads, and a crossing
-study up to three times the pool size.  Isolated cases run on their pool
-thread alone, coarse run then fine run.  BLAS runs one thread
-(OPENBLAS_NUM_THREADS=1, set when bandcross is imported before numpy):
-every matrix it sees is at most 64 x 64, or a stack of such, so a BLAS
-worker beside each of these threads would only spin and oversubscribe the
-cores.
+capped by BCL_THREADS.  The pool starts the cases finest epsilon first:
+grid size and step count both grow like 1/eps, so a case costs about
+eps^-2, and starting the costliest first (longest processing time first)
+keeps it from queueing behind cheap cases while another worker idles.
+The cases come back in the config's order.  Each crossing case adds two
+solver threads of its own: one runs the step-doubling solve and the other
+the first fine run beside its coarse run, while the case's thread builds
+the semiclassical prediction.  So a crossing case runs up to three
+threads, and a crossing study up to three times the pool size.  Isolated
+cases run on their pool thread alone, coarse run then fine run.  BLAS runs
+one thread (OPENBLAS_NUM_THREADS=1, set when bandcross is imported before
+numpy): every matrix it sees is at most 64 x 64, or a stack of such, so a
+BLAS worker beside each of these threads would only spin and oversubscribe
+the cores.
 """
 from __future__ import annotations
 
@@ -93,9 +97,10 @@ def worker_count(n_jobs: int) -> int:
     """Case-pool size: BCL_THREADS caps it, defaults to the machine's cores.
 
     The pool trades CPU time and memory for wall time.  Medians of five
-    alternating isolated_sweep benchmark units per side on a 2-vCPU VM, 2
-    workers against BCL_THREADS=1: solve_s 0.253 against 0.287 s, cpu_s
-    0.327 against 0.287 s, peak RSS 45.2 against 42.2 MB.
+    alternating 40 s isolated_sweep benchmark runs per side on a 2-vCPU
+    VM, cases started finest first, 2 workers against BCL_THREADS=1:
+    solve_s 0.134 against 0.180 s, cpu_s 0.214 against 0.179 s, peak RSS
+    44.5 against 41.3 MB.
     """
     cap = os.environ.get("BCL_THREADS", "")
     limit = int(cap) if cap.strip() else (os.cpu_count() or 1)
@@ -127,7 +132,9 @@ class RunConfig:
     last readout, a margin for the crossing's constant-drive estimate of
     t*.  The Bloch tables hold the plane waves |m| <= M_CUT = 15, enough
     for the one-gap default's harmonics and for bands 1..band+2 when
-    band <= 2 M_CUT - 1.  N_INNER = 8 readouts span the inner window.
+    band <= 2 M_CUT - 1; a potential with a harmonic above M_CUT is
+    refused here, not in the tables mid-run.  N_INNER = 8 readouts span
+    the inner window.
     """
 
     study: str = "crossing"
@@ -165,6 +172,10 @@ class RunConfig:
                     f"epsilon {e} below 1/256 requires allow_fine=true")
         if not 1 <= self.band <= 2 * M_CUT - 1:
             raise ValueError(f"band {self.band} is outside 1..{2 * M_CUT - 1}")
+        m_max = build_potential(self.potential).m_max
+        if m_max > M_CUT:
+            raise ValueError(f"potential harmonic {m_max} is above the Bloch "
+                             f"tables' plane waves |m| <= {M_CUT}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.envelope_points % 2 != 0:
@@ -996,9 +1007,13 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
 
 def _cases_for(cfg: RunConfig, build, run_case) -> list:
     build(cfg)   # cached once, before the workers look it up
-    eps_list = list(cfg.epsilons)
-    with ThreadPoolExecutor(max_workers=worker_count(len(eps_list))) as pool:
-        return list(pool.map(lambda e: run_case(cfg, e), eps_list))
+    n_workers = worker_count(len(cfg.epsilons))
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        # finest first: a case costs about eps^-2, so the costliest starts
+        # at once instead of queueing behind the cheap ones
+        futures = {e: pool.submit(run_case, cfg, e)
+                   for e in sorted(cfg.epsilons)}
+        return [futures[e].result() for e in cfg.epsilons]
 
 
 # -- studies ---------------------------------------------------------------------

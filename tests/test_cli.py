@@ -44,6 +44,18 @@ class TestLoadConfig:
             cli.main(["run", "crossing", "--config", path])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("potential", [
+        {"kind": "coeffs", "values": {"1": 2.0, "16": 0.01}},
+        {"kind": "one_gap", "omega_prime": 0.3, "m_max": 16}],
+        ids=["coeffs", "one_gap"])
+    def test_potential_above_m_cut_is_a_usage_error(self, tmp_path, capsys,
+                                                     potential):
+        path = write_config(tmp_path, {"potential": potential})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "isolated", "--config", path])
+        assert exc.value.code == 2
+        assert "harmonic 16" in capsys.readouterr().err
+
     def test_deleted_solver_key_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, {"solver": {"envelope_dt": 1e-3}})
         with pytest.raises(SystemExit) as exc:

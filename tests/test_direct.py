@@ -327,8 +327,9 @@ class TestPropagate(SolverContract):
 class TestFiberBasis:
     def test_concurrent_first_use_builds_once(self, monkeypatch):
         # more threads than cores ask for one uncached basis at once under a
-        # short switch interval: one batched eigh runs, and every thread
-        # gets the same arrays
+        # short switch interval: one batched eigh runs, on the fibers
+        # r = 0..LK//2 that the others mirror, and every thread gets the
+        # same arrays
         monkeypatch.setattr(direct, "_FIBER_CACHE", {})
         calls = []
         real = np.linalg.eigh
@@ -360,9 +361,41 @@ class TestFiberBasis:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert calls == [(8 * 16, 16, 16)]
+        assert calls == [(8 * 16 // 2 + 1, 16, 16)]
         assert len(results) == n_threads
         assert all(r is results[0] for r in results)
+
+    @pytest.mark.parametrize("V", [make_cosine(4.0),
+                                   potential_from_coeffs({1: 1.0, 2: -0.5j})],
+                             ids=["even", "odd"])
+    @pytest.mark.parametrize("length, k_inv", [(8, 16), (7, 17)],
+                             ids=["even-LK", "odd-LK"])
+    def test_mirrored_fibers_match_a_full_eigh(self, V, length, k_inv,
+                                               monkeypatch):
+        # fibers LK-r take conj(q[r]) instead of an eigh of their own; the
+        # eigh of every fiber, as the basis was built before, is the
+        # reference
+        monkeypatch.setattr(direct, "_FIBER_CACHE", {})
+        grid = Grid(length=length, epsilon=1.0 / k_inv, ppw=16)
+        lk, ppw = length * k_inv, grid.ppw
+        energies, q = direct._fiber_basis(V, grid)
+        r = np.arange(1, (lk + 1) // 2)
+        assert np.array_equal(q[lk - r], np.conj(q[r]))
+        stack = direct._collocation(V, ppw, direct.TWO_PI * np.arange(lk) / lk)
+        expected = np.linalg.eigvalsh(stack)
+        assert np.all(np.abs(energies - expected)
+                      <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+        gram = np.matmul(np.conj(q.transpose(0, 2, 1)), q)
+        assert np.max(np.abs(gram - np.eye(ppw))) <= 1e-13
+        full, vecs = np.linalg.eigh(stack)
+        twist = np.exp(direct.TWO_PI * 1j * np.arange(lk)[:, None, None]
+                       * np.arange(ppw)[None, :, None] / grid.n)
+        q_full = np.fft.ifft(vecs, axis=1) * np.sqrt(ppw) * twist
+        dt = 0.013
+        ref = np.matmul(q_full * np.exp(-1j * dt * full / grid.epsilon)
+                        [:, None, :], np.conj(q_full.transpose(0, 2, 1)))
+        assert np.max(np.abs(direct._fiber_propagators(V, grid, dt) - ref)) \
+            <= 1e-13
 
     @pytest.mark.parametrize("V", [make_cosine(4.0),
                                    potential_from_coeffs({1: 1.0, 2: -0.5j})],

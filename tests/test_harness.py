@@ -147,6 +147,17 @@ class TestRunConfig:
                 RunConfig(band=band)
         assert RunConfig(band=2 * harness.M_CUT - 1).band == 29
 
+    @pytest.mark.parametrize("potential", [
+        {"kind": "coeffs", "values": {"1": 2.0, "16": 0.01}},
+        {"kind": "one_gap", "omega_prime": 0.3, "m_max": 16}],
+        ids=["coeffs", "one_gap"])
+    def test_potential_above_m_cut_rejected(self, potential):
+        # the Bloch tables hold |m| <= M_CUT = 15 (the one-gap default's
+        # m_max); harmonic 16 fails there, mid-run, unless the config
+        # refuses it
+        with pytest.raises(ValueError, match="harmonic 16"):
+            RunConfig(potential=potential)
+
     def test_measurements_validated(self):
         with pytest.raises(ValueError):
             RunConfig(measurements=("breakdown", "spectral"))
@@ -577,6 +588,36 @@ class TestScenarioFanOut:
         assert build_isolated_scenario(isolated) is band_scenario
 
 
+class TestCaseOrder:
+    def test_finest_case_starts_first(self, monkeypatch):
+        # a case costs about eps^-2, so the pool starts the finest first;
+        # one worker starts them in submission order
+        monkeypatch.setenv("BCL_THREADS", "1")
+        cfg = RunConfig(epsilons=(1 / 32, 1 / 128, 1 / 64, 1 / 16))
+        started = []
+
+        def stub_case(cfg, eps):
+            started.append(eps)
+            return eps
+
+        cases = harness._cases_for(cfg, lambda cfg: None, stub_case)
+        assert started == sorted(cfg.epsilons)
+        assert cases == list(cfg.epsilons)
+
+    def test_isolated_rows_do_not_depend_on_the_pool(self, monkeypatch):
+        # the default isolated sweep, cold, with one worker and with two
+        rows = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BCL_THREADS", threads)
+            for name in ("_SCENARIO_CACHE", "_CASE_CACHE"):
+                monkeypatch.setattr(harness, name, {})
+            for name in ("_FIBER_CACHE", "_PPW_LADDER"):
+                monkeypatch.setattr(direct, name, {})
+            rows[threads] = run_isolated_band(default_config("isolated")).rows
+        assert len(rows["1"]) == 3
+        assert rows["1"] == rows["2"]
+
+
 class TestCaseRows:
     def test_every_row_carries_every_case_field(self, trivial_cfg):
         names = {f.name for f in fields(harness.Case)}
@@ -735,11 +776,12 @@ class TestGatedCrossingCase:
 
     def test_one_fiber_eigh_per_case(self, counted_case):
         # the coarse and fine step-doubling runs and all nine band-mass
-        # projections share one batched eigh of the 14 * 32 fibers (the
-        # 2-D calls are the Bloch modes of the predicted packets)
+        # projections share one batched eigh, of the fibers r = 0..LK//2 of
+        # the 14 * 32 that the others mirror (the 2-D calls are the Bloch
+        # modes of the predicted packets)
         case, shapes = counted_case
         batched = [shape for shape in shapes if len(shape) == 3]
-        assert batched == [(14 * 32, case.ppw, case.ppw)]
+        assert batched == [(14 * 32 // 2 + 1, case.ppw, case.ppw)]
 
     def test_ppw_is_the_smallest_that_meets_the_tolerance(self, counted_case):
         case, _ = counted_case
