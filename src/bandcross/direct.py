@@ -1,36 +1,52 @@
 """Direct solvers for i eps dpsi/dt = -eps^2/2 psi'' + (V(x/eps) + W(x)) psi.
 
-``propagate`` is the production solver, a Bloch-decomposition Strang step
-(Huang, Jin, Markowich & Sparber, SIAM J. Sci. Comput. 29, 2007): an
-external half-phase e^{-i dt W/(2 eps)}, then the exact propagator of
-H0 = -eps^2/2 d^2 + V(x/eps) in every commensurate Bloch fiber, then the
-other half-phase.  With grid index i = a + ppw c (a inside a period, c the
-period), one FFT over c puts fiber r in row r, and H0 acts there as a
-ppw x ppw matrix: the plane-wave kinetic diagonal plus V's Fourier
-coefficients aliased mod ppw (the coefficients of the samples V(a/ppw)),
-which is the pseudo-spectral collocation of H0 exactly.  For an even V
-(V.even) these are real, so every fiber matrix is real symmetric and its
-eigh runs the real solver.  Only the slow W is split, so the step size is
-set by W alone, not by the O(eps^-2) commutator of the kinetic term with
-V(x/eps).
+``propagate`` is the production solver.  It runs in one of two frames,
+chosen by its caller (harness.plan_solver):
+
+- Bloch decomposition (BD), for every W: a Strang step (Huang, Jin,
+  Markowich & Sparber, SIAM J. Sci. Comput. 29, 2007) of an external
+  half-phase e^{-i dt W/(2 eps)}, then the exact propagator of
+  H0 = -eps^2/2 d^2 + V(x/eps) in every commensurate Bloch fiber, then the
+  other half-phase.  With grid index i = a + ppw c (a inside a period, c
+  the period), one FFT over c puts fiber r in row r, and H0 acts there as
+  a ppw x ppw matrix: the plane-wave kinetic diagonal plus V's Fourier
+  coefficients aliased mod ppw (the coefficients of the samples
+  V(a/ppw)), which is the pseudo-spectral collocation of H0 exactly.  For
+  an even V (V.even) these are real, so every fiber matrix is real
+  symmetric and its eigh runs the real solver.  Only the slow W is split,
+  so the step size is set by W alone, not by the O(eps^-2) commutator of
+  the kinetic term with V(x/eps).
+- The accelerated (Houston) frame, for a linear W = W(0) - alpha x with
+  alpha > 0 (``propagate`` with a guard; ``_accelerated``).  There every
+  fiber's quasimomentum drifts, K = 2 pi r/LK + alpha t, under the same
+  collocated fiber matrices, and nothing is split.  Its step is the
+  lattice step 2 pi/(LK alpha), one fiber of drift; a mirrored table of
+  LK/2 Magnus propagators, one per lattice point of the zone, serves every
+  fiber and every step, and products of its entries give each snapshot
+  with no time loop.  The planner runs it for a fast linear drive, where
+  BD's step would be set by W's phase (about 7 BD steps per lattice
+  step); gentle drives keep BD.
 
 ``propagate_strang`` is the plain Strang step that splits V + W against
-the kinetic term; it is kept as the test oracle.  The two solvers share the
-semi-discrete system and differ only by time error.
+the kinetic term; it is kept as the test oracle.  The solvers share the
+semi-discrete system and differ only by time error, and, for the
+accelerated frame, at the box's cut.
 
-Both take the step dt and an increasing list of whole step counts, and
-return one snapshot after each count, at t = count * dt; the last count
+Each takes the step dt and an increasing list of whole step counts, and
+returns one snapshot after each count, at t = count * dt; the last count
 ends the run.  The caller plans that grid (harness.plan_solver), so no time
 is rounded onto steps here.
 
-The external potential is made periodic by a C-infinity collar blend near
-x = L where no packet is allowed to travel.  A constant shift of W changes
-the solution only by a global phase, so ``propagate`` splits off W - c, with
-c the midpoint of the periodized W's range (``centred_external``), and
-multiplies each snapshot at time t by e^{-i c t/eps}.  The split-step
+In BD the external potential is made periodic by a C-infinity collar
+blend near x = L where no packet is allowed to travel.  A constant shift of
+W changes the solution only by a global phase, so BD splits off W - c,
+with c the midpoint of the periodized W's range (``centred_external``),
+and multiplies each snapshot at time t by e^{-i c t/eps}.  The split-step
 solution under W - c is exactly e^{i c t/eps} times that under W, so the
 snapshots are the solution under W, while the half-step phase, and with it
 the planned dt, reads max|W - c| rather than the gauge-dependent max|W|.
+The accelerated frame has no collar: its box is cut at x = 0, and its
+guard reads a unit interval that the caller places away from the packets.
 
 Each BD step runs in place: the period-index FFTs and the fiber matvecs
 write into buffers allocated once per run (numpy's ``out=``), so the step
@@ -43,7 +59,7 @@ and takes its energies and conjugated eigenvectors, so half the zone is
 diagonalized.  The BD step builds its full (LK, ppw, ppw) propagator table
 from the basis for each dt, and ``band_mass`` projects onto it, so band
 masses are measured in the eigenbasis of the operator that the solver
-applies.
+applies (the accelerated frame's fiber matrices are the same operator).
 
 ``points_per_period`` derives the grid's ppw from V: the smallest even
 ppw >= 16 whose collocated Bloch energies match those of a 2 ppw reference
@@ -146,12 +162,7 @@ def _split_run(psi0: GridState, dt: float, steps, half: np.ndarray, middle,
     peak is recorded, and with check_collar it must stay below
     COLLAR_MASS_TOL.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if (not steps or steps[0] < 0 or steps[-1] < 1
-            or any(b <= a for a, b in zip(steps, steps[1:]))):
-        raise ValueError(f"steps {steps} must be increasing counts >= 0 "
-                         "ending at >= 1")
+    _check_steps(dt, steps)
     grid = psi0.grid
     full = half * half
     collar = int(np.count_nonzero(grid.x < grid.length - COLLAR))
@@ -160,7 +171,6 @@ def _split_run(psi0: GridState, dt: float, steps, half: np.ndarray, middle,
     norm0 = psi0.norm()
     scale = grid.dx / max(norm0 ** 2, 1e-300)
     snapshots = []
-    norms = []
     collar_peak = 0.0
 
     def read_collar(psi, n):
@@ -178,7 +188,6 @@ def _split_run(psi0: GridState, dt: float, steps, half: np.ndarray, middle,
     for target in steps:
         if target == 0:
             snapshots.append(GridState(grid, psi.copy(), t=0.0))
-            norms.append(norm0)
             continue
         # fused run of (target - step) symmetric steps; middle may step psi
         # in place, so psi is copied at each snapshot
@@ -193,12 +202,37 @@ def _split_run(psi0: GridState, dt: float, steps, half: np.ndarray, middle,
         step = target
         state = GridState(grid, psi.copy(), t=step * dt)
         snapshots.append(state)
-        norms.append(state.norm())
-    norms = np.array(norms)
-    ts = np.array([s.t for s in snapshots])
-    pos = ts > 0
-    drift = float(np.max(np.abs(norms[pos] - norm0) / ts[pos])) if np.any(pos) else 0.0
-    return PropagationResult(snapshots, drift, steps[-1], dt, collar_peak)
+    return PropagationResult(snapshots, _norm_drift(snapshots, norm0),
+                             steps[-1], dt, collar_peak)
+
+
+def _check_steps(dt: float, steps):
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if (not steps or steps[0] < 0 or steps[-1] < 1
+            or any(b <= a for a, b in zip(steps, steps[1:]))):
+        raise ValueError(f"steps {steps} must be increasing counts >= 0 "
+                         "ending at >= 1")
+
+
+def _norm_drift(snapshots, norm0: float) -> float:
+    """max over the snapshots at t > 0 of |norm - norm0| / t."""
+    rates = [abs(s.norm() - norm0) / s.t for s in snapshots if s.t > 0]
+    return float(max(rates, default=0.0))
+
+
+def _aliased_potential(V: PeriodicPotential, ppw: int) -> np.ndarray:
+    """The (ppw, ppw) circulant vhat[(m - m') mod ppw] of V in a fiber.
+
+    vhat holds V's coefficients aliased mod ppw, which equal
+    fft(V(a/ppw))/ppw; they are real, and the matrix float64, when V is
+    even.
+    """
+    coeffs = V.coeffs.real if V.even else V.coeffs
+    vhat = np.zeros(ppw, coeffs.dtype)
+    np.add.at(vhat, np.arange(-V.m_max, V.m_max + 1) % ppw, coeffs)
+    m = np.arange(ppw)
+    return vhat[(m[:, None] - m[None, :]) % ppw]
 
 
 def _collocation(V: PeriodicPotential, ppw: int, p: np.ndarray) -> np.ndarray:
@@ -206,16 +240,12 @@ def _collocation(V: PeriodicPotential, ppw: int, p: np.ndarray) -> np.ndarray:
 
     Mode m = 0 .. ppw-1 is the plane wave p + 2 pi m_s, where m_s = m (mod
     ppw) and m_s + p/(2 pi) lies in [-ppw/2, ppw/2), so its kinetic energy
-    eps^2 k^2/2 is (p + 2 pi m_s)^2/2.  V enters through its coefficients
-    aliased mod ppw, which equal fft(V(a/ppw))/ppw; they are real, and the
-    stack float64, when V is even.  Returns a (p.size, ppw, ppw) array.
+    eps^2 k^2/2 is (p + 2 pi m_s)^2/2.  V enters through its aliased
+    circulant (_aliased_potential).  Returns a (p.size, ppw, ppw) array.
     """
-    coeffs = V.coeffs.real if V.even else V.coeffs
-    vhat = np.zeros(ppw, coeffs.dtype)
-    np.add.at(vhat, np.arange(-V.m_max, V.m_max + 1) % ppw, coeffs)
     m = np.arange(ppw)
     m_s = np.where(m[None, :] + p[:, None] / TWO_PI < ppw / 2, m, m - ppw)
-    h = np.broadcast_to(vhat[(m[:, None] - m[None, :]) % ppw],
+    h = np.broadcast_to(_aliased_potential(V, ppw),
                         (p.size, ppw, ppw)).copy()
     h[:, m, m] += (p[:, None] + TWO_PI * m_s) ** 2 / 2.0
     return h
@@ -325,12 +355,21 @@ def points_per_period(V: PeriodicPotential, n_bands: int, tol: float) -> int:
 
 
 def propagate(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
-              check_collar: bool = True) -> PropagationResult:
-    """Bloch-decomposition Strang steps of dt, a snapshot after each count.
+              check_collar: bool = True, guard: float | None = None,
+              substeps: int = 1) -> PropagationResult:
+    """The direct solve from psi0, a snapshot after each count of steps.
 
-    The steps split off the centred W - c; each snapshot is multiplied by
-    e^{-i c t/eps}, so it is the solution under W itself.
+    With guard None it runs Bloch-decomposition Strang steps of dt: the
+    steps split off the centred W - c, and each snapshot is multiplied by
+    e^{-i c t/eps}, so it is the solution under W itself.  With a guard it
+    runs in the accelerated frame (_accelerated): W must be linear with
+    alpha > 0, dt must be lattice_dt(grid, alpha), each table entry takes
+    substeps Magnus substeps, and the unit interval [guard, guard + 1) on
+    the periodic box is read in place of the collar.
     """
+    if guard is not None:
+        return _accelerated(psi0, V, W, dt, steps, check_collar, guard,
+                            substeps)
     grid = psi0.grid
     eps = grid.epsilon
     lk, ppw = grid.length * grid.k_inv, grid.ppw
@@ -366,6 +405,279 @@ def propagate_strang(psi0: GridState, V: PeriodicPotential, W, dt: float,
         return np.fft.ifft(kin_full * np.fft.fft(psi))
 
     return _split_run(psi0, dt, steps, half, middle, check_collar)
+
+
+# -- the accelerated frame ---------------------------------------------------
+
+LATTICE_BLOCK = 64        # table entries, and pass points, per batch
+EXPM_NORM = 0.5           # inf-norm the Magnus exponent is scaled under
+EXPM_TOL = 1e-17          # Taylor remainder left in exp of the exponent
+G_SERIES = 0.2            # |x| below which g(x) is summed as its series
+
+
+def linear_drive(W, grid: Grid):
+    """alpha when W = W(0) - alpha x at every grid point, else None."""
+    if W is None:
+        return None
+    x = grid.x
+    if np.any(np.asarray(W.d2w(x)) != 0) or np.any(np.asarray(W.d3w(x)) != 0):
+        return None
+    return -float(W.dw(0.0))
+
+
+def lattice_dt(grid: Grid, alpha: float) -> float:
+    """The accelerated frame's step: K moves by one fiber, 2 pi/LK."""
+    return TWO_PI / (grid.length * grid.k_inv * alpha)
+
+
+def _window_fibers(V: PeriodicPotential, ppw: int, K: np.ndarray) -> tuple:
+    """(h(K), kappa): fiber matrices in window positions and their momenta.
+
+    Window position j = 0..ppw-1 holds the plane wave of scaled momentum
+    kappa_j = K + 2 pi (j - ppw/2).  For K in [0, 2 pi] these are the
+    grid's own modes, so h(K) = diag(kappa^2/2) + V's aliased circulant is
+    the collocated H0 that band_mass projects on, and h(K + 2 pi) = h(K)
+    in window positions.
+    """
+    j = np.arange(ppw)
+    kappa = K[:, None] + TWO_PI * (j - ppw // 2)
+    h = np.broadcast_to(_aliased_potential(V, ppw),
+                        (K.size, ppw, ppw)).copy()
+    h[:, j, j] += kappa ** 2 / 2.0
+    return h, kappa
+
+
+def _magnus_weight(x: np.ndarray, sin: np.ndarray,
+                   cos: np.ndarray) -> np.ndarray:
+    """g(x) = sin x/x^2 - cos x/x, given sin x and cos x.
+
+    Below |x| = G_SERIES it is summed as its odd series through x^9, whose
+    first omitted term is below 1e-15 relative there; the closed form
+    loses digits to cancellation near 0.
+    """
+    small = np.abs(x) < G_SERIES
+    y = np.where(small, 1.0, x)
+    x2 = x * x
+    series = x * (1 / 3 + x2 * (-1 / 30 + x2 * (1 / 840 + x2 * (
+        -1 / 45360 + x2 / 3991680))))
+    return np.where(small, series, (sin / y - cos) / y)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of a stack of matrices: scaling, a Taylor sum, squaring.
+
+    The stack is scaled by 2^-j until its largest inf-norm n is below
+    EXPM_NORM, and summed to the first degree d with n^{d+1}/(d+1)! below
+    EXPM_TOL, so a small exponent takes few terms.
+    """
+    norm = float(np.max(np.abs(a).sum(axis=-1), initial=0.0))
+    halvings = (int(np.ceil(np.log2(norm / EXPM_NORM)))
+                if norm > EXPM_NORM else 0)
+    b = a / 2.0 ** halvings
+    norm /= 2.0 ** halvings
+    degree, term = 0, 1.0
+    while term * norm / (degree + 1) > EXPM_TOL:
+        degree += 1
+        term *= norm / degree
+    diag = np.arange(a.shape[-1])
+    x = b / max(degree, 1)
+    x[..., diag, diag] += 1.0
+    for i in range(degree - 1, 0, -1):     # Horner: I + b (I + b/2 (...))
+        x = b @ x
+        x /= i
+        x[..., diag, diag] += 1.0
+    for _ in range(halvings):
+        x = x @ x
+    return x
+
+
+def _magnus_substeps(V: PeriodicPotential, ppw: int, k_mid: np.ndarray,
+                     a: float, alpha: float, eps: float) -> np.ndarray:
+    """Window propagators of substeps of half-length a centred at k_mid.
+
+    On the substep h(K_mid + alpha tau) = H + alpha tau P + (alpha tau)^2/2
+    with P = diag(kappa) and H = Q diag(E) Q^H.  The first Magnus term of
+    the interaction picture is A = (2 alpha/eps) a^2 (Q^H P Q) o g(w a),
+    w_ab = (E_a - E_b)/eps, anti-Hermitian (real for an even V), plus the
+    scalar -i alpha^2 a^3/(3 eps); the substep is
+    Q e^{-iEa/eps} exp(A) e^{-iEa/eps} Q^H times that scalar's exponential.
+    sin and cos of w_ab a come from those of E_a a/eps by the angle-sum
+    rules, so only ppw phases per fiber are evaluated.
+    """
+    h, kappa = _window_fibers(V, ppw, k_mid)
+    energies, q = np.linalg.eigh(h)
+    qh = np.conj(q).transpose(0, 2, 1) if np.iscomplexobj(q) else \
+        q.transpose(0, 2, 1)
+    phase = energies * (a / eps)
+    c, s = np.cos(phase), np.sin(phase)
+    sin = s[:, :, None] * c[:, None, :] - c[:, :, None] * s[:, None, :]
+    cos = c[:, :, None] * c[:, None, :] + s[:, :, None] * s[:, None, :]
+    exponent = qh @ (kappa[:, :, None] * q)
+    exponent *= _magnus_weight(phase[:, :, None] - phase[:, None, :], sin, cos)
+    exponent *= 2.0 * alpha * a * a / eps
+    rot = (c - 1j * s) * np.exp(-1j * alpha ** 2 * a ** 3 / (6.0 * eps))
+    return (q * rot[:, None, :]) @ (_expm(exponent) * rot[:, None, :]) @ qh
+
+
+def _lattice_table(V: PeriodicPotential, grid: Grid, alpha: float,
+                   substeps: int) -> np.ndarray:
+    """Entries U_k, k = 0..ceil(LK/2)-1, of the window propagator table.
+
+    U_k carries a fiber from K = k dp to (k+1) dp, dp = 2 pi/LK, in
+    substeps Magnus substeps (later ones on the left).  The rest follow by
+    the mirror U_{LK-1-k} = R U_k^T R (R reverses the window), which holds
+    for any real V: R h(K) R = h(2 pi - K)^T.  Built LATTICE_BLOCK
+    substeps at a time.
+    """
+    lk, ppw, eps = grid.length * grid.k_inv, grid.ppw, grid.epsilon
+    dp = TWO_PI / lk
+    a = dp / alpha / (2.0 * substeps)
+    frac = (np.arange(substeps) + 0.5) / substeps
+    table = np.empty(((lk + 1) // 2, ppw, ppw), complex)
+    block = max(1, LATTICE_BLOCK // substeps)
+    for k0 in range(0, len(table), block):
+        ks = np.arange(k0, min(len(table), k0 + block))
+        sub = _magnus_substeps(V, ppw, ((ks[:, None] + frac) * dp).ravel(),
+                               a, alpha, eps)
+        sub = sub.reshape(ks.size, substeps, ppw, ppw)
+        u = sub[:, 0]
+        for i in range(1, substeps):
+            u = sub[:, i] @ u
+        table[ks] = u
+    return table
+
+
+def _entry(table: np.ndarray, k: int, lk: int) -> np.ndarray:
+    """The step from lattice point k to k + 1, rolled at a whole period.
+
+    Past K = 2 pi the window positions roll by one (the plane wave at the
+    top of the window becomes the one at its bottom), so the entry that
+    reaches a multiple of 2 pi is rolled once.
+    """
+    i = k % lk
+    u = table[i] if i < len(table) else table[lk - 1 - i].T[::-1, ::-1]
+    return np.roll(u, 1, axis=0) if i == lk - 1 else u
+
+
+def _to_window(values: np.ndarray, lk: int, ppw: int) -> np.ndarray:
+    """(LK, ppw) lab fibers of grid values.
+
+    Row k, position j holds the grid's plane wave k + LK m, m = j - ppw/2.
+    """
+    return np.fft.fftshift(np.fft.fft(values)).reshape(ppw, lk).T.copy()
+
+
+def _from_window(fibers: np.ndarray) -> np.ndarray:
+    """Grid values of (LK, ppw) lab fibers; the inverse of _to_window."""
+    return np.fft.ifft(np.fft.ifftshift(fibers.T.ravel()))
+
+
+def _window_pass(table: np.ndarray, grid: Grid, x0: np.ndarray, times,
+                 snaps, first_period: int) -> tuple:
+    """(lab fibers at each of snaps, guard values at each of times).
+
+    The fiber at lattice point r at step 0 sits at point r + n after n
+    steps, and its window is P_{r+n} P_r^H x0[r] with P_{k+1} = U_k P_k.
+    One pass over k keeps the P's of one LATTICE_BLOCK of points, and for
+    every time n of times (snaps among them) whose fiber k - n is in
+    0..LK-1, writes P_k y_{k-n}, with y_r = P_r^H x0[r], to lab fiber
+    k mod LK.  Snapshots keep their fibers; every time keeps only the
+    values of psi on the k_inv periods from first_period on (the guard
+    interval), summed fiber by fiber as the pass reaches them, so no other
+    state is stored.  Returns ({n: (LK, ppw) fibers}, (k_inv, len(times),
+    ppw) guard values).
+    """
+    lk, ppw, n = grid.length * grid.k_inv, grid.ppw, grid.n
+    times = np.asarray(times)
+    cols = [int(np.searchsorted(times, t)) for t in snaps]
+    # psi[a + ppw c] = sum_k e^{2 pi i k c/LK} (read_k fiber_k)[a], with
+    # read_k[a, j] = e^{2 pi i (k + LK (j - ppw/2)) a/N}/N
+    a = np.arange(ppw)[:, None]
+    read = np.exp(TWO_PI * 1j * a * (np.arange(ppw) - ppw // 2) / ppw) / n
+    fib = np.arange(lk)[:, None]
+    twist = np.exp(TWO_PI * 1j * fib * a.T / n)
+    wave = np.exp(TWO_PI * 1j * fib * ((first_period + np.arange(grid.k_inv))
+                                       % lk) / lk)
+    guard = np.zeros((grid.k_inv, times.size, ppw), complex)
+    fibers = {int(t): np.empty((lk, ppw), complex) for t in snaps}
+    y = np.zeros((lk + 1, ppw), complex)   # row lk: no fiber in reach
+    p = np.eye(ppw, dtype=complex)
+    end = lk + int(times[-1])
+    for k0 in range(0, end, LATTICE_BLOCK):
+        ks = np.arange(k0, min(end, k0 + LATTICE_BLOCK))
+        block = np.empty((ks.size + 1, ppw, ppw), complex)
+        block[0] = p
+        for i, k in enumerate(ks):
+            np.matmul(_entry(table, k, lk), block[i], out=block[i + 1])
+        p, block = block[-1], block[:-1]
+        new = ks[ks < lk]
+        y[new] = np.einsum("kji,kj->ki", np.conj(block[:new.size]), x0[new])
+        r = ks[:, None] - times[None, :]
+        r = np.where((r >= 0) & (r < lk), r, lk)
+        rows = ks % lk
+        state = y[r] @ block.transpose(0, 2, 1)    # (block, time, ppw)
+        for t, col in zip(snaps, cols):
+            live = r[:, col] < lk
+            fibers[int(t)][rows[live]] = state[live, col]
+        state @= (twist[rows][:, :, None] * read).transpose(0, 2, 1)
+        guard += np.tensordot(wave[rows], state, axes=(0, 0))
+    return fibers, guard
+
+
+def _accelerated(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
+                 check_collar: bool, guard: float,
+                 substeps: int) -> PropagationResult:
+    """The solve in the accelerated (Houston) frame, with no time loop.
+
+    psi = e^{-i W(0) t/eps} e^{i alpha t x/eps} phi turns W = W(0) - alpha x
+    into a drift of every fiber's quasimomentum, K = 2 pi r/LK + alpha t,
+    under the periodic h(K) (Houston 1940; Krieger & Iafrate 1986).  At a
+    lattice time n dt, dt = lattice_dt, the factor e^{i alpha t x/eps} is a
+    shift of the grid's modes by n, so the lab state is the grid's own
+    fibers: each step carries lab fiber k to k + 1 by the table entry U_k
+    (_lattice_table, _entry), and _window_pass applies the products of the
+    entries.  No W is split, so there is no collar, phase rule or eps/10
+    cap; the frame's box is cut at x = 0, where the linear W jumps.
+    The cut's position is arbitrary (a roll of psi0 by whole periods rolls
+    every snapshot, up to a global phase), so the guard reads the unit
+    interval [guard, guard + 1), snapped to whole periods, that the caller
+    places away from the packets.  It is read at every snapshot and every
+    stride steps, with stride dt below the time the grid's fastest group
+    velocity, pi ppw, takes to cross it.  Its peak mass fraction is
+    collar_mass; with check_collar it must stay below COLLAR_MASS_TOL.
+    """
+    _check_steps(dt, steps)
+    grid = psi0.grid
+    eps, lk, ppw = grid.epsilon, grid.length * grid.k_inv, grid.ppw
+    alpha = linear_drive(W, grid)
+    if alpha is None or not alpha > 0:
+        raise ValueError("the accelerated frame needs a linear W with "
+                         "alpha > 0")
+    if abs(dt - lattice_dt(grid, alpha)) > 1e-12 * dt:
+        raise ValueError(f"dt {dt} is not the lattice step "
+                         f"{lattice_dt(grid, alpha)}")
+    stride = max(1, int(1.0 / (np.pi * ppw * dt)))
+    times = sorted(set(steps) | set(range(0, steps[-1] + 1, stride)))
+    first = int(round(guard / eps)) % lk
+    fibers, amps = _window_pass(_lattice_table(V, grid, alpha, substeps),
+                                grid, _to_window(psi0.values, lk, ppw),
+                                times, steps, first)
+    norm0 = psi0.norm()
+    fracs = np.sum(np.abs(amps) ** 2, axis=(0, 2)) * grid.dx / max(
+        norm0 ** 2, 1e-300)
+    peak = float(fracs.max())
+    if check_collar and peak > COLLAR_MASS_TOL:
+        i = int(np.argmax(fracs > COLLAR_MASS_TOL))
+        lo = first * eps
+        raise GridOverflow(f"packet mass fraction {fracs[i]:.2e} inside the "
+                           f"guard interval [{lo:.3f}, {lo + 1:.3f}) at "
+                           f"t={times[i] * dt:.4f}")
+    w0 = float(W.w(0.0))
+    snapshots = [GridState(grid, _from_window(fibers[n])
+                           * np.exp(-1j * w0 * n * dt / eps), t=n * dt)
+                 for n in steps]
+    return PropagationResult(snapshots, _norm_drift(snapshots, norm0),
+                             steps[-1], dt, peak)
 
 
 @dataclass

@@ -9,13 +9,15 @@ fields and its own readouts.  Both are cached, so the pre-crossing, post-
 crossing and inner-window studies share a single propagation.
 
 Every resolution is derived from the solver error targets: the direct
-solve's grid and dt by plan_solver and its after-run step doubling, each
-envelope march's step by step doubling in march_envelopes, and the step of
-the scenario's band flow by step doubling in derived_flow, against the
-smallest target of the config's epsilons.  Both step doublings accept by
-one rule (_step_doubling).  Every default drive is linear, so its envelope
-transport is exact in Fourier space and march_envelopes accepts its first
-pair of marches, which agree to roundoff.
+solve's frame, grid and dt by plan_solver and its after-run step doubling
+(in dt for Bloch decomposition, in the table's substeps for the
+accelerated frame), each envelope march's step by step doubling in
+march_envelopes, and the step of the scenario's band flow by step doubling
+in derived_flow, against the smallest target of the config's epsilons.
+All but BD's dt halving accept by one rule (_step_doubling).  Every
+default drive is linear, so its envelope transport is exact in Fourier
+space and march_envelopes accepts its first pair of marches, which agree
+to roundoff.
 plan_solver is the one place where a measurement time becomes a whole
 number of steps; the solver takes those counts, and each case reads its
 snapshots by step count, never by a float time.
@@ -25,12 +27,15 @@ capped by BCL_THREADS.  The pool starts the cases finest epsilon first:
 grid size and step count both grow like 1/eps, so a case costs about
 eps^-2, and starting the costliest first (longest processing time first)
 keeps it from queueing behind cheap cases while another worker idles.
-The cases come back in the config's order.  Each crossing case adds two
-solver threads of its own: one runs the step-doubling solve and the other
-the first fine run beside its coarse run, while the case's thread builds
-the semiclassical prediction.  So a crossing case runs up to three
-threads, and a crossing study up to three times the pool size.  Isolated
-cases run on their pool thread alone, coarse run then fine run.  BLAS runs
+The cases come back in the config's order.  A crossing case runs its
+direct solve on helper threads of its own while the case's thread builds
+the semiclassical prediction.  In Bloch decomposition there are two: one
+runs the step-doubling solve and the other the first fine run beside its
+coarse run, so such a case runs up to three threads, and a crossing study
+up to three times the pool size.  In the accelerated frame there is one,
+which runs the substep doubling's runs s = 1, 2, 4, ... in sequence; each
+run is one table build and one window pass.  Isolated cases run on their
+pool thread alone, coarse run then fine run (or run after run).  BLAS runs
 one thread (OPENBLAS_NUM_THREADS=1, set when bandcross is imported before
 numpy): every matrix it sees is at most 64 x 64, or a stack of such, so a
 BLAS worker beside each of these threads would only spin and oversubscribe
@@ -52,7 +57,8 @@ from .ansatz import (Grid, GridState, assemble_wp0, assemble_wp1,
 from .bloch import band_path, coupling_coefficient, smooth_continuation
 from .classical import SplineBand, extend_through_crossing, integrate_flow
 from .direct import (PropagationResult, band_mass, centred_external,
-                     l2_error, points_per_period, propagate)
+                     l2_error, lattice_dt, linear_drive, points_per_period,
+                     propagate)
 from .envelope import (Envelope, coefficients_from_trajectory, evolve_a0,
                        evolve_a1, excited_buildup, excited_envelope,
                        gaussian_envelope)
@@ -176,6 +182,7 @@ class RunConfig:
         if m_max > M_CUT:
             raise ValueError(f"potential harmonic {m_max} is above the Bloch "
                              f"tables' plane waves |m| <= {M_CUT}")
+        build_external(self.external)   # a bad drive is refused at load
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.envelope_points % 2 != 0:
@@ -374,32 +381,42 @@ class StudyReport:
 # -- potential / scenario assembly -----------------------------------------------
 
 
+def _required(spec: dict, what: str, key: str):
+    """spec[key], or a ValueError naming the missing key."""
+    if key not in spec:
+        raise ValueError(f"{what} of kind {spec.get('kind')!r} needs the key "
+                         f"{key!r}")
+    return spec[key]
+
+
 def build_potential(spec: dict) -> PeriodicPotential:
     kind = spec.get("kind", "")
+    need = partial(_required, spec, "potential")
     if kind == "free":
         return potential_from_coeffs({})
     if kind == "cosine":
-        return make_cosine(float(spec["amplitude"]),
+        return make_cosine(float(need("amplitude")),
                            int(spec.get("harmonics", 1)))
     if kind == "one_gap":
         params = EllipticParams(gap_count=1,
-                                omega_prime=float(spec["omega_prime"]))
+                                omega_prime=float(need("omega_prime")))
         return make_m_gap(params, m_max=int(spec.get("m_max", 15)))
     if kind == "coeffs":
         pairs = {int(m): complex(*v) if isinstance(v, (list, tuple))
-                 else complex(v) for m, v in spec["values"].items()}
+                 else complex(v) for m, v in need("values").items()}
         return potential_from_coeffs(pairs)
     raise ValueError(f"unknown potential kind {kind!r}")
 
 
 def build_external(spec: dict) -> ExternalPotential:
     kind = spec.get("kind", "")
+    need = partial(_required, spec, "external")
     if kind == "none":
         return zero_external()
     if kind == "linear":
-        return linear_ramp(float(spec["alpha"]), float(spec.get("q_ref", 0.0)))
+        return linear_ramp(float(need("alpha")), float(spec.get("q_ref", 0.0)))
     if kind == "cosine":
-        return cosine_external(float(spec["beta"]), float(spec["omega"]))
+        return cosine_external(float(need("beta")), float(need("omega")))
     raise ValueError(f"unknown external kind {kind!r}")
 
 
@@ -565,11 +582,14 @@ class SolverPlan:
     dt: float
     target: float
     steps: dict         # label -> whole number of steps of dt to its time
+    # left end of the accelerated frame's unit guard interval; None: the
+    # solve runs Bloch-decomposition steps
+    guard: float | None = None
 
 
 def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
-                times: dict) -> SolverPlan:
-    """The grid, step grid and error target of one direct solve.
+                times: dict, trajs=()) -> SolverPlan:
+    """The frame, grid, step grid and error target of one direct solve.
 
     The run ends at the latest of the labelled times, t_run.  Unless
     cfg.ppw pins it, ppw is derived from V: the collocated energies of
@@ -584,6 +604,18 @@ def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
     are.  Accuracy is checked after the run by step doubling.  The envelope
     marches get the same 1% share (ENVELOPE_SHARE * target), and
     march_envelopes derives their step from it.
+
+    When W is linear with alpha > 0 and that step would be set by W's phase
+    rather than the eps/10 cap (max|W - c| > 4.5), the solve runs in the
+    accelerated frame instead (direct.propagate with a guard).  Its step is
+    the lattice step 2 pi/(LK alpha), about 2 pi/0.9 = 7 times the phase
+    rule's, and each label takes its nearest lattice point (the run ends at
+    one step at least); the guard is the unit interval centred in the
+    widest gap that trajs, the case's trajectories up to t_run, leave on
+    the periodic box (_guard_start).  Every other W, the gentle breakdown
+    and isolated drives among them, runs BD: in the frame those two were
+    slower, or moved the breakdown slopes when their readouts were
+    snapped to the lattice.
 
     The eps/10 cap stays although the step doubling checks every run,
     because at larger steps the doubling is not a safe judge.  On the
@@ -604,9 +636,45 @@ def plan_solver(cfg: RunConfig, eps: float, signal: float, V, W,
         ppw = points_per_period(V, cfg.band + 2, 0.01 * target * eps / t_run)
     grid = Grid(length=_domain_length(cfg, eps), epsilon=eps, ppw=ppw)
     w_max = float(np.max(np.abs(centred_external(W, grid)[0])))
-    dt, steps = _snap(times, min(0.45 * eps / max(w_max, 1e-12), eps / 10.0),
-                      t_run)
+    phase_dt = 0.45 * eps / max(w_max, 1e-12)
+    alpha = linear_drive(W, grid)
+    if alpha is not None and alpha > 0 and phase_dt < eps / 10.0:
+        dt = lattice_dt(grid, alpha)
+        steps = {label: max(int(round(t / dt)), int(t == t_run))
+                 for label, t in times.items()}
+        return SolverPlan(grid, dt, target, steps,
+                          _guard_start(trajs, grid, t_run))
+    dt, steps = _snap(times, min(phase_dt, eps / 10.0), t_run)
     return SolverPlan(grid, dt, target, steps)
+
+
+def _guard_start(trajs, grid: Grid, t_run: float) -> float:
+    """Left end of the unit interval centred in the trajectories' widest gap.
+
+    Each trajectory's q over [0, t_run] covers the periods between its
+    least and greatest q, taken mod L on the periodic box; the interval is
+    centred in the longest run of periods that none covers.
+    """
+    lk = grid.length * grid.k_inv
+    covered = np.zeros(lk, bool)   # one entry per period of V
+    for traj in trajs:
+        if traj.t_grid[0] > t_run:
+            continue
+        q = np.append(traj.q[traj.t_grid <= t_run],
+                      traj.state_at(min(t_run, traj.t_grid[-1]))[0])
+        lo = int(np.floor(q.min() / grid.epsilon))
+        hi = int(np.ceil(q.max() / grid.epsilon))
+        covered[np.arange(lo, max(hi, lo + 1)) % lk] = True
+    if covered.all() or not covered.any():
+        return grid.length - 1.0
+    # rotated so that period 0 is covered, no run of free periods wraps
+    shift = int(np.argmax(covered))
+    free = np.roll(~covered, -shift).astype(int)
+    edges = np.diff(np.concatenate([[0], free, [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    i = int(np.argmax(ends - starts))
+    centre = (starts[i] + ends[i]) / 2.0 + shift
+    return float((centre * grid.epsilon - 0.5) % grid.length)
 
 
 def _snap(times: dict, dt: float, t_run: float):
@@ -666,6 +734,37 @@ def propagate_richardson(psi0: GridState, V, W, dt: float, steps,
                                collar_mass=max(coarse.collar_mass,
                                                fine.collar_mass))
     return result, est
+
+
+def propagate_substeps(psi0: GridState, V, W, dt: float, steps,
+                       target: float, guard: float):
+    """Substep doubling of the accelerated-frame solve: (result, estimate).
+
+    Run j builds its table with 2^j substeps per entry (s = 1, 2, 4, ...);
+    its estimate is max over snapshots of ||psi_{2s} - psi_s||, which
+    bounds the coarser run's error, and _step_doubling accepts the finer
+    run once that is <= target and has fallen at least 2x.  The accepted
+    state is the finer run itself: per doubling its error falls 8-16x on
+    the crossing defaults, so it is well below the estimate, while a
+    first-order entry can read low at small s, which the fall rule
+    catches.  n_steps counts the lattice steps of every run, and
+    collar_mass is the peak guard mass over them.
+    """
+    runs = []
+
+    def run(j):
+        runs.append(propagate(psi0, V, W, dt, steps, guard=guard,
+                              substeps=1 << j))
+        return runs[-1]
+
+    def estimate(coarse, fine):
+        return max(l2_error(b, a).plain
+                   for a, b in zip(coarse.snapshots, fine.snapshots))
+
+    fine, est, _ = _step_doubling(run, estimate, target, "solver")
+    fine.n_steps = sum(r.n_steps for r in runs)
+    fine.collar_mass = max(r.collar_mass for r in runs)
+    return fine, est
 
 
 # -- envelope transport ----------------------------------------------------------
@@ -882,12 +981,14 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     """The direct solve of one epsilon against the semiclassical prediction.
 
     The two computations share nothing until the comparisons, so the direct
-    solve runs on two helper threads while this thread builds the
-    prediction: the plus-branch envelopes, the excited envelope at t* with
-    its minus-branch march, and the predicted packets.  One helper runs
-    propagate_richardson; the other runs its first fine run (dt/2) beside
-    the coarse run, since neither reads the other.  The solver spends its
-    time in numpy's FFT and matmul, which release the interpreter lock.
+    solve runs on helper threads while this thread builds the prediction:
+    the plus-branch envelopes, the excited envelope at t* with its
+    minus-branch march, and the predicted packets.  In the accelerated
+    frame one helper runs propagate_substeps.  In Bloch decomposition one
+    helper runs propagate_richardson and the other its first fine run
+    (dt/2) beside the coarse run, since neither reads the other.  The
+    solvers spend their time in numpy's FFT, eigh and matmul, which
+    release the interpreter lock.
     """
     key = ("crossing", cfg.fingerprint(), eps)
     if key in _CASE_CACHE:
@@ -896,23 +997,29 @@ def run_crossing_case(cfg: RunConfig, eps: float) -> CrossingCase:
     t_star, q_star = scenario.ext.t_star, scenario.ext.q_star
     slope_gap = scenario.pair.slope_gap
     signal = _signal(cfg, eps, scenario.signal_scale, 1.0 - XI_PRIME)
+    plus, minus = scenario.ext.plus, scenario.ext.minus
     plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W,
-                       _crossing_times(cfg, scenario, eps))
+                       _crossing_times(cfg, scenario, eps), (plus, minus))
     grid = plan.grid
     times = {label: n * plan.dt for label, n in plan.steps.items()}
     steps = sorted(set(plan.steps.values()))
 
     a0_init, a1_init = _initial_envelopes(cfg)
-    plus, minus = scenario.ext.plus, scenario.ext.minus
     psi0 = branch_packet(plus, grid, 0.0, a0_init, a1_init)
 
     # the with block joins the helper threads on every exit, and an error on
     # any thread reaches the caller unchanged
     with ThreadPoolExecutor(max_workers=2) as pool:
-        fine_run = pool.submit(propagate, psi0, scenario.V, scenario.W,
-                               plan.dt / 2.0, [2 * n for n in steps])
-        solve = pool.submit(propagate_richardson, psi0, scenario.V,
-                            scenario.W, plan.dt, steps, plan.target, fine_run)
+        if plan.guard is not None:
+            solve = pool.submit(propagate_substeps, psi0, scenario.V,
+                                scenario.W, plan.dt, steps, plan.target,
+                                plan.guard)
+        else:
+            fine_run = pool.submit(propagate, psi0, scenario.V, scenario.W,
+                                   plan.dt / 2.0, [2 * n for n in steps])
+            solve = pool.submit(propagate_richardson, psi0, scenario.V,
+                                scenario.W, plan.dt, steps, plan.target,
+                                fine_run)
 
         # plus-branch envelopes only where the comparisons need them
         error_labels = [k for k in ("breakdown_xi", "breakdown_xi_prime",
@@ -1197,13 +1304,18 @@ def run_isolated_case(cfg: RunConfig, eps: float) -> IsolatedCase:
 
     signal = _signal(cfg, eps, ISOLATED_SIGNAL, 1.0)
     plan = plan_solver(cfg, eps, signal, scenario.V, scenario.W,
-                       {"final": cfg.t_final})
+                       {"final": cfg.t_final}, (traj,))
     grid = plan.grid
 
     psi0 = branch_packet(traj, grid, 0.0, a0_init, a1_init)
-    result, solver_error = propagate_richardson(
-        psi0, scenario.V, scenario.W, plan.dt, [plan.steps["final"]],
-        plan.target)
+    if plan.guard is not None:
+        result, solver_error = propagate_substeps(
+            psi0, scenario.V, scenario.W, plan.dt, [plan.steps["final"]],
+            plan.target, plan.guard)
+    else:
+        result, solver_error = propagate_richardson(
+            psi0, scenario.V, scenario.W, plan.dt, [plan.steps["final"]],
+            plan.target)
     psi = result.snapshots[-1]
     t_obs = psi.t
     march = march_envelopes(scenario.coeffs, (a0_init, a1_init), [t_obs],

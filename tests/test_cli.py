@@ -56,6 +56,20 @@ class TestLoadConfig:
         assert exc.value.code == 2
         assert "harmonic 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"potential": {"kind": "cosine"}}, "amplitude"),
+        ({"external": {"kind": "linear"}}, "alpha")],
+        ids=["potential", "external"])
+    def test_missing_spec_key_is_a_usage_error(self, tmp_path, capsys, spec,
+                                               key):
+        # refused at config load with the key named, not a KeyError
+        # traceback from inside the run
+        path = write_config(tmp_path, spec)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "isolated", "--config", path])
+        assert exc.value.code == 2
+        assert repr(key) in capsys.readouterr().err
+
     def test_deleted_solver_key_is_a_usage_error(self, tmp_path):
         path = write_config(tmp_path, {"solver": {"envelope_dt": 1e-3}})
         with pytest.raises(SystemExit) as exc:

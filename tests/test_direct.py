@@ -729,3 +729,256 @@ class TestPointsPerPeriod:
         V = potential_from_coeffs({31: 1.0})
         with pytest.raises(TruncationTooSmall, match="tolerance 1.000e-09"):
             points_per_period(V, 3, 1e-9)
+
+
+# -- the accelerated frame ----------------------------------------------------
+
+
+def frame_problem(V=None, substeps=2, alpha=1.0, k_inv=8):
+    """A Bloch packet at q = 2 under a ramp on a 4-unit grid, ppw 16."""
+    from bloch_oracle import eigensolve
+    V = make_cosine(4.0) if V is None else V
+    grid = Grid(length=4, epsilon=1.0 / k_inv, ppw=16)
+    _, vecs = eigensolve(V, 0.7, 1, m_cut=12)
+    psi0 = assemble_wp0(grid, 2.0, 0.7, 0.0, gaussian_envelope(sigma=1.0),
+                        vecs[0])
+    W = linear_ramp(alpha, q_ref=1.0)
+    table = direct._lattice_table(V, grid, alpha, substeps)
+    return psi0, V, W, direct.lattice_dt(grid, alpha), table
+
+
+def substep_midpoints(k, substeps, lk):
+    """The K_mid of the substeps of table entry k, in K order."""
+    return (k + (np.arange(substeps) + 0.5) / substeps) * 2 * np.pi / lk
+
+
+class TestAcceleratedFrame:
+    """propagate with a guard: the window-product solve of a linear drive."""
+
+    @pytest.mark.parametrize("V", [make_cosine(4.0),
+                                   potential_from_coeffs({1: 1.0, 2: -0.5j})],
+                             ids=["even", "odd"])
+    def test_window_products_equal_a_step_loop(self, V):
+        # the pass forms P_{r+n} P_r^H x0[r] for every fiber; a loop that
+        # steps every lab fiber k to k + 1 by the same entries, 70 steps
+        # through two rolls at K = 2 pi, is the reference
+        psi0, V, W, dt, table = frame_problem(V)
+        grid = psi0.grid
+        lk = grid.length * grid.k_inv
+        steps = [0, 3, 17, 40, 70]
+        res = propagate(psi0, V, W, dt, steps, check_collar=False, guard=0.0,
+                        substeps=2)
+        fibers = direct._to_window(psi0.values, lk, grid.ppw)
+        for n in range(steps[-1] + 1):
+            if n in steps:
+                snap = res.snapshots[steps.index(n)]
+                loop = (direct._from_window(fibers)
+                        * np.exp(-1j * W.w(0.0) * n * dt / grid.epsilon))
+                assert np.max(np.abs(snap.values - loop)) < 1e-12
+            fibers = np.stack([direct._entry(table, k, lk) @ fibers[k]
+                               for k in range(lk)])
+            fibers = np.roll(fibers, 1, axis=0)
+
+    @pytest.mark.parametrize("V", [make_cosine(4.0),
+                                   potential_from_coeffs({1: 1.0, 2: -0.5j})],
+                             ids=["even", "odd"])
+    @pytest.mark.parametrize("k_inv", [8, 9], ids=["even-LK", "odd-LK"])
+    def test_mirrored_and_rolled_entries(self, V, k_inv):
+        # entries past LK/2 come from the mirror R U^T R; built directly from
+        # their own substeps they agree to the rounding of the window's top
+        # plane waves, whose phases E a/eps reach about 80 rad here.  The
+        # entry that reaches K = 2 pi is rolled: applied to lab fiber
+        # LK - 1 it equals the unrolled entry followed by the shift of the
+        # grid's modes by one
+        substeps, alpha = 3, 4.0
+        psi0, V, W, dt, table = frame_problem(V, substeps, alpha, k_inv)
+        grid = psi0.grid
+        lk, ppw, eps = grid.length * grid.k_inv, grid.ppw, grid.epsilon
+        a = dt / (2 * substeps)
+        assert len(table) == (lk + 1) // 2
+        for k in range(lk):
+            sub = direct._magnus_substeps(
+                V, ppw, substep_midpoints(k, substeps, lk), a, alpha, eps)
+            direct_entry = sub[2] @ sub[1] @ sub[0]
+            entry = direct._entry(table, k, lk)
+            if k == lk - 1:
+                entry = np.roll(entry, -1, axis=0)
+            assert np.max(np.abs(entry - direct_entry)) < 1e-12
+        rng = np.random.default_rng(5)
+        fibers = np.zeros((lk, ppw), complex)
+        fibers[lk - 1] = (rng.standard_normal(ppw)
+                          + 1j * rng.standard_normal(ppw))
+        top = np.roll(direct._entry(table, lk - 1, lk), -1, axis=0)
+        stepped = fibers.copy()
+        stepped[lk - 1] = top @ fibers[lk - 1]
+        shifted = np.roll(np.fft.fft(direct._from_window(stepped)), 1)
+        expected = direct._to_window(np.fft.ifft(shifted), lk, ppw)
+        assert np.max(np.abs(expected[1:])) < 1e-13
+        rolled = direct._entry(table, lk - 1, lk) @ fibers[lk - 1]
+        assert np.max(np.abs(rolled - expected[0])) < 1e-13
+
+    def test_free_particle_is_exact(self):
+        # V = 0: every fiber matrix is diagonal, the Magnus exponent vanishes
+        # and the entries are the exact plane-wave phases; psi is the
+        # Avron-Herbst solution e^{-i W(0) t/eps} e^{i alpha t x/eps}
+        # e^{-i alpha^2 t^3/(6 eps)} psi_free(x - alpha t^2/2, t)
+        eps, alpha, q0 = 1.0 / 16, 2.0, 3.0
+        grid = Grid(length=8, epsilon=eps, ppw=32)
+        x = grid.x
+        W = linear_ramp(alpha, q_ref=1.5)
+
+        def exact(t):
+            y = (x - alpha * t * t / 2 - q0) / np.sqrt(eps)
+            free = (eps ** -0.25 * np.pi ** -0.25 / np.sqrt(1 + 1j * t)
+                    * np.exp(-y ** 2 / (2 * (1 + 1j * t))))
+            return (np.exp(-1j * (W.w(0.0) * t - alpha * t * x
+                                  + alpha ** 2 * t ** 3 / 6) / eps) * free)
+
+        dt = direct.lattice_dt(grid, alpha)
+        res = propagate(GridState(grid, exact(0.0)), FLAT, W, dt, [10, 40],
+                        guard=7.0)
+        for snap in res.snapshots:
+            err = np.sqrt(np.sum(np.abs(snap.values - exact(snap.t)) ** 2)
+                          * grid.dx)
+            assert err < 1e-12
+
+    def test_agrees_with_strang_oracle_away_from_the_cut(self):
+        # both frames solve the same grid system inside the box; the
+        # frame's W jumps at the cut x = 0 where Strang's is blended, so
+        # the two are compared on [1.5, L - 1.5]
+        from bloch_oracle import eigensolve
+        V = make_cosine(4.0)
+        grid = Grid(length=8, epsilon=1.0 / 16, ppw=16)
+        _, vecs = eigensolve(V, 0.7, 1, m_cut=12)
+        psi0 = assemble_wp0(grid, 4.0, 0.7, 0.0,
+                            gaussian_envelope(sigma=1.0), vecs[0])
+        W = linear_ramp(2.0, q_ref=4.0)
+        dt = direct.lattice_dt(grid, 2.0)
+        res = propagate(psi0, V, W, dt, [4], guard=0.0, substeps=8)
+        t = res.snapshots[-1].t
+
+        def strang(n):
+            return propagate_strang(psi0, V, W, t / n, [n]).snapshots[-1]
+
+        oracle = (4 * strang(4000).values - strang(2000).values) / 3
+        inside = (grid.x > 1.5) & (grid.x < grid.length - 1.5)
+        diff = (res.snapshots[-1].values - oracle)[inside]
+        assert np.sqrt(np.sum(np.abs(diff) ** 2) * grid.dx) < 1e-7
+
+    def test_roll_by_whole_periods_rolls_every_snapshot(self):
+        # the frame's box has no collar, so a roll of psi0 by d periods (and
+        # of the guard with it) rolls each snapshot, up to a global phase
+        psi0, V, W, dt, _ = frame_problem()
+        grid = psi0.grid
+        d = 5
+        steps = [0, 7, 30, 61]
+        runs = [propagate(GridState(grid, np.roll(psi0.values,
+                                                  shift * grid.ppw)),
+                          V, W, dt, steps, check_collar=False,
+                          guard=3.5 + shift * grid.epsilon)
+                for shift in (0, d)]
+        assert runs[1].collar_mass == pytest.approx(runs[0].collar_mass,
+                                                    rel=1e-9)
+        for a, b in zip(runs[0].snapshots, runs[1].snapshots):
+            moved = np.roll(a.values, d * grid.ppw)
+            turn = np.vdot(moved, b.values)
+            turn /= abs(turn)
+            assert np.max(np.abs(b.values - turn * moved)) < 1e-12
+
+    def test_mass_in_the_guard_raises(self):
+        # a packet placed inside [guard, guard + 1) trips the guard at t = 0;
+        # with the check off its mass fraction is the recorded peak
+        psi0, V, W, dt, _ = frame_problem()
+        with pytest.raises(GridOverflow, match="guard interval"):
+            propagate(psi0, V, W, dt, [1, 4], guard=1.5)
+        res = propagate(psi0, V, W, dt, [1, 4], check_collar=False,
+                        guard=1.5)
+        inside = (psi0.grid.x >= 1.5) & (psi0.grid.x < 2.5)
+        first = (np.sum(np.abs(psi0.values[inside]) ** 2) * psi0.grid.dx
+                 / psi0.norm() ** 2)
+        assert res.collar_mass >= first > COLLAR_MASS_TOL
+
+    def test_refuses_a_curved_drive_and_an_off_lattice_step(self):
+        psi0, V, W, dt, _ = frame_problem()
+        with pytest.raises(ValueError, match="linear W"):
+            propagate(psi0, V, cosine_external(0.5, 0.7), dt, [2], guard=3.0)
+        with pytest.raises(ValueError, match="lattice step"):
+            propagate(psi0, V, W, 0.9 * dt, [2], guard=3.0)
+
+
+class TestFramePlanning:
+    """Which frame plan_solver picks, and the frame's step doubling."""
+
+    @staticmethod
+    def _crossing32():
+        from dataclasses import replace
+
+        from bandcross import harness
+        cfg = replace(harness.default_config("crossing"),
+                      epsilons=(1 / 32,), pair_halfwidth=1.9,
+                      pair_samples=1789, domain_length=14)
+        scenario = harness.build_crossing_scenario(cfg)
+        signal = harness._signal(cfg, 1 / 32, scenario.signal_scale,
+                                 1.0 - harness.XI_PRIME)
+        ext = scenario.ext
+        plan = harness.plan_solver(
+            cfg, 1 / 32, signal, scenario.V, scenario.W,
+            harness._crossing_times(cfg, scenario, 1 / 32),
+            (ext.plus, ext.minus))
+        a0, a1 = harness._initial_envelopes(cfg)
+        psi0 = harness.branch_packet(ext.plus, plan.grid, 0.0, a0, a1)
+        return plan, psi0, scenario
+
+    def test_accepted_estimate_bounds_the_error_on_crossing32(self):
+        # the accepted run's estimate is at least its error against s = 16
+        from bandcross import harness
+        plan, psi0, scenario = self._crossing32()
+        steps = sorted(set(plan.steps.values()))
+        result, est = harness.propagate_substeps(
+            psi0, scenario.V, scenario.W, plan.dt, steps, plan.target,
+            plan.guard)
+        ref = propagate(psi0, scenario.V, scenario.W, plan.dt, steps,
+                        guard=plan.guard, substeps=16)
+        error = max(l2_error(a, b).plain
+                    for a, b in zip(result.snapshots, ref.snapshots))
+        assert est <= plan.target
+        assert error <= est
+        assert result.collar_mass < COLLAR_MASS_TOL
+
+    @pytest.mark.parametrize("study", ["crossing", "inner", "breakdown",
+                                       "isolated"])
+    def test_plan_selects_the_frame_by_the_phase_rule(self, study):
+        # the frame runs where W is linear with alpha > 0 and the BD step
+        # would be set by the phase rule, 0.45 eps/max|W - c| < eps/10:
+        # the crossing and inner defaults; breakdown and isolated keep BD
+        # with the dt and steps of the phase rule and eps/10 cap
+        from bandcross import harness
+        cfg = harness.default_config(study)
+        frame = study in ("crossing", "inner")
+        if study == "isolated":
+            scenario = harness.build_isolated_scenario(cfg)
+            trajs = (scenario.traj,)
+        else:
+            scenario = harness.build_crossing_scenario(cfg)
+            trajs = (scenario.ext.plus, scenario.ext.minus)
+        for eps in cfg.epsilons:
+            if study == "isolated":
+                times = {"final": cfg.t_final}
+            else:
+                times = harness._crossing_times(cfg, scenario, eps)
+            plan = harness.plan_solver(cfg, eps, 1.0, scenario.V, scenario.W,
+                                       times, trajs)
+            w_max = np.max(np.abs(centred_external(scenario.W,
+                                                   plan.grid)[0]))
+            assert (0.45 * eps / w_max < eps / 10) == frame
+            assert (plan.guard is not None) == frame
+            if frame:
+                dt = direct.lattice_dt(plan.grid, cfg.external["alpha"])
+                steps = {k: round(t / dt) for k, t in times.items()}
+                assert 0.0 <= plan.guard < plan.grid.length
+            else:
+                dt, steps = harness._snap(
+                    times, min(0.45 * eps / w_max, eps / 10),
+                    max(times.values()))
+            assert plan.dt == dt
+            assert plan.steps == steps

@@ -2,7 +2,6 @@
 import json
 import math
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
@@ -226,6 +225,20 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_external({"kind": "quadratic"})
 
+    @pytest.mark.parametrize("build, spec", [
+        (build_potential, {"kind": "cosine"}),
+        (build_potential, {"kind": "one_gap"}),
+        (build_potential, {"kind": "coeffs"}),
+        (build_external, {"kind": "linear"}),
+        (build_external, {"kind": "cosine", "beta": 0.5})])
+    def test_missing_key_is_a_value_error(self, build, spec):
+        with pytest.raises(ValueError, match="needs the key"):
+            build(spec)
+
+    def test_config_refuses_a_bad_external(self):
+        with pytest.raises(ValueError, match="'alpha'"):
+            RunConfig(external={"kind": "linear"})
+
 
 class TestSnap:
     @given(st.floats(0.1, 2.0), st.floats(1e-4, 0.3),
@@ -315,6 +328,21 @@ class TestFreeParticleIsolated:
         assert abs(case.error_wp1 - case.error_wp0) < 1e-10
         assert case.norm_drift < 1e-10
 
+    def test_fast_drive_runs_in_the_accelerated_frame(self):
+        # alpha = 2 on L = 10 (max|W - c| about 10) selects the frame; with
+        # V = 0 its entries are exact, so the s = 1 and s = 2 runs agree to
+        # roundoff and the first pair is accepted
+        cfg = replace(self.CFG, band_window=(0.7, 2.6),
+                      external={"kind": "linear", "alpha": 2.0,
+                                "q_ref": 0.0})
+        case = run_isolated_case(cfg, 1 / 32)
+        grid = Grid(length=10, epsilon=1 / 32, ppw=32)
+        assert case.dt == direct.lattice_dt(grid, 2.0)
+        assert case.n_steps == 2 * round(cfg.t_final / case.dt)
+        assert case.solver_error <= harness.ROUNDOFF_FLOOR
+        assert case.error_wp1 < 1e-5
+        assert case.collar_mass < 1e-8
+
     def test_rows_record_solver_and_band_diagnostics(self):
         (row,) = run_isolated_band(self.CFG).rows
         assert 0.0 <= row["collar_mass"] <= 1e-8
@@ -354,6 +382,19 @@ def trivial_cfg():
         solver={"signal_prefactor": 0.05},
         measurements=("breakdown",),
     )
+
+
+@pytest.fixture(scope="module")
+def bd_cfg(trivial_cfg):
+    # the trivial crossing under a gentler ramp: max|W - c| = 4.12 < 4.5, so
+    # its eps/10 step is below the phase rule's and it runs BD steps
+    cfg = replace(trivial_cfg,
+                  external={"kind": "linear", "alpha": 1.0, "q_ref": 6.0})
+    scenario = build_crossing_scenario(cfg)
+    plan = harness.plan_solver(cfg, 1 / 32, 1.0, scenario.V, scenario.W,
+                               _crossing_times(cfg, scenario, 1 / 32))
+    assert plan.guard is None
+    return cfg
 
 
 class TestTrivialCrossing:
@@ -420,16 +461,16 @@ class TestTrivialCrossing:
         assert (tmp_path / "breakdown_summary.json").exists()
         assert (tmp_path / "breakdown_rows.csv").exists()
 
-    def test_tight_budget_halves_dt(self, trivial_cfg):
+    def test_tight_budget_halves_dt(self, bd_cfg):
         # a target just under half the planned run's estimate needs one
         # halving (the estimate falls ~4x), so steps run go from n + 2n to
         # n + 2n + 4n
-        planned = run_crossing_case(trivial_cfg, 1 / 32)
+        planned = run_crossing_case(bd_cfg, 1 / 32)
         assert planned.solver_error <= planned.solver_target
         scale = 0.5 * planned.solver_error / planned.solver_target
-        budget = trivial_cfg.solver["error_budget"] * scale
-        tight = replace(trivial_cfg,
-                        solver={**trivial_cfg.solver, "error_budget": budget})
+        budget = bd_cfg.solver["error_budget"] * scale
+        tight = replace(bd_cfg,
+                        solver={**bd_cfg.solver, "error_budget": budget})
         case = run_crossing_case(tight, 1 / 32)
         assert case.n_steps == planned.n_steps // 3 * 7
         assert case.dt == pytest.approx(planned.dt / 2)
@@ -466,7 +507,11 @@ class TestTrivialCrossing:
 
 
 class TestSolverOverlap:
-    """Each crossing case runs its direct solve on a helper thread."""
+    """Each crossing case runs its direct solve on helper threads.
+
+    bd_cfg runs BD steps, a coarse and a fine run side by side; trivial_cfg
+    runs in the accelerated frame, its substep doubling on one thread.
+    """
 
     @pytest.fixture(autouse=True)
     def fresh_cases(self, monkeypatch):
@@ -476,8 +521,7 @@ class TestSolverOverlap:
         yield
         assert threading.active_count() == threads
 
-    def test_solver_runs_off_the_calling_thread(self, trivial_cfg,
-                                                monkeypatch):
+    def test_solver_runs_off_the_calling_thread(self, bd_cfg, monkeypatch):
         # propagate_richardson runs the coarse run on one helper thread, and
         # the first fine run (dt/2) runs beside it on the other
         seen, runs = [], []
@@ -493,7 +537,7 @@ class TestSolverOverlap:
 
         monkeypatch.setattr(harness, "propagate_richardson", recording)
         monkeypatch.setattr(harness, "propagate", recording_run)
-        case = run_crossing_case(trivial_cfg, 1 / 32)
+        case = run_crossing_case(bd_cfg, 1 / 32)
         assert len(seen) == 1 and seen[0] != threading.get_ident()
         assert case.solver_error <= case.solver_target
         assert len(runs) == 2
@@ -503,9 +547,8 @@ class TestSolverOverlap:
         assert coarse_thread == seen[0]
         assert fine_thread not in (coarse_thread, threading.get_ident())
 
-    def test_fine_run_error_reaches_the_caller(self, trivial_cfg,
-                                               monkeypatch):
-        planned = run_crossing_case(trivial_cfg, 1 / 32)
+    def test_fine_run_error_reaches_the_caller(self, bd_cfg, monkeypatch):
+        planned = run_crossing_case(bd_cfg, 1 / 32)
         harness._CASE_CACHE.clear()
         error = GridOverflow("raised in the early fine run")
         real = harness.propagate
@@ -517,14 +560,53 @@ class TestSolverOverlap:
 
         monkeypatch.setattr(harness, "propagate", failing_fine)
         with pytest.raises(GridOverflow) as caught:
-            run_crossing_case(trivial_cfg, 1 / 32)
+            run_crossing_case(bd_cfg, 1 / 32)
         assert caught.value is error
 
-    def test_solver_error_reaches_the_caller(self, trivial_cfg):
-        cfg = replace(trivial_cfg,
-                      solver={**trivial_cfg.solver, "error_budget": 1e-300})
+    def test_solver_error_reaches_the_caller(self, bd_cfg):
+        cfg = replace(bd_cfg,
+                      solver={**bd_cfg.solver, "error_budget": 1e-300})
         with pytest.raises(SolverBudgetExceeded):
             run_crossing_case(cfg, 1 / 32)
+
+    def test_frame_solve_runs_off_the_calling_thread(self, trivial_cfg,
+                                                     monkeypatch):
+        # propagate_substeps runs its runs s = 1, 2, 4, ... one after
+        # another on one helper thread
+        seen, runs = [], []
+        real, real_run = harness.propagate_substeps, harness.propagate
+
+        def recording(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        def recording_run(*args, **kwargs):
+            runs.append((kwargs["substeps"], threading.get_ident()))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "propagate_substeps", recording)
+        monkeypatch.setattr(harness, "propagate", recording_run)
+        case = run_crossing_case(trivial_cfg, 1 / 32)
+        assert len(seen) == 1 and seen[0] != threading.get_ident()
+        assert case.solver_error <= case.solver_target
+        assert [s for s, _ in runs] == [1 << j for j in range(len(runs))]
+        assert len(runs) >= 3
+        assert {thread for _, thread in runs} == {seen[0]}
+
+    def test_frame_solve_error_reaches_the_caller(self, trivial_cfg,
+                                                  monkeypatch):
+        error = GridOverflow("raised in the s = 2 run")
+        real = harness.propagate
+
+        def failing(*args, **kwargs):
+            if kwargs["substeps"] == 2:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "propagate", failing)
+        with pytest.raises(GridOverflow) as caught:
+            run_crossing_case(trivial_cfg, 1 / 32)
+        assert caught.value is error
 
     def test_envelope_error_reaches_the_caller(self, trivial_cfg):
         # sigma = 2 on a half width of 7 leaves edge mass above the guard
@@ -728,6 +810,54 @@ class TestStepDoubling:
             assert np.array_equal(a.values, b.values)
 
 
+class TestSubstepDoubling:
+    """propagate_substeps: the accelerated frame's check by doubled s."""
+
+    @staticmethod
+    def _problem():
+        from bloch_oracle import eigensolve
+
+        from bandcross.ansatz import assemble_wp0
+        from bandcross.envelope import gaussian_envelope
+        from bandcross.potential import linear_ramp, make_cosine
+        V = make_cosine(4.0)
+        grid = Grid(length=8, epsilon=1.0 / 16, ppw=16)
+        _, vecs = eigensolve(V, 0.7, 1, m_cut=12)
+        psi0 = assemble_wp0(grid, 2.0, 0.7, 0.0, gaussian_envelope(1.0),
+                            vecs[0])
+        W = linear_ramp(1.0, q_ref=1.0)
+        return psi0, V, W, direct.lattice_dt(grid, 1.0), [1, 3]
+
+    def test_accepts_the_finer_run_once_the_estimate_falls(self):
+        # s = 1 -> 2 moves the state less than s = 2 -> 4 does, so the
+        # (2, 4) pair meets the target but shows no fall; the (4, 8) pair is
+        # accepted.  The accepted state is the s = 8 run itself, the
+        # estimate its distance from the s = 4 run, and n_steps counts the
+        # lattice steps of all four runs
+        psi0, V, W, dt, steps = self._problem()
+        runs = [direct.propagate(psi0, V, W, dt, steps, guard=6.0,
+                                 substeps=1 << j) for j in range(4)]
+        diffs = [max(direct.l2_error(b, a).plain for a, b in
+                     zip(x.snapshots, y.snapshots))
+                 for x, y in zip(runs, runs[1:])]
+        target = 4.0 * diffs[1]
+        assert diffs[1] > 0.5 * diffs[0] and diffs[2] <= 0.5 * diffs[1]
+        result, est = harness.propagate_substeps(psi0, V, W, dt, steps,
+                                                 target, 6.0)
+        assert est == diffs[2]
+        assert result.n_steps == 4 * steps[-1]
+        assert result.collar_mass == max(r.collar_mass for r in runs)
+        for a, b in zip(result.snapshots, runs[3].snapshots):
+            assert np.array_equal(a.values, b.values)
+
+    def test_unreachable_budget_raises(self, monkeypatch):
+        psi0, V, W, dt, steps = self._problem()
+        monkeypatch.setattr(harness, "MAX_ENVELOPE_HALVINGS", 2)
+        with pytest.raises(SolverBudgetExceeded,
+                           match="solver step-doubling .* after 2 halvings"):
+            harness.propagate_substeps(psi0, V, W, dt, steps, 1e-300, 6.0)
+
+
 class TestGatedCrossingCase:
     """One through-crossing case at eps = 1/32 with the study's gates."""
 
@@ -746,19 +876,14 @@ class TestGatedCrossingCase:
             shapes.append(np.shape(a))
             return real(a, *args, **kwargs)
 
-        # the coarse and fine runs start together and ask for the fiber
-        # basis at once; a short switch interval makes a lost check-then-act
-        # on the fiber cache show as a second batched eigh
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(harness, "_CASE_CACHE", {})
-                mp.setattr(direct, "_FIBER_CACHE", {})
-                mp.setattr(np.linalg, "eigh", counting)
-                case = run_crossing_case(self.CFG, 1 / 32)
-        finally:
-            sys.setswitchinterval(interval)
+        # the solve runs in the accelerated frame, so only the band-mass
+        # projections read the fiber basis (its concurrent first use is
+        # tested in test_direct.py)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_CASE_CACHE", {})
+            mp.setattr(direct, "_FIBER_CACHE", {})
+            mp.setattr(np.linalg, "eigh", counting)
+            case = run_crossing_case(self.CFG, 1 / 32)
         return case, shapes
 
     def test_crossing_gates(self, counted_case):
@@ -775,13 +900,24 @@ class TestGatedCrossingCase:
         assert 0.8 <= measured / predicted_late <= 1.2
 
     def test_one_fiber_eigh_per_case(self, counted_case):
-        # the coarse and fine step-doubling runs and all nine band-mass
-        # projections share one batched eigh, of the fibers r = 0..LK//2 of
-        # the 14 * 32 that the others mirror (the 2-D calls are the Bloch
-        # modes of the predicted packets)
+        # all nine band-mass projections share one batched eigh, of the
+        # fibers r = 0..LK//2 of the 14 * 32 that the others mirror; beside
+        # it, each run of the accelerated-frame solve eighs the substeps of
+        # its LK/2 built table entries, in batches of at most
+        # LATTICE_BLOCK (the 2-D calls are the Bloch modes of the
+        # predicted packets)
         case, shapes = counted_case
+        lk = 14 * 32
         batched = [shape for shape in shapes if len(shape) == 3]
-        assert batched == [(14 * 32 // 2 + 1, case.ppw, case.ppw)]
+        basis = (lk // 2 + 1, case.ppw, case.ppw)
+        assert batched.count(basis) == 1
+        table = [shape for shape in batched if shape != basis]
+        assert all(shape[0] <= direct.LATTICE_BLOCK
+                   and shape[1:] == basis[1:] for shape in table)
+        # runs s = 1, 2, ..., 2^(runs-1) of the lattice steps to t_run
+        runs = case.n_steps // max(round(t / case.dt)
+                                   for t in case.times.values())
+        assert sum(shape[0] for shape in table) == lk // 2 * (2 ** runs - 1)
 
     def test_ppw_is_the_smallest_that_meets_the_tolerance(self, counted_case):
         case, _ = counted_case
@@ -796,9 +932,12 @@ class TestGatedCrossingCase:
 
 class TestPlanSolver:
     def test_constant_shift_of_w_keeps_dt(self):
-        # the crossing ramp and the same ramp raised by 40 (q_ref moved by
-        # 10) plan the same dt, set by half the range of the periodized W
-        cfg = replace(default_config("crossing"), ppw=32)
+        # the crossing ramp reversed, and the same ramp lowered by 40 (q_ref
+        # moved by 10), plan the same BD dt, set by half the range of the
+        # periodized W (with alpha < 0 the accelerated frame does not run)
+        cfg = replace(default_config("crossing"), ppw=32,
+                      external={"kind": "linear", "alpha": -4.0,
+                                "q_ref": 6.0})
         V = build_potential(cfg.potential)
         plans = [harness.plan_solver(cfg, 1 / 128, 1.0, V,
                                      build_external({**cfg.external,
@@ -812,6 +951,7 @@ class TestPlanSolver:
         # the planned step is the phase rule's, rounded to whole steps
         dt, steps = _snap({"end": 0.6}, 0.45 / 128 / half_range, 0.6)
         for plan in plans:
+            assert plan.guard is None
             assert plan.dt == pytest.approx(dt, rel=1e-12)
             assert plan.steps == steps
 
