@@ -25,7 +25,14 @@ chosen by its caller (harness.plan_solver):
   fiber and every step, and products of its entries give each snapshot
   with no time loop.  The planner runs it for a fast linear drive, where
   BD's step would be set by W's phase (about 7 BD steps per lattice
-  step); gentle drives keep BD.
+  step); gentle drives keep BD.  In this frame each fiber evolves alone
+  and unitarily, so a fiber that starts empty stays empty, and leaving a
+  set of fibers out changes every snapshot by exactly their initial norm.
+  The solve therefore carries only a circular interval of fibers around
+  the packet (kept_fibers) and builds only the table entries that those
+  fibers pass through, so its cost follows the packet's fiber support and
+  the K range it sweeps, not LK; the caller charges the dropped norm to
+  its error target (harness.propagate_substeps).
 
 ``propagate_strang`` is the plain Strang step that splits V + W against
 the kinetic term; it is kept as the test oracle.  The solvers share the
@@ -137,6 +144,8 @@ class PropagationResult:
     n_steps: int
     dt: float
     collar_mass: float      # peak collar mass fraction over the steps
+    fibers_kept: int        # Bloch fibers propagated, of the grid's LK
+    dropped_norm: float = 0.0   # norm of psi0 on the fibers left out
 
 
 def _half_phase(u: np.ndarray, dt: float, eps: float, what: str) -> np.ndarray:
@@ -203,7 +212,8 @@ def _split_run(psi0: GridState, dt: float, steps, half: np.ndarray, middle,
         state = GridState(grid, psi.copy(), t=step * dt)
         snapshots.append(state)
     return PropagationResult(snapshots, _norm_drift(snapshots, norm0),
-                             steps[-1], dt, collar_peak)
+                             steps[-1], dt, collar_peak,
+                             grid.length * grid.k_inv)
 
 
 def _check_steps(dt: float, steps):
@@ -356,7 +366,8 @@ def points_per_period(V: PeriodicPotential, n_bands: int, tol: float) -> int:
 
 def propagate(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
               check_collar: bool = True, guard: float | None = None,
-              substeps: int = 1) -> PropagationResult:
+              substeps: int = 1, fibers: tuple | None = None
+              ) -> PropagationResult:
     """The direct solve from psi0, a snapshot after each count of steps.
 
     With guard None it runs Bloch-decomposition Strang steps of dt: the
@@ -364,12 +375,16 @@ def propagate(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
     e^{-i c t/eps}, so it is the solution under W itself.  With a guard it
     runs in the accelerated frame (_accelerated): W must be linear with
     alpha > 0, dt must be lattice_dt(grid, alpha), each table entry takes
-    substeps Magnus substeps, and the unit interval [guard, guard + 1) on
-    the periodic box is read in place of the collar.
+    substeps Magnus substeps, the unit interval [guard, guard + 1) on
+    the periodic box is read in place of the collar, and fibers, a
+    circular interval (lo, count) of lab fibers (kept_fibers), limits the
+    solve to psi0's part on them (None: every fiber).
     """
     if guard is not None:
         return _accelerated(psi0, V, W, dt, steps, check_collar, guard,
-                            substeps)
+                            substeps, fibers)
+    if fibers is not None:
+        raise ValueError("only the accelerated frame keeps a fiber interval")
     grid = psi0.grid
     eps = grid.epsilon
     lk, ppw = grid.length * grid.k_inv, grid.ppw
@@ -520,23 +535,26 @@ def _magnus_substeps(V: PeriodicPotential, ppw: int, k_mid: np.ndarray,
 
 
 def _lattice_table(V: PeriodicPotential, grid: Grid, alpha: float,
-                   substeps: int) -> np.ndarray:
+                   substeps: int, entries=None) -> np.ndarray:
     """Entries U_k, k = 0..ceil(LK/2)-1, of the window propagator table.
 
     U_k carries a fiber from K = k dp to (k+1) dp, dp = 2 pi/LK, in
     substeps Magnus substeps (later ones on the left).  The rest follow by
     the mirror U_{LK-1-k} = R U_k^T R (R reverses the window), which holds
-    for any real V: R h(K) R = h(2 pi - K)^T.  Built LATTICE_BLOCK
-    substeps at a time.
+    for any real V: R h(K) R = h(2 pi - K)^T.  Only the indices in
+    entries are built (None: every one); the others stay zero.  Built
+    LATTICE_BLOCK substeps at a time.
     """
     lk, ppw, eps = grid.length * grid.k_inv, grid.ppw, grid.epsilon
     dp = TWO_PI / lk
     a = dp / alpha / (2.0 * substeps)
     frac = (np.arange(substeps) + 0.5) / substeps
-    table = np.empty(((lk + 1) // 2, ppw, ppw), complex)
+    table = np.zeros(((lk + 1) // 2, ppw, ppw), complex)
+    if entries is None:
+        entries = np.arange(len(table))
     block = max(1, LATTICE_BLOCK // substeps)
-    for k0 in range(0, len(table), block):
-        ks = np.arange(k0, min(len(table), k0 + block))
+    for k0 in range(0, len(entries), block):
+        ks = np.asarray(entries[k0:k0 + block])
         sub = _magnus_substeps(V, ppw, ((ks[:, None] + frac) * dp).ravel(),
                                a, alpha, eps)
         sub = sub.reshape(ks.size, substeps, ppw, ppw)
@@ -572,20 +590,70 @@ def _from_window(fibers: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.ifftshift(fibers.T.ravel()))
 
 
+def _fiber_masses(x0: np.ndarray, grid: Grid) -> np.ndarray:
+    """||psi||^2 on each lab fiber of x0 = _to_window(psi) (Parseval)."""
+    return np.sum(np.abs(x0) ** 2, axis=1) * grid.dx / grid.n
+
+
+def _dropped_norm(masses: np.ndarray, lo: int, count: int) -> float:
+    """The norm outside the circular interval (lo, count) of fibers.
+
+    Summed over the dropped fibers themselves: total - kept would cancel
+    to roundoff and read a dropped norm of 1e-9 as 0.
+    """
+    lk = masses.size
+    return float(np.sqrt(np.sum(masses[(lo + count + np.arange(lk - count))
+                                       % lk])))
+
+
+def kept_fibers(psi0: GridState, budget: float) -> tuple:
+    """(lo, count, dropped): the fibers a solve of psi0 keeps.
+
+    The circular interval of lab fibers lo, lo + 1, .., lo + count - 1
+    (mod LK) grows from psi0's peak fiber, taking whichever neighbour
+    holds more mass, until psi0's norm on the other fibers, dropped, is
+    at most budget.  A budget of 0 keeps every fiber that holds any mass.
+    In the accelerated frame every fiber evolves alone and unitarily, so
+    dropped is the error of the kept solve at every time.
+    """
+    grid = psi0.grid
+    lk = grid.length * grid.k_inv
+    masses = _fiber_masses(_to_window(psi0.values, lk, grid.ppw), grid)
+    m = masses.tolist()
+    left = right = int(np.argmax(masses))
+    taken, starts = [m[left]], [left]   # in growth order; lo after each
+    for _ in range(lk - 1):
+        if m[(left - 1) % lk] > m[(right + 1) % lk]:
+            left -= 1
+            taken.append(m[left % lk])
+        else:
+            right += 1
+            taken.append(m[right % lk])
+        starts.append(left)
+    # tail[i]: the mass of the fibers taken after the first i, each summed
+    tail = np.append(np.cumsum(taken[::-1])[::-1], 0.0)
+    count = max(1, int(np.argmax(tail <= budget ** 2)))
+    lo = starts[count - 1] % lk
+    return lo, count, _dropped_norm(masses, lo, count)
+
+
 def _window_pass(table: np.ndarray, grid: Grid, x0: np.ndarray, times,
-                 snaps, first_period: int) -> tuple:
+                 snaps, first_period: int, lo: int, count: int) -> tuple:
     """(lab fibers at each of snaps, guard values at each of times).
 
+    Only the fibers r = lo .. lo + count - 1 (mod LK) of x0 are carried.
     The fiber at lattice point r at step 0 sits at point r + n after n
-    steps, and its window is P_{r+n} P_r^H x0[r] with P_{k+1} = U_k P_k.
-    One pass over k keeps the P's of one LATTICE_BLOCK of points, and for
-    every time n of times (snaps among them) whose fiber k - n is in
-    0..LK-1, writes P_k y_{k-n}, with y_r = P_r^H x0[r], to lab fiber
-    k mod LK.  Snapshots keep their fibers; every time keeps only the
-    values of psi on the k_inv periods from first_period on (the guard
-    interval), summed fiber by fiber as the pass reaches them, so no other
-    state is stored.  Returns ({n: (LK, ppw) fibers}, (k_inv, len(times),
-    ppw) guard values).
+    steps, and its window is P_{r+n} P_r^H x0[r] with P_lo = 1 and
+    P_{k+1} = U_k P_k.  One pass over k from lo keeps the P's of one
+    LATTICE_BLOCK of points, and for every time n of times (snaps among
+    them) whose fiber k - n is kept, writes P_k y_{k-n}, with
+    y_r = P_r^H x0[r], to lab fiber k mod LK; the block reads only the
+    times that have a kept fiber in its reach.  Snapshots keep their
+    fibers, the dropped ones zero rows; every time keeps only the values
+    of psi on the k_inv periods from first_period on (the guard interval),
+    summed fiber by fiber as the pass reaches them, so no other state is
+    stored.  Returns ({n: (LK, ppw) fibers}, (k_inv, len(times), ppw)
+    guard values).
     """
     lk, ppw, n = grid.length * grid.k_inv, grid.ppw, grid.n
     times = np.asarray(times)
@@ -599,34 +667,39 @@ def _window_pass(table: np.ndarray, grid: Grid, x0: np.ndarray, times,
     wave = np.exp(TWO_PI * 1j * fib * ((first_period + np.arange(grid.k_inv))
                                        % lk) / lk)
     guard = np.zeros((grid.k_inv, times.size, ppw), complex)
-    fibers = {int(t): np.empty((lk, ppw), complex) for t in snaps}
-    y = np.zeros((lk + 1, ppw), complex)   # row lk: no fiber in reach
+    fibers = {int(t): np.zeros((lk, ppw), complex) for t in snaps}
+    y = np.zeros((count + 1, ppw), complex)   # row count: no fiber in reach
     p = np.eye(ppw, dtype=complex)
-    end = lk + int(times[-1])
-    for k0 in range(0, end, LATTICE_BLOCK):
+    end = lo + count + int(times[-1])
+    for k0 in range(lo, end, LATTICE_BLOCK):
         ks = np.arange(k0, min(end, k0 + LATTICE_BLOCK))
         block = np.empty((ks.size + 1, ppw, ppw), complex)
         block[0] = p
         for i, k in enumerate(ks):
             np.matmul(_entry(table, k, lk), block[i], out=block[i + 1])
         p, block = block[-1], block[:-1]
-        new = ks[ks < lk]
-        y[new] = np.einsum("kji,kj->ki", np.conj(block[:new.size]), x0[new])
-        r = ks[:, None] - times[None, :]
-        r = np.where((r >= 0) & (r < lk), r, lk)
+        new = ks[ks < lo + count]
+        y[new - lo] = np.einsum("kji,kj->ki", np.conj(block[:new.size]),
+                                x0[new % lk])
+        # the times n with a kept fiber k - n for some k of the block
+        t0, t1 = np.searchsorted(times, [ks[0] - lo - count, ks[-1] - lo],
+                                 side="right")
+        r = ks[:, None] - times[None, t0:t1] - lo
+        r = np.where((r >= 0) & (r < count), r, count)
         rows = ks % lk
         state = y[r] @ block.transpose(0, 2, 1)    # (block, time, ppw)
         for t, col in zip(snaps, cols):
-            live = r[:, col] < lk
-            fibers[int(t)][rows[live]] = state[live, col]
+            if t0 <= col < t1:
+                live = r[:, col - t0] < count
+                fibers[int(t)][rows[live]] = state[live, col - t0]
         state @= (twist[rows][:, :, None] * read).transpose(0, 2, 1)
-        guard += np.tensordot(wave[rows], state, axes=(0, 0))
+        guard[:, t0:t1] += np.tensordot(wave[rows], state, axes=(0, 0))
     return fibers, guard
 
 
 def _accelerated(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
-                 check_collar: bool, guard: float,
-                 substeps: int) -> PropagationResult:
+                 check_collar: bool, guard: float, substeps: int,
+                 fibers: tuple | None) -> PropagationResult:
     """The solve in the accelerated (Houston) frame, with no time loop.
 
     psi = e^{-i W(0) t/eps} e^{i alpha t x/eps} phi turns W = W(0) - alpha x
@@ -638,13 +711,25 @@ def _accelerated(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
     (_lattice_table, _entry), and _window_pass applies the products of the
     entries.  No W is split, so there is no collar, phase rule or eps/10
     cap; the frame's box is cut at x = 0, where the linear W jumps.
+
+    Every fiber evolves alone and unitarily, so the solve carries only the
+    circular interval fibers = (lo, count) of them (None: all LK): the
+    fibers left out keep their norm, dropped_norm, and the kept solve
+    differs from the full one by exactly that at every time.  Only the
+    table entries of the lattice points lo .. lo + count + n_last - 1 that
+    the kept fibers pass through are built, and norm_drift is read against
+    the kept part's norm.
+
     The cut's position is arbitrary (a roll of psi0 by whole periods rolls
     every snapshot, up to a global phase), so the guard reads the unit
     interval [guard, guard + 1), snapped to whole periods, that the caller
     places away from the packets.  It is read at every snapshot and every
     stride steps, with stride dt below the time the grid's fastest group
-    velocity, pi ppw, takes to cross it.  Its peak mass fraction is
-    collar_mass; with check_collar it must stay below COLLAR_MASS_TOL.
+    velocity, pi ppw, takes to cross it.  The dropped fibers put at most
+    their norm there, so the guard's mass fraction is bounded by
+    (sqrt(kept fraction) + dropped_norm/||psi0||)^2; the peak of that bound
+    is collar_mass, and with check_collar it must stay below
+    COLLAR_MASS_TOL.
     """
     _check_steps(dt, steps)
     grid = psi0.grid
@@ -656,28 +741,37 @@ def _accelerated(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
     if abs(dt - lattice_dt(grid, alpha)) > 1e-12 * dt:
         raise ValueError(f"dt {dt} is not the lattice step "
                          f"{lattice_dt(grid, alpha)}")
+    lo, count = (0, lk) if fibers is None else fibers
+    if not 1 <= count <= lk:
+        raise ValueError(f"{count} kept fibers is not within 1..{lk}")
     stride = max(1, int(1.0 / (np.pi * ppw * dt)))
     times = sorted(set(steps) | set(range(0, steps[-1] + 1, stride)))
     first = int(round(guard / eps)) % lk
-    fibers, amps = _window_pass(_lattice_table(V, grid, alpha, substeps),
-                                grid, _to_window(psi0.values, lk, ppw),
-                                times, steps, first)
+    x0 = _to_window(psi0.values, lk, ppw)
+    masses = _fiber_masses(x0, grid)
+    dropped = _dropped_norm(masses, lo, count)
+    # the lattice points the kept fibers pass through, folded by the mirror
+    points = (lo + np.arange(count + steps[-1])) % lk
+    table = _lattice_table(V, grid, alpha, substeps,
+                           np.unique(np.minimum(points, lk - 1 - points)))
+    lab, amps = _window_pass(table, grid, x0, times, steps, first, lo, count)
     norm0 = psi0.norm()
-    fracs = np.sum(np.abs(amps) ** 2, axis=(0, 2)) * grid.dx / max(
-        norm0 ** 2, 1e-300)
+    fracs = (np.sqrt(np.sum(np.abs(amps) ** 2, axis=(0, 2)) * grid.dx)
+             + dropped) ** 2 / max(norm0 ** 2, 1e-300)
     peak = float(fracs.max())
     if check_collar and peak > COLLAR_MASS_TOL:
         i = int(np.argmax(fracs > COLLAR_MASS_TOL))
-        lo = first * eps
-        raise GridOverflow(f"packet mass fraction {fracs[i]:.2e} inside the "
-                           f"guard interval [{lo:.3f}, {lo + 1:.3f}) at "
-                           f"t={times[i] * dt:.4f}")
+        left = first * eps
+        raise GridOverflow(f"packet mass fraction up to {fracs[i]:.2e} "
+                           f"inside the guard interval [{left:.3f}, "
+                           f"{left + 1:.3f}) at t={times[i] * dt:.4f}")
     w0 = float(W.w(0.0))
-    snapshots = [GridState(grid, _from_window(fibers[n])
+    snapshots = [GridState(grid, _from_window(lab[n])
                            * np.exp(-1j * w0 * n * dt / eps), t=n * dt)
                  for n in steps]
-    return PropagationResult(snapshots, _norm_drift(snapshots, norm0),
-                             steps[-1], dt, peak)
+    kept_norm = float(np.sqrt(np.sum(masses[(lo + np.arange(count)) % lk])))
+    return PropagationResult(snapshots, _norm_drift(snapshots, kept_norm),
+                             steps[-1], dt, peak, count, dropped)
 
 
 @dataclass

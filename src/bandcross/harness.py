@@ -11,9 +11,11 @@ crossing and inner-window studies share a single propagation.
 Every resolution is derived from the solver error targets: the direct
 solve's frame, grid and dt by plan_solver and its after-run step doubling
 (in dt for Bloch decomposition, in the table's substeps for the
-accelerated frame), each envelope march's step by step doubling in
-march_envelopes, and the step of the scenario's band flow by step doubling
-in derived_flow, against the smallest target of the config's epsilons.
+accelerated frame), the Bloch fibers that the accelerated frame's solve
+keeps by FIBER_SHARE of the target (propagate_substeps), each envelope
+march's step by step doubling in march_envelopes, and the step of the
+scenario's band flow by step doubling in derived_flow, against the
+smallest target of the config's epsilons.
 All but BD's dt halving accept by one rule (_step_doubling).  Every
 default drive is linear, so its envelope transport is exact in Fourier
 space and march_envelopes accepts its first pair of marches, which agree
@@ -81,6 +83,9 @@ MAX_HALVINGS = 3          # dt halvings the step-doubling check may add
 # tolerance is ENVELOPE_SHARE of the solver target, as for the ppw rule in
 # plan_solver
 ENVELOPE_SHARE = 0.01
+# the accelerated frame's solve leaves out the Bloch fibers of psi0 that
+# carry at most FIBER_SHARE of the solver target (propagate_substeps)
+FIBER_SHARE = 0.1
 ENVELOPE_START_STEPS = 16
 MAX_ENVELOPE_HALVINGS = 8
 ROUNDOFF_FLOOR = 1e-12    # packet norm; an exact march estimates ~1e-14
@@ -732,7 +737,8 @@ def propagate_richardson(psi0: GridState, V, W, dt: float, steps,
                                norm_drift_rate=fine.norm_drift_rate,
                                n_steps=n_steps, dt=coarse.dt,
                                collar_mass=max(coarse.collar_mass,
-                                               fine.collar_mass))
+                                               fine.collar_mass),
+                               fibers_kept=fine.fibers_kept)
     return result, est
 
 
@@ -740,31 +746,40 @@ def propagate_substeps(psi0: GridState, V, W, dt: float, steps,
                        target: float, guard: float):
     """Substep doubling of the accelerated-frame solve: (result, estimate).
 
+    Every fiber evolves alone and unitarily in the frame, so leaving some
+    out costs exactly their norm at every time.  Before the runs,
+    direct.kept_fibers picks the circular interval of fibers, grown from
+    psi0's peak fiber, whose dropped norm is at most FIBER_SHARE * target,
+    and every run propagates that interval alone.  The target is split:
+    the runs are checked against target - dropped, and the estimate
+    returned is the runs' estimate + dropped.
+
     Run j builds its table with 2^j substeps per entry (s = 1, 2, 4, ...);
     its estimate is max over snapshots of ||psi_{2s} - psi_s||, which
     bounds the coarser run's error, and _step_doubling accepts the finer
-    run once that is <= target and has fallen at least 2x.  The accepted
-    state is the finer run itself: per doubling its error falls 8-16x on
-    the crossing defaults, so it is well below the estimate, while a
-    first-order entry can read low at small s, which the fall rule
-    catches.  n_steps counts the lattice steps of every run, and
-    collar_mass is the peak guard mass over them.
+    run once that is <= target - dropped and has fallen at least 2x.  The
+    accepted state is the finer run itself: per doubling its error falls
+    8-16x on the crossing defaults, so it is well below the estimate,
+    while a first-order entry can read low at small s, which the fall
+    rule catches.  n_steps counts the lattice steps of every run, and
+    collar_mass is the peak over them of the guard mass bound.
     """
+    lo, count, dropped = direct.kept_fibers(psi0, FIBER_SHARE * target)
     runs = []
 
     def run(j):
         runs.append(propagate(psi0, V, W, dt, steps, guard=guard,
-                              substeps=1 << j))
+                              substeps=1 << j, fibers=(lo, count)))
         return runs[-1]
 
     def estimate(coarse, fine):
         return max(l2_error(b, a).plain
                    for a, b in zip(coarse.snapshots, fine.snapshots))
 
-    fine, est, _ = _step_doubling(run, estimate, target, "solver")
+    fine, est, _ = _step_doubling(run, estimate, target - dropped, "solver")
     fine.n_steps = sum(r.n_steps for r in runs)
     fine.collar_mass = max(r.collar_mass for r in runs)
-    return fine, est
+    return fine, est + dropped
 
 
 # -- envelope transport ----------------------------------------------------------
@@ -877,9 +892,11 @@ class Case:
     grid_length: int
     ppw: int                       # points per period of the solver grid
     norm_drift: float
-    solver_error: float            # step-doubling estimate of the solve
+    solver_error: float            # step-doubling estimate + dropped_norm
     solver_target: float
     collar_mass: float             # peak collar mass fraction of the solve
+    fibers_kept: int               # Bloch fibers the solve propagated
+    dropped_norm: float            # psi0's norm on the fibers left out
     energy_drift: float            # max over the case's trajectories
     envelope_dt: float             # finest accepted step of the marches
     # their largest step-doubling estimate: roundoff, at most
@@ -895,6 +912,8 @@ def _case_fields(eps: float, plan: SolverPlan, result: PropagationResult,
                 grid_length=plan.grid.length, ppw=plan.grid.ppw,
                 norm_drift=result.norm_drift_rate, solver_error=solver_error,
                 solver_target=plan.target, collar_mass=result.collar_mass,
+                fibers_kept=result.fibers_kept,
+                dropped_norm=result.dropped_norm,
                 energy_drift=energy_drift,
                 envelope_dt=min(m.dt for m in marches),
                 envelope_error=max(m.error for m in marches),

@@ -906,6 +906,98 @@ class TestAcceleratedFrame:
             propagate(psi0, V, W, 0.9 * dt, [2], guard=3.0)
 
 
+EVEN_AND_ODD = pytest.mark.parametrize(
+    "V", [make_cosine(4.0), potential_from_coeffs({1: 1.0, 2: -0.5j})],
+    ids=["even", "odd"])
+
+
+def on_fibers(psi: GridState, lo: int, count: int) -> GridState:
+    """psi's part on the lab fibers lo .. lo + count - 1 (mod LK)."""
+    grid = psi.grid
+    lk = grid.length * grid.k_inv
+    fibers = direct._to_window(psi.values, lk, grid.ppw)
+    kept = np.zeros_like(fibers)
+    rows = (lo + np.arange(count)) % lk
+    kept[rows] = fibers[rows]
+    return GridState(grid, direct._from_window(kept), t=psi.t)
+
+
+class TestKeptFibers:
+    """The accelerated frame's solve on a circular interval of fibers."""
+
+    STEPS = [0, 3, 17, 40, 70]     # through two rolls at K = 2 pi (LK = 32)
+
+    @staticmethod
+    def _run(psi0, V, W, dt, fibers=None):
+        return propagate(psi0, V, W, dt, TestKeptFibers.STEPS,
+                         check_collar=False, guard=0.0, substeps=2,
+                         fibers=fibers)
+
+    @EVEN_AND_ODD
+    def test_dropped_fibers_cost_exactly_their_norm(self, V):
+        # every fiber evolves alone and unitarily, so at every snapshot the
+        # kept solve is the full one less the dropped fibers' part, which
+        # keeps the dropped norm of psi0
+        psi0, V, W, dt, _ = frame_problem(V)
+        lo, count, dropped = direct.kept_fibers(psi0, 1e-3)
+        assert 1 < count < 32 and 0.0 < dropped <= 1e-3
+        full = self._run(psi0, V, W, dt)
+        kept = self._run(psi0, V, W, dt, (lo, count))
+        assert (kept.fibers_kept, kept.dropped_norm) == (count, dropped)
+        assert (full.fibers_kept, full.dropped_norm) == (32, 0.0)
+        for a, b in zip(full.snapshots, kept.snapshots):
+            assert l2_error(a, b).plain == pytest.approx(dropped, rel=1e-10)
+        # the guard reads a bound on the full state's mass
+        assert kept.collar_mass >= full.collar_mass
+        assert kept.collar_mass >= dropped ** 2 / psi0.norm() ** 2
+
+    @EVEN_AND_ODD
+    def test_a_zero_budget_keeps_every_fiber(self, V):
+        psi0, V, W, dt, _ = frame_problem(V)
+        lo, count, dropped = direct.kept_fibers(psi0, 0.0)
+        assert count == 32 and dropped == 0.0
+        full = self._run(psi0, V, W, dt)
+        kept = self._run(psi0, V, W, dt, (lo, count))
+        for a, b in zip(full.snapshots, kept.snapshots):
+            assert np.max(np.abs(a.values - b.values)) < 1e-12
+
+    @EVEN_AND_ODD
+    @pytest.mark.parametrize("lo, count", [(29, 9), (20, 8)],
+                             ids=["wraps-r=0", "lattice-wraps-LK"])
+    def test_kept_interval_solves_the_kept_part(self, V, lo, count):
+        # the solve on (lo, count) is the full solve of psi0's part on those
+        # fibers; (29, 9) keeps r = 29..31 and 0..5, and (20, 8) passes the
+        # lattice points 20..94, past LK twice
+        psi0, V, W, dt, _ = frame_problem(V)
+        part = self._run(on_fibers(psi0, lo, count), V, W, dt)
+        kept = self._run(psi0, V, W, dt, (lo, count))
+        for n, a, b in zip(self.STEPS, part.snapshots, kept.snapshots):
+            assert np.max(np.abs(a.values - b.values)) < 1e-12
+            # after n steps the kept fibers sit on lab fibers lo + n, ..
+            moved = on_fibers(b, lo + n, count)
+            assert np.max(np.abs(moved.values - b.values)) < 1e-14
+        assert kept.dropped_norm == pytest.approx(
+            l2_error(psi0, on_fibers(psi0, lo, count)).plain, rel=1e-12)
+
+    @EVEN_AND_ODD
+    def test_subset_table_entries_equal_the_full_table(self, V):
+        psi0, V, W, dt, full = frame_problem(V, substeps=3)
+        entries = np.array([0, 1, 5, 6, 7, 15])
+        sub = direct._lattice_table(V, psi0.grid, 1.0, 3, entries)
+        assert sub.shape == full.shape
+        assert np.max(np.abs(sub[entries] - full[entries])) < 1e-13
+        rest = np.setdiff1d(np.arange(len(full)), entries)
+        assert not np.any(sub[rest])
+
+    def test_refuses_an_empty_interval_and_bd(self):
+        psi0, V, W, dt, _ = frame_problem()
+        with pytest.raises(ValueError, match="kept fibers"):
+            propagate(psi0, V, W, dt, [2], guard=0.0, fibers=(3, 0))
+        with pytest.raises(ValueError, match="accelerated frame"):
+            propagate(psi0, V, cosine_external(0.5, 0.7), 1e-3, [2],
+                      fibers=(0, 4))
+
+
 class TestFramePlanning:
     """Which frame plan_solver picks, and the frame's step doubling."""
 

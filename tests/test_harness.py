@@ -331,7 +331,10 @@ class TestFreeParticleIsolated:
     def test_fast_drive_runs_in_the_accelerated_frame(self):
         # alpha = 2 on L = 10 (max|W - c| about 10) selects the frame; with
         # V = 0 its entries are exact, so the s = 1 and s = 2 runs agree to
-        # roundoff and the first pair is accepted
+        # roundoff and the first pair is accepted.  The solve leaves out
+        # the fibers that hold at most FIBER_SHARE of the target, and their
+        # norm, which solver_error counts, is then the error against the
+        # exact WP1
         cfg = replace(self.CFG, band_window=(0.7, 2.6),
                       external={"kind": "linear", "alpha": 2.0,
                                 "q_ref": 0.0})
@@ -339,8 +342,11 @@ class TestFreeParticleIsolated:
         grid = Grid(length=10, epsilon=1 / 32, ppw=32)
         assert case.dt == direct.lattice_dt(grid, 2.0)
         assert case.n_steps == 2 * round(cfg.t_final / case.dt)
-        assert case.solver_error <= harness.ROUNDOFF_FLOOR
-        assert case.error_wp1 < 1e-5
+        assert 0.0 < case.dropped_norm <= (harness.FIBER_SHARE
+                                           * case.solver_target)
+        assert case.fibers_kept < 10 * 32
+        assert case.solver_error - case.dropped_norm <= harness.ROUNDOFF_FLOOR
+        assert case.error_wp1 <= case.solver_error <= case.solver_target
         assert case.collar_mass < 1e-8
 
     def test_rows_record_solver_and_band_diagnostics(self):
@@ -563,11 +569,43 @@ class TestSolverOverlap:
             run_crossing_case(bd_cfg, 1 / 32)
         assert caught.value is error
 
-    def test_solver_error_reaches_the_caller(self, bd_cfg):
-        cfg = replace(bd_cfg,
-                      solver={**bd_cfg.solver, "error_budget": 1e-300})
-        with pytest.raises(SolverBudgetExceeded):
-            run_crossing_case(cfg, 1 / 32)
+    def test_solver_error_reaches_the_caller(self, bd_cfg, monkeypatch):
+        # only the solve gets the unreachable target: through error_budget
+        # it would also reach the band flow and the envelope marches, which
+        # run on the calling thread
+        real = harness.propagate_richardson
+
+        def strict(psi0, V, W, dt, steps, target, fine_run=None):
+            return real(psi0, V, W, dt, steps, 1e-300, fine_run)
+
+        monkeypatch.setattr(harness, "propagate_richardson", strict)
+        monkeypatch.setattr(harness, "MAX_HALVINGS", 1)
+        with pytest.raises(SolverBudgetExceeded,
+                           match="^step-doubling error estimate .* exceeds "
+                                 "the target 1.000e-300 after 1 halvings"):
+            run_crossing_case(bd_cfg, 1 / 32)
+
+    def test_frame_budget_error_reaches_the_caller(self, trivial_cfg,
+                                                   monkeypatch):
+        # the frame's runs are checked against the target less the norm of
+        # the fibers the solve leaves out
+        real = harness.propagate_substeps
+        target, tols = 1e-9, []
+
+        def strict(psi0, V, W, dt, steps, _, guard):
+            dropped = direct.kept_fibers(psi0, harness.FIBER_SHARE
+                                         * target)[2]
+            tols.append(f"{target - dropped:.3e}")
+            return real(psi0, V, W, dt, steps, target, guard)
+
+        monkeypatch.setattr(harness, "propagate_substeps", strict)
+        monkeypatch.setattr(harness, "MAX_ENVELOPE_HALVINGS", 2)
+        with pytest.raises(SolverBudgetExceeded) as caught:
+            run_crossing_case(trivial_cfg, 1 / 32)
+        (tol,) = tols
+        assert tol != f"{target:.3e}"
+        caught.match(f"^solver step-doubling estimate .* exceeds the "
+                     f"tolerance {tol} after 2 halvings")
 
     def test_frame_solve_runs_off_the_calling_thread(self, trivial_cfg,
                                                      monkeypatch):
@@ -604,7 +642,8 @@ class TestSolverOverlap:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "propagate", failing)
-        with pytest.raises(GridOverflow) as caught:
+        with pytest.raises(GridOverflow,
+                           match="^raised in the s = 2 run$") as caught:
             run_crossing_case(trivial_cfg, 1 / 32)
         assert caught.value is error
 
@@ -703,15 +742,25 @@ class TestCaseOrder:
 class TestCaseRows:
     def test_every_row_carries_every_case_field(self, trivial_cfg):
         names = {f.name for f in fields(harness.Case)}
-        assert len(names) == 13
+        assert len(names) == 15
         crossing = replace(trivial_cfg, study="crossing", epsilons=(1 / 32,),
                            measurements=("crossing",))
-        for rows in (run_isolated_band(TestFreeParticleIsolated.CFG).rows,
-                     run_breakdown_study(trivial_cfg).rows,
-                     run_crossing_study(crossing).rows):
+        isolated = run_isolated_band(TestFreeParticleIsolated.CFG).rows
+        frame = run_crossing_study(crossing).rows
+        for rows in (isolated, run_breakdown_study(trivial_cfg).rows, frame):
             assert rows
             for row in rows:
                 assert names <= set(row), names - set(row)
+                assert row["dropped_norm"] <= row["solver_error"]
+        # the isolated case runs BD, which keeps every fiber; the trivial
+        # crossing runs in the accelerated frame, which drops some
+        (row,) = isolated
+        assert row["fibers_kept"] == row["grid_length"] * 32
+        assert row["dropped_norm"] == 0.0
+        (row,) = frame
+        assert 0 < row["fibers_kept"] < row["grid_length"] * 32
+        assert 0.0 < row["dropped_norm"] <= (harness.FIBER_SHARE
+                                             * row["solver_target"])
 
 
 class TestEpsilonParsing:
@@ -831,20 +880,32 @@ class TestSubstepDoubling:
     def test_accepts_the_finer_run_once_the_estimate_falls(self):
         # s = 1 -> 2 moves the state less than s = 2 -> 4 does, so the
         # (2, 4) pair meets the target but shows no fall; the (4, 8) pair is
-        # accepted.  The accepted state is the s = 8 run itself, the
-        # estimate its distance from the s = 4 run, and n_steps counts the
-        # lattice steps of all four runs
+        # accepted.  The runs keep the fibers of kept_fibers at the budget
+        # FIBER_SHARE * target and are checked against target - dropped.
+        # The accepted state is the s = 8 run itself, the estimate its
+        # distance from the s = 4 run plus the dropped norm, and n_steps
+        # counts the lattice steps of all four runs
         psi0, V, W, dt, steps = self._problem()
-        runs = [direct.propagate(psi0, V, W, dt, steps, guard=6.0,
-                                 substeps=1 << j) for j in range(4)]
-        diffs = [max(direct.l2_error(b, a).plain for a, b in
-                     zip(x.snapshots, y.snapshots))
-                 for x, y in zip(runs, runs[1:])]
-        target = 4.0 * diffs[1]
+
+        def runs_on(fibers):
+            runs = [direct.propagate(psi0, V, W, dt, steps, guard=6.0,
+                                     substeps=1 << j, fibers=fibers)
+                    for j in range(4)]
+            return runs, [max(direct.l2_error(b, a).plain for a, b in
+                              zip(x.snapshots, y.snapshots))
+                          for x, y in zip(runs, runs[1:])]
+
+        target = 4.0 * runs_on(None)[1][1]
+        lo, count, dropped = direct.kept_fibers(
+            psi0, harness.FIBER_SHARE * target)
+        assert count < 128 and dropped > 0.0
+        runs, diffs = runs_on((lo, count))
+        assert diffs[1] <= target - dropped
         assert diffs[1] > 0.5 * diffs[0] and diffs[2] <= 0.5 * diffs[1]
         result, est = harness.propagate_substeps(psi0, V, W, dt, steps,
                                                  target, 6.0)
-        assert est == diffs[2]
+        assert est == diffs[2] + dropped
+        assert (result.fibers_kept, result.dropped_norm) == (count, dropped)
         assert result.n_steps == 4 * steps[-1]
         assert result.collar_mass == max(r.collar_mass for r in runs)
         for a, b in zip(result.snapshots, runs[3].snapshots):
@@ -903,9 +964,11 @@ class TestGatedCrossingCase:
         # all nine band-mass projections share one batched eigh, of the
         # fibers r = 0..LK//2 of the 14 * 32 that the others mirror; beside
         # it, each run of the accelerated-frame solve eighs the substeps of
-        # its LK/2 built table entries, in batches of at most
-        # LATTICE_BLOCK (the 2-D calls are the Bloch modes of the
-        # predicted packets)
+        # its built table entries, in batches of at most LATTICE_BLOCK (the
+        # 2-D calls are the Bloch modes of the predicted packets).  The
+        # solve keeps the 37 fibers r = 359..395, which pass the lattice
+        # points 359..586 in the 191 steps to t_run: mod LK, 359..447 and
+        # 0..138, which the mirror folds onto the 139 entries 0..138
         case, shapes = counted_case
         lk = 14 * 32
         batched = [shape for shape in shapes if len(shape) == 3]
@@ -917,7 +980,8 @@ class TestGatedCrossingCase:
         # runs s = 1, 2, ..., 2^(runs-1) of the lattice steps to t_run
         runs = case.n_steps // max(round(t / case.dt)
                                    for t in case.times.values())
-        assert sum(shape[0] for shape in table) == lk // 2 * (2 ** runs - 1)
+        assert case.fibers_kept == 37
+        assert sum(shape[0] for shape in table) == 139 * (2 ** runs - 1)
 
     def test_ppw_is_the_smallest_that_meets_the_tolerance(self, counted_case):
         case, _ = counted_case
