@@ -20,19 +20,20 @@ chosen by its caller (harness.plan_solver):
   alpha > 0 (``propagate`` with a guard; ``_accelerated``).  There every
   fiber's quasimomentum drifts, K = 2 pi r/LK + alpha t, under the same
   collocated fiber matrices, and nothing is split.  Its step is the
-  lattice step 2 pi/(LK alpha), one fiber of drift; a mirrored table of
-  LK/2 Magnus propagators, one per lattice point of the zone, serves every
-  fiber and every step, and products of its entries give each snapshot
-  with no time loop.  The planner runs it for a fast linear drive, where
-  BD's step would be set by W's phase (about 7 BD steps per lattice
-  step); gentle drives keep BD.  In this frame each fiber evolves alone
-  and unitarily, so a fiber that starts empty stays empty, and leaving a
-  set of fibers out changes every snapshot by exactly their initial norm.
-  The solve therefore carries only a circular interval of fibers around
-  the packet (kept_fibers) and builds only the table entries that those
-  fibers pass through, so its cost follows the packet's fiber support and
-  the K range it sweeps, not LK; the caller charges the dropped norm to
-  its error target (harness.propagate_substeps).
+  lattice step 2 pi/(LK alpha), one fiber of drift; a table of Magnus
+  propagators, one per lattice point, serves every fiber and every step,
+  and a plain loop carries the fibers, one batched matvec per step.  The
+  planner runs it for a fast linear drive, where BD's step would be set
+  by W's phase (about 7 BD steps per lattice step); gentle drives keep
+  BD.  In this frame each fiber evolves alone and unitarily, so a fiber
+  that starts empty stays empty, and leaving a set of fibers out changes
+  every snapshot by exactly their initial norm.  The solve therefore
+  carries only a circular interval of fibers around the packet
+  (kept_fibers), and its table holds only the entries of the lattice
+  points those fibers pass through, each pair of points that the zone's
+  mirror folds together built once, so its cost follows the packet's
+  fiber support and the K range it sweeps, not LK; the caller charges the
+  dropped norm to its error target (harness.propagate_substeps).
 
 ``propagate_strang`` is the plain Strang step that splits V + W against
 the kinetic term; it is kept as the test oracle.  The solvers share the
@@ -424,7 +425,7 @@ def propagate_strang(psi0: GridState, V: PeriodicPotential, W, dt: float,
 
 # -- the accelerated frame ---------------------------------------------------
 
-LATTICE_BLOCK = 64        # table entries, and pass points, per batch
+LATTICE_BLOCK = 64        # Magnus substeps per batch of the table build
 EXPM_NORM = 0.5           # inf-norm the Magnus exponent is scaled under
 EXPM_TOL = 1e-17          # Taylor remainder left in exp of the exponent
 G_SERIES = 0.2            # |x| below which g(x) is summed as its series
@@ -535,46 +536,42 @@ def _magnus_substeps(V: PeriodicPotential, ppw: int, k_mid: np.ndarray,
 
 
 def _lattice_table(V: PeriodicPotential, grid: Grid, alpha: float,
-                   substeps: int, entries=None) -> np.ndarray:
-    """Entries U_k, k = 0..ceil(LK/2)-1, of the window propagator table.
+                   substeps: int, points) -> np.ndarray:
+    """U_k for each lattice point k of points (taken mod LK), in order.
 
     U_k carries a fiber from K = k dp to (k+1) dp, dp = 2 pi/LK, in
-    substeps Magnus substeps (later ones on the left).  The rest follow by
-    the mirror U_{LK-1-k} = R U_k^T R (R reverses the window), which holds
-    for any real V: R h(K) R = h(2 pi - K)^T.  Only the indices in
-    entries are built (None: every one); the others stay zero.  Built
-    LATTICE_BLOCK substeps at a time.
+    substeps Magnus substeps (later ones on the left).  Only the distinct
+    points folded by the mirror U_{LK-1-k} = R U_k^T R (R reverses the
+    window), which holds for any real V since R h(K) R = h(2 pi - K)^T,
+    are built, LATTICE_BLOCK substeps at a time.  Past K = 2 pi the window
+    positions roll by one (the plane wave at the top of the window becomes
+    the one at its bottom), so U_{LK-1}, which reaches 2 pi, is returned
+    rolled once.
     """
     lk, ppw, eps = grid.length * grid.k_inv, grid.ppw, grid.epsilon
     dp = TWO_PI / lk
     a = dp / alpha / (2.0 * substeps)
     frac = (np.arange(substeps) + 0.5) / substeps
-    table = np.zeros(((lk + 1) // 2, ppw, ppw), complex)
-    if entries is None:
-        entries = np.arange(len(table))
+    points = np.asarray(points) % lk
+    folded = np.minimum(points, lk - 1 - points)
+    built, index = np.unique(folded, return_inverse=True)
     block = max(1, LATTICE_BLOCK // substeps)
-    for k0 in range(0, len(entries), block):
-        ks = np.asarray(entries[k0:k0 + block])
+    us = np.empty((built.size, ppw, ppw), complex)
+    for k0 in range(0, built.size, block):
+        ks = built[k0:k0 + block]
         sub = _magnus_substeps(V, ppw, ((ks[:, None] + frac) * dp).ravel(),
                                a, alpha, eps)
         sub = sub.reshape(ks.size, substeps, ppw, ppw)
         u = sub[:, 0]
         for i in range(1, substeps):
             u = sub[:, i] @ u
-        table[ks] = u
+        us[k0:k0 + ks.size] = u
+    table = us[index]
+    mirrored = points != folded
+    table[mirrored] = table[mirrored].transpose(0, 2, 1)[:, ::-1, ::-1]
+    top = points == lk - 1
+    table[top] = np.roll(table[top], 1, axis=1)
     return table
-
-
-def _entry(table: np.ndarray, k: int, lk: int) -> np.ndarray:
-    """The step from lattice point k to k + 1, rolled at a whole period.
-
-    Past K = 2 pi the window positions roll by one (the plane wave at the
-    top of the window becomes the one at its bottom), so the entry that
-    reaches a multiple of 2 pi is rolled once.
-    """
-    i = k % lk
-    u = table[i] if i < len(table) else table[lk - 1 - i].T[::-1, ::-1]
-    return np.roll(u, 1, axis=0) if i == lk - 1 else u
 
 
 def _to_window(values: np.ndarray, lk: int, ppw: int) -> np.ndarray:
@@ -637,70 +634,52 @@ def kept_fibers(psi0: GridState, budget: float) -> tuple:
     return lo, count, _dropped_norm(masses, lo, count)
 
 
-def _window_pass(table: np.ndarray, grid: Grid, x0: np.ndarray, times,
-                 snaps, first_period: int, lo: int, count: int) -> tuple:
-    """(lab fibers at each of snaps, guard values at each of times).
+def _fiber_loop(table: np.ndarray, grid: Grid, x0: np.ndarray, times,
+                snaps, first_period: int, lo: int, count: int) -> tuple:
+    """(lab fibers at each of snaps, guard mass at each of times).
 
     Only the fibers r = lo .. lo + count - 1 (mod LK) of x0 are carried.
-    The fiber at lattice point r at step 0 sits at point r + n after n
-    steps, and its window is P_{r+n} P_r^H x0[r] with P_lo = 1 and
-    P_{k+1} = U_k P_k.  One pass over k from lo keeps the P's of one
-    LATTICE_BLOCK of points, and for every time n of times (snaps among
-    them) whose fiber k - n is kept, writes P_k y_{k-n}, with
-    y_r = P_r^H x0[r], to lab fiber k mod LK; the block reads only the
-    times that have a kept fiber in its reach.  Snapshots keep their
-    fibers, the dropped ones zero rows; every time keeps only the values
-    of psi on the k_inv periods from first_period on (the guard interval),
-    summed fiber by fiber as the pass reaches them, so no other state is
-    stored.  Returns ({n: (LK, ppw) fibers}, (k_inv, len(times), ppw)
-    guard values).
+    table holds U_k for the lattice points lo, lo + 1, .. (_lattice_table),
+    and the fiber that starts at point lo + i sits at lo + i + n after n
+    steps, so step n carries every kept fiber by one batched matvec with
+    table[n:n + count].  At each of times the loop reads psi's mass on the
+    k_inv periods from first_period on (the guard interval) from the kept
+    rows alone, and at each of snaps it writes them into (LK, ppw) lab
+    fibers whose dropped rows are zero.  Returns ({n: (LK, ppw) fibers},
+    (len(times),) guard masses).
     """
     lk, ppw, n = grid.length * grid.k_inv, grid.ppw, grid.n
-    times = np.asarray(times)
-    cols = [int(np.searchsorted(times, t)) for t in snaps]
-    # psi[a + ppw c] = sum_k e^{2 pi i k c/LK} (read_k fiber_k)[a], with
-    # read_k[a, j] = e^{2 pi i (k + LK (j - ppw/2)) a/N}/N
-    a = np.arange(ppw)[:, None]
-    read = np.exp(TWO_PI * 1j * a * (np.arange(ppw) - ppw // 2) / ppw) / n
-    fib = np.arange(lk)[:, None]
-    twist = np.exp(TWO_PI * 1j * fib * a.T / n)
-    wave = np.exp(TWO_PI * 1j * fib * ((first_period + np.arange(grid.k_inv))
-                                       % lk) / lk)
-    guard = np.zeros((grid.k_inv, times.size, ppw), complex)
-    fibers = {int(t): np.zeros((lk, ppw), complex) for t in snaps}
-    y = np.zeros((count + 1, ppw), complex)   # row count: no fiber in reach
-    p = np.eye(ppw, dtype=complex)
-    end = lo + count + int(times[-1])
-    for k0 in range(lo, end, LATTICE_BLOCK):
-        ks = np.arange(k0, min(end, k0 + LATTICE_BLOCK))
-        block = np.empty((ks.size + 1, ppw, ppw), complex)
-        block[0] = p
-        for i, k in enumerate(ks):
-            np.matmul(_entry(table, k, lk), block[i], out=block[i + 1])
-        p, block = block[-1], block[:-1]
-        new = ks[ks < lo + count]
-        y[new - lo] = np.einsum("kji,kj->ki", np.conj(block[:new.size]),
-                                x0[new % lk])
-        # the times n with a kept fiber k - n for some k of the block
-        t0, t1 = np.searchsorted(times, [ks[0] - lo - count, ks[-1] - lo],
-                                 side="right")
-        r = ks[:, None] - times[None, t0:t1] - lo
-        r = np.where((r >= 0) & (r < count), r, count)
-        rows = ks % lk
-        state = y[r] @ block.transpose(0, 2, 1)    # (block, time, ppw)
-        for t, col in zip(snaps, cols):
-            if t0 <= col < t1:
-                live = r[:, col - t0] < count
-                fibers[int(t)][rows[live]] = state[live, col - t0]
-        state @= (twist[rows][:, :, None] * read).transpose(0, 2, 1)
-        guard[:, t0:t1] += np.tensordot(wave[rows], state, axes=(0, 0))
-    return fibers, guard
+    kept = lo + np.arange(count)
+    # psi[a + ppw c] = sum_k e^{2 pi i k c/LK} e^{2 pi i k a/N} (read x_k)[a]
+    # with read[a, j] = e^{2 pi i (j - ppw/2) a/ppw}/N.  After n steps kept
+    # fiber i sits on lab fiber lo + i + n, which turns period c of the sum
+    # by e^{2 pi i n c/LK} and leaves its mass alone, so the period phases
+    # of step 0 serve every read
+    a = np.arange(ppw)
+    read = np.exp(TWO_PI * 1j * a[:, None] * (a - ppw // 2) / ppw) / n
+    periods = first_period + np.arange(grid.k_inv)
+    wave = np.exp(TWO_PI * 1j * np.outer(periods, kept) / lk)
+    x = x0[kept % lk][:, :, None]
+    fibers, mass = {}, []
+    step = 0
+    for t in times:
+        for m in range(step, t):
+            x = table[m:m + count] @ x
+        step = t
+        rows = (kept + t) % lk
+        if t in snaps:
+            fibers[t] = np.zeros((lk, ppw), complex)
+            fibers[t][rows] = x[:, :, 0]
+        state = (x[:, :, 0] @ read.T) * np.exp(TWO_PI * 1j * rows[:, None]
+                                               * a / n)
+        mass.append(np.sum(np.abs(wave @ state) ** 2) * grid.dx)
+    return fibers, np.array(mass)
 
 
 def _accelerated(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
                  check_collar: bool, guard: float, substeps: int,
                  fibers: tuple | None) -> PropagationResult:
-    """The solve in the accelerated (Houston) frame, with no time loop.
+    """The solve in the accelerated (Houston) frame, a loop of lattice steps.
 
     psi = e^{-i W(0) t/eps} e^{i alpha t x/eps} phi turns W = W(0) - alpha x
     into a drift of every fiber's quasimomentum, K = 2 pi r/LK + alpha t,
@@ -708,17 +687,17 @@ def _accelerated(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
     lattice time n dt, dt = lattice_dt, the factor e^{i alpha t x/eps} is a
     shift of the grid's modes by n, so the lab state is the grid's own
     fibers: each step carries lab fiber k to k + 1 by the table entry U_k
-    (_lattice_table, _entry), and _window_pass applies the products of the
-    entries.  No W is split, so there is no collar, phase rule or eps/10
-    cap; the frame's box is cut at x = 0, where the linear W jumps.
+    (_lattice_table), and _fiber_loop runs the steps.  No W is split, so
+    there is no collar, phase rule or eps/10 cap; the frame's box is cut at
+    x = 0, where the linear W jumps.
 
     Every fiber evolves alone and unitarily, so the solve carries only the
     circular interval fibers = (lo, count) of them (None: all LK): the
     fibers left out keep their norm, dropped_norm, and the kept solve
-    differs from the full one by exactly that at every time.  Only the
-    table entries of the lattice points lo .. lo + count + n_last - 1 that
-    the kept fibers pass through are built, and norm_drift is read against
-    the kept part's norm.
+    differs from the full one by exactly that at every time.  The table
+    holds the entries of the lattice points lo .. lo + count + n_last - 2
+    that the kept fibers pass through, and norm_drift is read against the
+    kept part's norm.
 
     The cut's position is arbitrary (a roll of psi0 by whole periods rolls
     every snapshot, up to a global phase), so the guard reads the unit
@@ -750,14 +729,10 @@ def _accelerated(psi0: GridState, V: PeriodicPotential, W, dt: float, steps,
     x0 = _to_window(psi0.values, lk, ppw)
     masses = _fiber_masses(x0, grid)
     dropped = _dropped_norm(masses, lo, count)
-    # the lattice points the kept fibers pass through, folded by the mirror
-    points = (lo + np.arange(count + steps[-1])) % lk
     table = _lattice_table(V, grid, alpha, substeps,
-                           np.unique(np.minimum(points, lk - 1 - points)))
-    lab, amps = _window_pass(table, grid, x0, times, steps, first, lo, count)
-    norm0 = psi0.norm()
-    fracs = (np.sqrt(np.sum(np.abs(amps) ** 2, axis=(0, 2)) * grid.dx)
-             + dropped) ** 2 / max(norm0 ** 2, 1e-300)
+                           lo + np.arange(count + steps[-1] - 1))
+    lab, mass = _fiber_loop(table, grid, x0, times, steps, first, lo, count)
+    fracs = (np.sqrt(mass) + dropped) ** 2 / max(psi0.norm() ** 2, 1e-300)
     peak = float(fracs.max())
     if check_collar and peak > COLLAR_MASS_TOL:
         i = int(np.argmax(fracs > COLLAR_MASS_TOL))

@@ -36,12 +36,12 @@ runs the step-doubling solve and the other the first fine run beside its
 coarse run, so such a case runs up to three threads, and a crossing study
 up to three times the pool size.  In the accelerated frame there is one,
 which runs the substep doubling's runs s = 1, 2, 4, ... in sequence; each
-run is one table build and one window pass.  Isolated cases run on their
-pool thread alone, coarse run then fine run (or run after run).  BLAS runs
-one thread (OPENBLAS_NUM_THREADS=1, set when bandcross is imported before
-numpy): every matrix it sees is at most 64 x 64, or a stack of such, so a
-BLAS worker beside each of these threads would only spin and oversubscribe
-the cores.
+run is one table build and one step loop over the kept fibers.  Isolated
+cases run on their pool thread alone, coarse run then fine run (or run
+after run).  BLAS runs one thread (OPENBLAS_NUM_THREADS=1, set when
+bandcross is imported before numpy): every matrix it sees is at most
+64 x 64, or a stack of such, so a BLAS worker beside each of these threads
+would only spin and oversubscribe the cores.
 """
 from __future__ import annotations
 
@@ -145,7 +145,8 @@ class RunConfig:
     for the one-gap default's harmonics and for bands 1..band+2 when
     band <= 2 M_CUT - 1; a potential with a harmonic above M_CUT is
     refused here, not in the tables mid-run.  N_INNER = 8 readouts span
-    the inner window.
+    the inner window.  The crossing momentum p* follows from band
+    (build_crossing_scenario).
     """
 
     study: str = "crossing"
@@ -154,7 +155,6 @@ class RunConfig:
     external: dict = field(default_factory=lambda: {
         "kind": "linear", "alpha": 4.0, "q_ref": 6.0})
     band: int = 2                  # lower band of the crossing pair (1-based)
-    p_star: float = 0.0
     q0: float = 3.2
     p0: float = -1.0
     sigma: float = 3.5
@@ -521,7 +521,10 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
         return _SCENARIO_CACHE[key]
     V = build_potential(cfg.potential)
     W = build_external(cfg.external)
-    pair = smooth_continuation(V, cfg.band, cfg.p_star,
+    # bands n and n + 1 of a 1-D periodic operator can touch only at p = 0
+    # for an even n and at p = pi for an odd n (Hill's equation)
+    p_star = 0.0 if cfg.band % 2 == 0 else float(np.pi)
+    pair = smooth_continuation(V, cfg.band, p_star,
                                halfwidth=cfg.pair_halfwidth,
                                n_samples=cfg.pair_samples, m_cut=M_CUT)
     kappa = coupling_coefficient(pair)
@@ -530,14 +533,14 @@ def build_crossing_scenario(cfg: RunConfig) -> CrossingScenario:
     pdot = -float(W.dw(cfg.q0))
     if pdot <= 0:
         raise ValueError("external drive must push the packet towards p_star")
-    t_star_rough = (cfg.p_star - cfg.p0) / pdot
+    t_star_rough = (p_star - cfg.p0) / pdot
     eps_max = max(cfg.epsilons)
     # pre-crossing measurements only need the trajectory to bracket t_star
     post = 2.0 * eps_max ** XI if ({"crossing", "inner"}
                                    & set(cfg.measurements)) else 0.0
     horizon = t_star_rough + post + HORIZON_PAD
     p_end = cfg.p0 + pdot * horizon
-    if abs(p_end - cfg.p_star) > cfg.pair_halfwidth - 0.05:
+    if abs(p_end - p_star) > cfg.pair_halfwidth - 0.05:
         raise IsolationFailure(
             f"horizon t={horizon:.3f} drives p to {p_end:.3f}, outside the "
             f"sampled pair window (halfwidth {cfg.pair_halfwidth})")

@@ -31,7 +31,7 @@ class TestLoadConfig:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("key", ["s0", "xi", "xi_prime", "horizon_pad",
-                                     "m_cut", "n_inner"])
+                                     "m_cut", "n_inner", "p_star"])
     def test_removed_field_is_a_usage_error(self, tmp_path, key):
         path = write_config(tmp_path, {key: 1})
         with pytest.raises(SystemExit) as exc:

@@ -743,7 +743,8 @@ def frame_problem(V=None, substeps=2, alpha=1.0, k_inv=8):
     psi0 = assemble_wp0(grid, 2.0, 0.7, 0.0, gaussian_envelope(sigma=1.0),
                         vecs[0])
     W = linear_ramp(alpha, q_ref=1.0)
-    table = direct._lattice_table(V, grid, alpha, substeps)
+    lk = grid.length * grid.k_inv
+    table = direct._lattice_table(V, grid, alpha, substeps, np.arange(lk))
     return psi0, V, W, direct.lattice_dt(grid, alpha), table
 
 
@@ -753,14 +754,15 @@ def substep_midpoints(k, substeps, lk):
 
 
 class TestAcceleratedFrame:
-    """propagate with a guard: the window-product solve of a linear drive."""
+    """propagate with a guard: the kept-fiber loop of a linear drive."""
 
     @pytest.mark.parametrize("V", [make_cosine(4.0),
                                    potential_from_coeffs({1: 1.0, 2: -0.5j})],
                              ids=["even", "odd"])
-    def test_window_products_equal_a_step_loop(self, V):
-        # the pass forms P_{r+n} P_r^H x0[r] for every fiber; a loop that
-        # steps every lab fiber k to k + 1 by the same entries, 70 steps
+    def test_kept_fiber_loop_equals_an_every_fiber_loop(self, V):
+        # the solve steps its kept fibers (here all of them, from lo = 0) by
+        # slices of a table that runs on past LK; a loop that steps every
+        # lab fiber k to k + 1 by entry k of the zone's table, 70 steps
         # through two rolls at K = 2 pi, is the reference
         psi0, V, W, dt, table = frame_problem(V)
         grid = psi0.grid
@@ -775,8 +777,7 @@ class TestAcceleratedFrame:
                 loop = (direct._from_window(fibers)
                         * np.exp(-1j * W.w(0.0) * n * dt / grid.epsilon))
                 assert np.max(np.abs(snap.values - loop)) < 1e-12
-            fibers = np.stack([direct._entry(table, k, lk) @ fibers[k]
-                               for k in range(lk)])
+            fibers = np.stack([table[k] @ fibers[k] for k in range(lk)])
             fibers = np.roll(fibers, 1, axis=0)
 
     @pytest.mark.parametrize("V", [make_cosine(4.0),
@@ -787,20 +788,20 @@ class TestAcceleratedFrame:
         # entries past LK/2 come from the mirror R U^T R; built directly from
         # their own substeps they agree to the rounding of the window's top
         # plane waves, whose phases E a/eps reach about 80 rad here.  The
-        # entry that reaches K = 2 pi is rolled: applied to lab fiber
-        # LK - 1 it equals the unrolled entry followed by the shift of the
-        # grid's modes by one
+        # entry that reaches K = 2 pi is returned rolled: applied to lab
+        # fiber LK - 1 it equals the unrolled entry followed by the shift of
+        # the grid's modes by one
         substeps, alpha = 3, 4.0
         psi0, V, W, dt, table = frame_problem(V, substeps, alpha, k_inv)
         grid = psi0.grid
         lk, ppw, eps = grid.length * grid.k_inv, grid.ppw, grid.epsilon
         a = dt / (2 * substeps)
-        assert len(table) == (lk + 1) // 2
+        assert len(table) == lk
         for k in range(lk):
             sub = direct._magnus_substeps(
                 V, ppw, substep_midpoints(k, substeps, lk), a, alpha, eps)
             direct_entry = sub[2] @ sub[1] @ sub[0]
-            entry = direct._entry(table, k, lk)
+            entry = table[k]
             if k == lk - 1:
                 entry = np.roll(entry, -1, axis=0)
             assert np.max(np.abs(entry - direct_entry)) < 1e-12
@@ -808,13 +809,13 @@ class TestAcceleratedFrame:
         fibers = np.zeros((lk, ppw), complex)
         fibers[lk - 1] = (rng.standard_normal(ppw)
                           + 1j * rng.standard_normal(ppw))
-        top = np.roll(direct._entry(table, lk - 1, lk), -1, axis=0)
+        top = np.roll(table[lk - 1], -1, axis=0)
         stepped = fibers.copy()
         stepped[lk - 1] = top @ fibers[lk - 1]
         shifted = np.roll(np.fft.fft(direct._from_window(stepped)), 1)
         expected = direct._to_window(np.fft.ifft(shifted), lk, ppw)
         assert np.max(np.abs(expected[1:])) < 1e-13
-        rolled = direct._entry(table, lk - 1, lk) @ fibers[lk - 1]
+        rolled = table[lk - 1] @ fibers[lk - 1]
         assert np.max(np.abs(rolled - expected[0])) < 1e-13
 
     def test_free_particle_is_exact(self):
@@ -980,14 +981,15 @@ class TestKeptFibers:
             l2_error(psi0, on_fibers(psi0, lo, count)).plain, rel=1e-12)
 
     @EVEN_AND_ODD
-    def test_subset_table_entries_equal_the_full_table(self, V):
+    def test_table_of_a_point_sequence_equals_the_zone_table(self, V):
+        # points past LK (32) are read mod LK, the top of the zone (31)
+        # comes rolled, and 15 and 16, which the mirror folds together,
+        # each equal their own entry
         psi0, V, W, dt, full = frame_problem(V, substeps=3)
-        entries = np.array([0, 1, 5, 6, 7, 15])
-        sub = direct._lattice_table(V, psi0.grid, 1.0, 3, entries)
-        assert sub.shape == full.shape
-        assert np.max(np.abs(sub[entries] - full[entries])) < 1e-13
-        rest = np.setdiff1d(np.arange(len(full)), entries)
-        assert not np.any(sub[rest])
+        points = np.r_[30:38, 70, 5, 15, 16]
+        seq = direct._lattice_table(V, psi0.grid, 1.0, 3, points)
+        assert seq.shape == (points.size,) + full.shape[1:]
+        assert np.max(np.abs(seq - full[points % 32])) < 1e-13
 
     def test_refuses_an_empty_interval_and_bd(self):
         psi0, V, W, dt, _ = frame_problem()

@@ -382,7 +382,7 @@ def trivial_cfg():
         study="breakdown",
         potential={"kind": "coeffs", "values": {"2": 2.0}},
         external={"kind": "linear", "alpha": 3.0, "q_ref": 6.0},
-        band=1, p_star=float(np.pi), q0=3.5, p0=float(np.pi) - 1.0,
+        band=1, q0=3.5, p0=float(np.pi) - 1.0,
         sigma=2.0, epsilons=(1 / 32, 1 / 64),
         domain_length=9, pair_halfwidth=1.7, pair_samples=801,
         solver={"signal_prefactor": 0.05},
@@ -966,9 +966,9 @@ class TestGatedCrossingCase:
         # it, each run of the accelerated-frame solve eighs the substeps of
         # its built table entries, in batches of at most LATTICE_BLOCK (the
         # 2-D calls are the Bloch modes of the predicted packets).  The
-        # solve keeps the 37 fibers r = 359..395, which pass the lattice
-        # points 359..586 in the 191 steps to t_run: mod LK, 359..447 and
-        # 0..138, which the mirror folds onto the 139 entries 0..138
+        # solve keeps the 37 fibers r = 359..395, which step through the
+        # entries of the lattice points 359..585 in the 191 steps to t_run:
+        # mod LK, 359..447 and 0..137, which the mirror folds onto 0..137
         case, shapes = counted_case
         lk = 14 * 32
         batched = [shape for shape in shapes if len(shape) == 3]
@@ -981,7 +981,7 @@ class TestGatedCrossingCase:
         runs = case.n_steps // max(round(t / case.dt)
                                    for t in case.times.values())
         assert case.fibers_kept == 37
-        assert sum(shape[0] for shape in table) == 139 * (2 ** runs - 1)
+        assert sum(shape[0] for shape in table) == 138 * (2 ** runs - 1)
 
     def test_ppw_is_the_smallest_that_meets_the_tolerance(self, counted_case):
         case, _ = counted_case

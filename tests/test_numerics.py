@@ -36,9 +36,10 @@ class TestFresnel:
 def _crossing_pair():
     # the band pair of the crossing32 benchmark workload
     cfg = harness.default_config("crossing")
-    V = harness.build_crossing_scenario(cfg).V
-    return cfg, V, smooth_continuation(V, cfg.band, cfg.p_star, halfwidth=1.9,
-                                       n_samples=1789, m_cut=harness.M_CUT)
+    scenario = harness.build_crossing_scenario(cfg)
+    return cfg, scenario.V, smooth_continuation(
+        scenario.V, cfg.band, scenario.pair.p_star, halfwidth=1.9,
+        n_samples=1789, m_cut=harness.M_CUT)
 
 
 class TestUniformHermite:
@@ -141,7 +142,7 @@ class TestUniformHermite:
         rows = np.arange(mid.size)
         for branch, below in ((pair.plus, cfg.band - 1),
                               (pair.minus, cfg.band)):
-            idx = np.where(mid < cfg.p_star, below, 2 * cfg.band - 1 - below)
+            idx = np.where(mid < pair.p_star, below, 2 * cfg.band - 1 - below)
             energy, chi = evals[rows, idx], evecs[rows, :, idx]
             errors = {}
             for name, make in (("hermite", UniformHermite),
